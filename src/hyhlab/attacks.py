@@ -12,8 +12,7 @@ was recomputed from the attacker's view and verified via d*G == U.
 import hmac
 import itertools
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import hyh
 from .curve import (
@@ -33,8 +32,10 @@ from .hyh import (
     encode_field,
     hash_bytes,
     hash_to_scalar,
-    keystream,
+    message_tag,
+    open_ciphertext,
     x_coord,
+    xor_bytes,
 )
 from .numtheory import crt_combine, mod_inverse
 
@@ -86,17 +87,15 @@ class AttackReport:
     def log(self, event: str, **details):
         self.transcript.append({"event": event, **details})
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """Everything but the wall time, so the JSON is reproducible."""
+        return {
             "attack_name": self.attack_name,
             "success": self.success,
             "recovered_secrets": dict(self.recovered_secrets),
             "oracle_queries": self.oracle_queries,
             "transcript": list(self.transcript),
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def _hex(v: int) -> str:
@@ -109,18 +108,15 @@ def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
                        sct: SigncryptedText, r: int) -> AttackReport:
     """Recover the sender's long-term key from one intercepted triple plus
     its ephemeral scalar: d_A = x_R^-1 * (r*s - H(M)) mod n."""
-    t0 = time.monotonic()
     params = config.params
     n = params.n
     report = AttackReport("recover_sender_key", success=False)
     if scalar_mul(params, r, params.G) != sct.R:
         raise EphemeralMismatch("r*G does not match the transmitted R")
-    shared = scalar_mul(params, r, u_b)
-    x_k = x_coord(shared)
-    plain = bytes(a ^ b for a, b in zip(sct.C, keystream(config, x_k, len(sct.C))))
-    message, tag = plain[:-TAG_LEN], plain[-TAG_LEN:]
-    report.log("decrypted", message=message.hex(), tag_matches=(
-        tag == hash_bytes(config, message + hyh.encode_scalar(config, sct.s))[:TAG_LEN]))
+    x_k = x_coord(scalar_mul(params, r, u_b))
+    message, tag = open_ciphertext(config, x_k, sct.C)
+    report.log("decrypted", message=message.hex(),
+               tag_matches=tag == message_tag(config, message, sct.s))
     x_r = x_coord(sct.R) % n
     d_a = mod_inverse(x_r, n) * (r * sct.s - hash_to_scalar(config, message)) % n
     report.log("key_formula_applied", d_a=_hex(d_a))
@@ -129,7 +125,6 @@ def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
         report.recovered_secrets = {
             "d_A": _hex(d_a), "M": message.hex(), "x_K": _hex(x_k),
         }
-    report.wall_time = time.monotonic() - t0
     return report
 
 
@@ -158,8 +153,8 @@ def nonce_reuse_recover(c1: bytes, c2: bytes, m1: bytes) -> NonceReuseResult:
     overlap = min(len(m1), len(c2) - TAG_LEN, len(c1) - TAG_LEN)
     if overlap < 0:
         raise ValueError("ciphertext shorter than a tag")
-    xored = bytes(a ^ b for a, b in zip(c1, c2))
-    m2 = bytes(x ^ m for x, m in zip(xored[:overlap], m1))
+    xored = xor_bytes(c1, c2)
+    m2 = xor_bytes(xored[:overlap], m1)
     tag_xor = None if mismatch else xored[-TAG_LEN:]
     return NonceReuseResult(m2=m2, tag_xor=tag_xor, length_mismatch=mismatch)
 
@@ -175,11 +170,11 @@ def confirmation_mac(config: SchemeConfig, x_k: int, message: bytes) -> bytes:
 class ConfirmationOracle:
     """A simulated recipient that acknowledges every delivery with a MAC.
 
-    On each query the recipient computes its shared point from the incoming
-    ephemeral point, runs the unsigncryption steps, and regardless of whether
-    the tag verified, returns the confirmation message with its MAC under the
-    session key. A strict-mode recipient instead validates the incoming point
-    first and refuses anything off-curve or of the wrong order.
+    On each query the recipient takes the unsigncryption step that derives
+    the shared point from the incoming ephemeral point and, whatever C and s
+    hold, returns the confirmation message with its MAC under the session
+    key. A strict-mode recipient refuses in that step exactly what
+    ``hyh.unsigncrypt_trace`` refuses there.
     """
 
     def __init__(self, d_b: int, config: SchemeConfig,
@@ -194,25 +189,11 @@ class ConfirmationOracle:
         if self.queries >= self.query_budget:
             raise QueryBudgetExceeded(f"budget of {self.query_budget} queries spent")
         self.queries += 1
-        params = self.config.params
-        if self.config.mode == hyh.STRICT:
-            ok = validate_public_key(params, W).ok and W is not None \
-                and scalar_mul(params, params.n, W) is None
-            if not ok:
-                raise OracleRejection("incoming ephemeral point failed validation")
-        shared = scalar_mul(params, self._d_b, W)
-        x_k = x_coord(shared)
-        if len(C) > 0:  # go through the decryption motions like a real victim
-            plain = bytes(a ^ b for a, b in zip(C, keystream(self.config, x_k, len(C))))
-            del plain  # tag verification outcome does not gate the reply
-        z = confirmation_mac(self.config, x_k, self.confirmation_message)
+        K, refused = hyh.recipient_shared_point(self.config, self._d_b, W)
+        if refused:
+            raise OracleRejection("incoming ephemeral point failed validation")
+        z = confirmation_mac(self.config, x_coord(K), self.confirmation_message)
         return self.confirmation_message, z
-
-
-def make_confirmation_oracle(d_b: int, config: SchemeConfig,
-                             confirmation_message: bytes,
-                             query_budget: int = 64) -> ConfirmationOracle:
-    return ConfirmationOracle(d_b, config, confirmation_message, query_budget)
 
 
 @dataclass(frozen=True)
@@ -222,7 +203,6 @@ class Residue:
 
     value: int
     modulus: int
-    sign_ambiguous: bool = True
 
 
 def invalid_curve_attack(config: SchemeConfig, u_b: Point,
@@ -239,7 +219,6 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     assignment is pushed through the CRT until one candidate reproduces the
     victim's public key.
     """
-    t0 = time.monotonic()
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
     hits = find_invalid_curves(params, min_product or params.n, rng_seed,
@@ -257,7 +236,6 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
         except OracleRejection as exc:
             report.oracle_queries = oracle.queries
             report.log("oracle_rejected", order=hit.order, reason=str(exc))
-            report.wall_time = time.monotonic() - t0
             return report
         j, trials = _brute_force_coset(config, hit, message, z)
         if j is None:
@@ -281,7 +259,6 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
             f"{r.value}%{r.modulus}" for r in residues)
         report.log("mac_trials_total", per_curve=trials_per_curve,
                    bounds=[h.order // 2 + 1 + h.order % 2 for h in hits])
-    report.wall_time = time.monotonic() - t0
     return report
 
 
@@ -471,7 +448,6 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
     her traffic: Bob accepts the message as coming from Mallory while Alice
     believes she wrote to Bob. Works because certification never asked
     Mallory to prove he holds the private key for the key he registered."""
-    t0 = time.monotonic()
     report = AttackReport("uks_scenario", success=False)
     registry = CertRegistry(config, rng_seed=rng_seed)
     now = 1000
@@ -484,7 +460,6 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
     except PossessionProofInvalid as exc:
         report.log("certification_blocked", identity=mallory_identity,
                    reason=str(exc))
-        report.wall_time = time.monotonic() - t0
         return report
     report.log("certificate_issued", identity=mallory_identity,
                bound_key="alice_public_key")
@@ -503,7 +478,6 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
     cert = registry.issued[mallory_identity]
     if not cert_validate(registry, cert, now).ok:
         report.log("bob_rejected_certificate")
-        report.wall_time = time.monotonic() - t0
         return report
     recovered = hyh.unsigncrypt(config, bob.d, cert.public_key, sct)
     bob_view = {
@@ -521,7 +495,6 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
         report.recovered_secrets = {"M_as_seen_by_bob": recovered.hex()}
         report.log("views_diverged", alice_thinks="Bob",
                    bob_thinks=mallory_identity)
-    report.wall_time = time.monotonic() - t0
     return report
 
 
@@ -532,7 +505,6 @@ def break_forward_secrecy(config: SchemeConfig, d_a: int, u_b: Point,
     """With the sender's long-term key and a known plaintext, the ephemeral
     scalar of a past session falls out as r = s^-1 (H(M) + x_R d_A) mod n,
     and with it the session key that protected the ciphertext."""
-    t0 = time.monotonic()
     params = config.params
     n = params.n
     report = AttackReport("break_forward_secrecy", success=False)
@@ -543,21 +515,18 @@ def break_forward_secrecy(config: SchemeConfig, d_a: int, u_b: Point,
             "recovered r does not regenerate R; wrong message or sender key")
     report.log("ephemeral_recovered", r=_hex(r))
     x_k = x_coord(scalar_mul(params, r, u_b))
-    plain = bytes(a ^ b for a, b in zip(sct.C, keystream(config, x_k, len(sct.C))))
-    redecrypted = plain[:-TAG_LEN]
+    redecrypted, _ = open_ciphertext(config, x_k, sct.C)
     report.log("session_redecrypted", matches=redecrypted == message)
     report.success = redecrypted == message
     if report.success:
         report.recovered_secrets = {"r": _hex(r), "x_K": _hex(x_k),
                                     "M": redecrypted.hex()}
-    report.wall_time = time.monotonic() - t0
     return report
 
 
 # --- finding 8: identity point as session key -------------------------------
 
-def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0,
-                        forge_acceptance: bool | None = None) -> AttackReport:
+def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport:
     """Send R = O so the recipient's shared point is the identity and the
     keystream collapses to all zero bytes.
 
@@ -568,13 +537,10 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0,
     built without any key at all. Success means the two behaviours diverge
     exactly this way.
     """
-    t0 = time.monotonic()
     params = config.params
     n = params.n
-    paper_cfg = SchemeConfig(params=params, mode=hyh.PAPER,
-                             hash_name=config.hash_name)
-    strict_cfg = SchemeConfig(params=params, mode=hyh.STRICT,
-                              hash_name=config.hash_name)
+    paper_cfg = replace(config, mode=hyh.PAPER)
+    strict_cfg = replace(config, mode=hyh.STRICT)
     report = AttackReport("degenerate_key_demo", success=False)
     rng = random.Random(rng_seed)
     bob = hyh.keypair_from_secret(paper_cfg, rng.randrange(1, n))
@@ -582,8 +548,7 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0,
 
     message = b"weak key: the keystream below is all zeros"
     s = rng.randrange(1, n)
-    tag = hash_bytes(paper_cfg, message + hyh.encode_scalar(paper_cfg, s))[:TAG_LEN]
-    sct = SigncryptedText(R=None, C=message + tag, s=s)
+    sct = SigncryptedText(R=None, C=message + message_tag(paper_cfg, message, s), s=s)
 
     paper_trace = hyh.unsigncrypt_trace(paper_cfg, bob.d, alice.U, sct)
     strict_trace = hyh.unsigncrypt_trace(strict_cfg, bob.d, alice.U, sct)
@@ -600,9 +565,7 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0,
     report.success = (zero_keystream and not strict_trace.decrypt_attempted
                       and strict_trace.rejected_at == "ephemeral_point")
 
-    if forge_acceptance is None:
-        forge_acceptance = n <= 1 << 21
-    if forge_acceptance:
+    if n <= 1 << 21:  # the forgery needs ~n hash trials
         forged = _forge_zero_hash_triple(paper_cfg, rng_seed)
         accepted = hyh.unsigncrypt(paper_cfg, bob.d, alice.U, forged)
         plaintext = forged.C[:-TAG_LEN]
@@ -614,7 +577,6 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0,
         if report.success:
             report.recovered_secrets["forged_M"] = plaintext.hex()
 
-    report.wall_time = time.monotonic() - t0
     return report
 
 
@@ -622,13 +584,10 @@ def _forge_zero_hash_triple(config: SchemeConfig, rng_seed: int) -> SigncryptedT
     """Build an accepted triple with no key material: R = O kills both sides
     of the verification equation once H(M) = 0 mod n, and the zero keystream
     makes the ciphertext the plaintext. Needs ~n hash trials."""
-    n = config.params.n
     counter = 0
     while True:
         message = b"forged-%d-%d" % (rng_seed, counter)
         if hash_to_scalar(config, message) == 0:
             break
         counter += 1
-    s = 1
-    tag = hash_bytes(config, message + hyh.encode_scalar(config, s))[:TAG_LEN]
-    return SigncryptedText(R=None, C=message + tag, s=s)
+    return SigncryptedText(R=None, C=message + message_tag(config, message, 1), s=1)

@@ -10,9 +10,11 @@ unsuccessful, 2 bad input or configuration.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
+import time
 
 from . import attacks, fixtures, hyh, paramcheck
 from .attacks import AttackReport
@@ -100,7 +102,7 @@ def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
 def scenario_invalid_curve(config: SchemeConfig, seed: int) -> AttackReport:
     rng = random.Random(seed)
     _, bob = _keys(config, rng)
-    oracle = attacks.make_confirmation_oracle(
+    oracle = attacks.ConfirmationOracle(
         bob.d, config, b"delivery confirmed", query_budget=64)
     report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=seed)
     if not report.success and config.mode == hyh.STRICT:
@@ -144,9 +146,8 @@ def scenario_degenerate_key(config: SchemeConfig, seed: int) -> AttackReport:
     alice, bob = _keys(config, rng)
     s = rng.randrange(1, config.params.n)
     message = b"weak key probe"
-    tag = hyh.hash_bytes(config, message + hyh.encode_scalar(config, s))[:hyh.TAG_LEN]
-    trace = hyh.unsigncrypt_trace(config, bob.d, alice.U,
-                                  SigncryptedText(R=None, C=message + tag, s=s))
+    sct = SigncryptedText(R=None, C=message + hyh.message_tag(config, message, s), s=s)
+    trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
     report = AttackReport("degenerate_key_demo", success=trace.decrypt_attempted)
     report.log("strict_mode", decrypt_attempted=trace.decrypt_attempted,
                rejected_at=trace.rejected_at)
@@ -233,13 +234,13 @@ def _load_public(path: str):
         ) from None
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
+def _emit(args, payload: dict, text_lines: list[str], copy_to_out: bool = True):
     if args.format == "json":
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         rendered = "\n".join(text_lines) + "\n"
     sys.stdout.write(rendered)
-    if args.out:
+    if copy_to_out and args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered)
 
@@ -268,16 +269,11 @@ def cmd_keygen(args) -> int:
         with open(pub_path, "w") as fh:
             json.dump(pub, fh, indent=2, sort_keys=True)
     payload = {"d": f"{keypair.d:x}", **pub}
-    _emit_no_out(args, payload,
-                 [f"d  = {keypair.d:x}", f"Ux = {pub['Ux']}", f"Uy = {pub['Uy']}"])
+    # --out names the key file here, so the printed copy stays on stdout
+    _emit(args, payload,
+          [f"d  = {keypair.d:x}", f"Ux = {pub['Ux']}", f"Uy = {pub['Uy']}"],
+          copy_to_out=False)
     return 0
-
-
-def _emit_no_out(args, payload: dict, text_lines: list[str]):
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
 
 
 def cmd_signcrypt(args) -> int:
@@ -308,8 +304,7 @@ def cmd_unsigncrypt(args) -> int:
         sys.stdout.write(json.dumps({"accepted": True, "out": args.out},
                                     sort_keys=True) + "\n")
     else:
-        _emit_no_out(args, {"accepted": True, "message": message.hex()},
-                     [message.hex()])
+        _emit(args, {"accepted": True, "message": message.hex()}, [message.hex()])
     return 0
 
 
@@ -317,7 +312,7 @@ def _load_sct(path: str) -> SigncryptedText:
     obj = _read_json(path)
     try:
         return hyh.sct_from_dict(obj)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"{path}: bad signcrypted text: {exc}") from None
 
 
@@ -333,29 +328,31 @@ def cmd_verify(args) -> int:
 
 def cmd_attack(args) -> int:
     config = _config(args)
-    if args.name == "ephemeral" and not args.self_stage:
-        return _attack_ephemeral_from_files(args, config)
-    if not args.self_stage:
+    if args.self_stage:
+        attack = functools.partial(SCENARIOS[args.name], config, args.seed)
+    elif args.name == "ephemeral":
+        attack = _ephemeral_from_files(args, config)
+    else:
         raise CliError(f"attack {args.name} requires --self-stage "
                        "(in-process victim staging)")
-    report = SCENARIOS[args.name](config, args.seed)
+    t0 = time.monotonic()
+    try:
+        report = attack()
+    except attacks.EphemeralMismatch as exc:
+        raise CliError(str(exc)) from None
+    report.wall_time = time.monotonic() - t0
     _emit_report(args, report)
     return 0 if report.success else 1
 
 
-def _attack_ephemeral_from_files(args, config: SchemeConfig) -> int:
+def _ephemeral_from_files(args, config: SchemeConfig):
     if not (args.sct and args.r and args.sender_pub and args.recipient_pub):
         raise CliError("attack ephemeral needs --self-stage, or all of "
                        "--sct/--r/--sender-pub/--recipient-pub")
     sct = _load_sct(args.sct)
-    try:
-        report = attacks.recover_sender_key(
-            config, _load_public(args.sender_pub), _load_public(args.recipient_pub),
-            sct, int(args.r, 16))
-    except attacks.EphemeralMismatch as exc:
-        raise CliError(str(exc)) from None
-    _emit_report(args, report)
-    return 0 if report.success else 1
+    return functools.partial(
+        attacks.recover_sender_key, config, _load_public(args.sender_pub),
+        _load_public(args.recipient_pub), sct, int(args.r, 16))
 
 
 def _emit_report(args, report: AttackReport):
@@ -372,7 +369,7 @@ def _emit_report(args, report: AttackReport):
 
 def cmd_demo_all(args) -> int:
     params = load_params(args.params)
-    summary = run_demo_all(params, args.seed)
+    summary = run_demo_all(params, args.seed, args.hash)
     lines = [f"{'attack':<18} paper    strict"]
     for row in summary["findings"]:
         lines.append(f"{row['attack']:<18} "
@@ -418,10 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="parameter tooling")
     params_sub = p_params.add_subparsers(dest="subcommand", required=True)
     params_sub.add_parser("validate", help="run the nine-check validator")
+    p_params.set_defaults(func=cmd_params_validate)
 
     p_keygen = sub.add_parser("keygen", help="generate a key pair")
     p_keygen.add_argument("--pub-out", metavar="PATH",
                           help="public key file (default: <out>.pub)")
+    p_keygen.set_defaults(func=cmd_keygen)
 
     p_sc = sub.add_parser("signcrypt")
     p_sc.add_argument("--key", required=True, help="sender private key file")
@@ -429,18 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--in", dest="infile", required=True, help="message file")
     p_sc.add_argument("--force-r", metavar="HEX",
                       help="pin the ephemeral scalar (attack staging)")
+    p_sc.set_defaults(func=cmd_signcrypt)
 
     p_usc = sub.add_parser("unsigncrypt")
     p_usc.add_argument("--key", required=True, help="recipient private key file")
     p_usc.add_argument("--peer", required=True, help="sender public key file")
     p_usc.add_argument("--in", dest="infile", required=True,
                        help="signcrypted text file")
+    p_usc.set_defaults(func=cmd_unsigncrypt)
 
     p_ver = sub.add_parser("verify", help="public verification of (M, R, s)")
     p_ver.add_argument("--peer", required=True, help="sender public key file")
     p_ver.add_argument("--in", dest="infile", required=True,
                        help="signcrypted text file")
     p_ver.add_argument("--message", required=True, help="claimed plaintext file")
+    p_ver.set_defaults(func=cmd_verify)
 
     p_atk = sub.add_parser("attack", help="run one attack scenario")
     p_atk.add_argument("name", choices=ATTACK_NAMES)
@@ -450,10 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_atk.add_argument("--r", metavar="HEX", help="leaked ephemeral scalar")
     p_atk.add_argument("--sender-pub", help="sender public key file")
     p_atk.add_argument("--recipient-pub", help="recipient public key file")
+    p_atk.set_defaults(func=cmd_attack)
 
     p_demo = sub.add_parser("demo", help="run the whole attack corpus")
     demo_sub = p_demo.add_subparsers(dest="subcommand", required=True)
     demo_sub.add_parser("all", help="all attacks, both modes, one table")
+    p_demo.set_defaults(func=cmd_demo_all)
 
     return parser
 
@@ -462,21 +466,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "params":
-            return cmd_params_validate(args)
-        if args.command == "keygen":
-            return cmd_keygen(args)
-        if args.command == "signcrypt":
-            return cmd_signcrypt(args)
-        if args.command == "unsigncrypt":
-            return cmd_unsigncrypt(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "attack":
-            return cmd_attack(args)
-        if args.command == "demo":
-            return cmd_demo_all(args)
-        raise CliError(f"unknown command {args.command}")
+        return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

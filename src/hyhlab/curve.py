@@ -18,9 +18,9 @@ from .numtheory import mod_inverse, sqrt_mod, is_prime
 
 Point = tuple[int, int] | None
 
-INFINITY: Point = None
-
 DEFAULT_COUNT_BOUND = 1 << 24
+
+_SEARCH_TRIES = 4096
 
 
 class CurveTooLarge(ValueError):
@@ -173,10 +173,9 @@ def point_order(params: CurveParams, P: Point, group_order: int) -> int:
     return m
 
 
-def random_point(params: CurveParams, rng: random.Random,
-                 max_tries: int = 4096) -> Point:
+def random_point(params: CurveParams, rng: random.Random) -> Point:
     """Uniform-ish random affine point on the curve, by x-lifting."""
-    for _ in range(max_tries):
+    for _ in range(_SEARCH_TRIES):
         x = rng.randrange(params.q)
         rhs = (x * x % params.q * x + params.a * x + params.b) % params.q
         y = sqrt_mod(rhs, params.q)
@@ -189,7 +188,7 @@ def random_point(params: CurveParams, rng: random.Random,
 
 
 def find_point_of_order(params: CurveParams, g: int, group_order: int,
-                        rng_seed: int, max_tries: int = 4096) -> Point:
+                        rng_seed: int) -> Point:
     """Point of exact prime order g, via cofactor multiplication.
 
     The cofactor strips every other prime, landing in the g-Sylow subgroup;
@@ -206,14 +205,14 @@ def find_point_of_order(params: CurveParams, g: int, group_order: int,
     while cofactor % g == 0:
         cofactor //= g
     rng = random.Random(rng_seed)
-    for _ in range(max_tries):
+    for _ in range(_SEARCH_TRIES):
         W = scalar_mul(params, cofactor, random_point(params, rng))
         while W is not None:
             lower = scalar_mul(params, g, W)
             if lower is None:
                 return W
             W = lower
-    raise SearchBudgetExceeded(f"no point of order {g} found in {max_tries} tries")
+    raise SearchBudgetExceeded(f"no point of order {g} found in {_SEARCH_TRIES} tries")
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,7 @@ class InvalidCurveHit:
 
 def find_invalid_curves(params: CurveParams, min_product: int, rng_seed: int,
                         small_order_bound: int = 1 << 14,
-                        max_candidates: int = 64,
-                        count_bound: int = DEFAULT_COUNT_BOUND) -> list[InvalidCurveHit]:
+                        max_candidates: int = 64) -> list[InvalidCurveHit]:
     """Curves differing from params only in b, each carrying a point of small
     prime order, orders pairwise coprime with product above min_product.
 
@@ -251,7 +249,7 @@ def find_invalid_curves(params: CurveParams, min_product: int, rng_seed: int,
         if (4 * params.a ** 3 + 27 * b2 * b2) % params.q == 0:
             continue
         candidate = params.with_b(b2, G=None, n=0, h=0)
-        order2 = count_points(candidate, bound=count_bound)
+        order2 = count_points(candidate)
         usable = [
             g for g in numtheory.factor(order2)
             if g <= small_order_bound and g not in used_orders

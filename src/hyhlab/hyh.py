@@ -135,16 +135,42 @@ def keystream(config: SchemeConfig, x_k: int, length: int) -> bytes:
     return (block * reps)[:length]
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
+def xor_bytes(data: bytes, stream: bytes) -> bytes:
+    """Bytewise XOR, truncated to the shorter input like ``zip``."""
     return bytes(a ^ b for a, b in zip(data, stream))
 
 
-def _tag(config: SchemeConfig, message: bytes, s: int) -> bytes:
+def message_tag(config: SchemeConfig, message: bytes, s: int) -> bytes | None:
+    """The tag H(M || s), or None when s has no fixed-width encoding, in
+    which case no tag can match it."""
+    if not 0 <= s < 256 ** config.scalar_width:
+        return None
     return hash_bytes(config, message + encode_scalar(config, s))[:TAG_LEN]
+
+
+def open_ciphertext(config: SchemeConfig, x_k: int, C: bytes) -> tuple[bytes, bytes]:
+    """Strip the keystream of x_K and split the plaintext into (M, tag)."""
+    plain = xor_bytes(C, keystream(config, x_k, len(C)))
+    return plain[:-TAG_LEN], plain[-TAG_LEN:]
 
 
 def _has_order_n(config: SchemeConfig, P: Point) -> bool:
     return P is not None and scalar_mul(config.params, config.params.n, P) is None
+
+
+def recipient_shared_point(config: SchemeConfig, d_b: int,
+                           R: Point) -> tuple[Point, str | None]:
+    """The recipient's step K = d_B * R, as (K, None), or (None, reason) when
+    strict mode refuses. The paper checks nothing here; strict mode refuses
+    an R that is not a valid point of order n (``ephemeral_point``) and a K
+    that is the identity (``shared_point_identity``)."""
+    if config.mode == STRICT and not (
+            validate_public_key(config.params, R).ok and _has_order_n(config, R)):
+        return None, "ephemeral_point"
+    K = scalar_mul(config.params, d_b, R)
+    if config.mode == STRICT and K is None:
+        return None, "shared_point_identity"
+    return K, None
 
 
 def gen(config: SchemeConfig, rng_seed: int | random.Random | None = None) -> KeyPair:
@@ -204,9 +230,9 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
             if forced_r is not None:
                 raise ValueError("forced ephemeral scalar yields s = 0")
             continue
-        tag = _tag(config, message, s)
+        tag = message_tag(config, message, s)
         stream = keystream(config, x_coord(K), len(message) + TAG_LEN)
-        return SigncryptedText(R=R, C=_xor(message + tag, stream), s=s)
+        return SigncryptedText(R=R, C=xor_bytes(message + tag, stream), s=s)
     raise RngFailure("no usable ephemeral scalar found; recipient key degenerate?")
 
 
@@ -228,22 +254,17 @@ class UnsigncryptTrace:
 
 def unsigncrypt_trace(config: SchemeConfig, d_b: int, u_a: Point,
                       sct: SigncryptedText) -> UnsigncryptTrace:
-    params = config.params
     R, C, s = sct.R, sct.C, sct.s
     if len(C) < TAG_LEN + 1:
         return UnsigncryptTrace(False, None, "length", decrypt_attempted=False)
-    if config.mode == STRICT:
-        if not validate_public_key(params, R).ok or not _has_order_n(config, R):
-            return UnsigncryptTrace(False, None, "ephemeral_point", decrypt_attempted=False)
-    K = scalar_mul(params, d_b, R)
-    if config.mode == STRICT and K is None:
-        return UnsigncryptTrace(False, None, "shared_point_identity",
-                                decrypt_attempted=False)
+    K, refused = recipient_shared_point(config, d_b, R)
+    if refused:
+        return UnsigncryptTrace(False, None, refused, decrypt_attempted=False)
     x_k = x_coord(K)
-    plain = _xor(C, keystream(config, x_k, len(C)))
-    message, tag = plain[:-TAG_LEN], plain[-TAG_LEN:]
-    tag_ok = tag == _tag(config, message, s)
-    sig_ok = public_verify(config, u_a, message, R, s)
+    message, tag = open_ciphertext(config, x_k, C)
+    expected_tag = message_tag(config, message, s)
+    tag_ok = tag == expected_tag
+    sig_ok = expected_tag is not None and public_verify(config, u_a, message, R, s)
     accepted = tag_ok and sig_ok
     return UnsigncryptTrace(
         accepted=accepted,

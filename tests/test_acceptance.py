@@ -112,8 +112,8 @@ def test_4_invalid_curve_key_recovery(paper20):
     assert (1 << 16) <= q <= (1 << 20)
     bob = hyh.keypair_from_secret(paper20, random.Random(1004).randrange(
         1, paper20.params.n))
-    oracle = attacks.make_confirmation_oracle(bob.d, paper20, b"received",
-                                              query_budget=64)
+    oracle = attacks.ConfirmationOracle(bob.d, paper20, b"received",
+                                        query_budget=64)
     report = attacks.invalid_curve_attack(paper20, bob.U, oracle, rng_seed=1004)
     elapsed = time.monotonic() - t0
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hyhlab import attacks, curve as cv, hyh
-from hyhlab.hyh import STRICT, SchemeConfig, SigncryptedText
+from hyhlab.hyh import PAPER, STRICT, SchemeConfig, SigncryptedText
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ class TestConfirmationOracle:
         alice, bob = keys16
         r = 1000
         sct = hyh.signcrypt(paper16, alice.d, bob.U, b"ping", forced_r=r)
-        oracle = attacks.make_confirmation_oracle(bob.d, paper16, b"pong")
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"pong")
         message, z = oracle.query(sct.R, sct.C, sct.s)
         # the legitimate sender derives the same MAC key from r * U_B
         x_k = hyh.x_coord(cv.scalar_mul(paper16.params, r, bob.U))
@@ -122,14 +122,14 @@ class TestConfirmationOracle:
 
     def test_identity_point_keys_mac_with_zero(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.make_confirmation_oracle(bob.d, paper16, b"pong")
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"pong")
         message, z = oracle.query(None, bytes(33), 1)
         assert z == attacks.confirmation_mac(paper16, 0, message)
 
     def test_query_budget(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.make_confirmation_oracle(bob.d, paper16, b"x",
-                                                  query_budget=5)
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"x",
+                                            query_budget=5)
         for _ in range(5):
             oracle.query(None, bytes(33), 1)
         with pytest.raises(attacks.QueryBudgetExceeded):
@@ -137,22 +137,48 @@ class TestConfirmationOracle:
 
     def test_strict_oracle_rejects_invalid_points(self, strict16):
         bob = hyh.keypair_from_secret(strict16, 1234)
-        oracle = attacks.make_confirmation_oracle(bob.d, strict16, b"x")
+        oracle = attacks.ConfirmationOracle(bob.d, strict16, b"x")
         with pytest.raises(attacks.OracleRejection):
             oracle.query((5, 6), bytes(33), 1)
+
+    @pytest.mark.parametrize("kind", ["identity", "off_curve", "order_2"])
+    def test_refuses_what_strict_unsigncrypt_refuses(self, f23_n7, kind):
+        # params_f23_n7 has 28 points and n = 7, so a point of order 2 lies
+        # on the curve yet outside the prime-order subgroup
+        W = {
+            "identity": None,
+            "off_curve": (5, 6),
+            "order_2": cv.find_point_of_order(f23_n7, 2, f23_n7.h * f23_n7.n,
+                                              rng_seed=1),
+        }[kind]
+        assert (kind == "order_2") == (W is not None and cv.is_on_curve(f23_n7, W))
+        sct = SigncryptedText(R=W, C=bytes(40), s=1)
+        for mode in (PAPER, STRICT):
+            config = SchemeConfig(params=f23_n7, mode=mode)
+            alice = hyh.keypair_from_secret(config, 5)
+            bob = hyh.keypair_from_secret(config, 3)
+            trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
+            oracle = attacks.ConfirmationOracle(bob.d, config, b"x")
+            if mode == PAPER:
+                assert trace.decrypt_attempted
+                oracle.query(W, sct.C, sct.s)
+            else:
+                assert trace.rejected_at == "ephemeral_point"
+                with pytest.raises(attacks.OracleRejection):
+                    oracle.query(W, sct.C, sct.s)
 
 
 class TestInvalidCurveAttack:
     def test_full_key_recovery(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.make_confirmation_oracle(bob.d, paper16, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it")
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
         assert report.success
         assert int(report.recovered_secrets["d_B"], 16) == bob.d
 
     def test_query_count_equals_curve_count(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.make_confirmation_oracle(bob.d, paper16, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it")
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
         curves = next(e for e in report.transcript
                       if e["event"] == "invalid_curves_found")
@@ -160,8 +186,8 @@ class TestInvalidCurveAttack:
 
     def test_residues_and_trial_bounds(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.make_confirmation_oracle(bob.d, paper16, b"got it",
-                                                  query_budget=128)
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it",
+                                            query_budget=128)
         # a low order bound forces several curves through the CRT
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle,
                                               rng_seed=3, small_order_bound=64)
@@ -180,7 +206,7 @@ class TestInvalidCurveAttack:
     def test_strict_victim_blocks_at_first_query(self, toy16, keys16):
         strict = SchemeConfig(params=toy16, mode=STRICT)
         bob = hyh.keypair_from_secret(strict, 7777)
-        oracle = attacks.make_confirmation_oracle(bob.d, strict, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, strict, b"got it")
         report = attacks.invalid_curve_attack(strict, bob.U, oracle, rng_seed=1)
         assert not report.success
         assert report.oracle_queries == 1
@@ -202,7 +228,7 @@ class TestInvalidCurveAttack:
         # residues extracted from one key can never recombine into another:
         # the CRT candidates all fail the public-key verification
         alice, bob = keys16
-        oracle = attacks.make_confirmation_oracle(alice.d, paper16, b"got it")
+        oracle = attacks.ConfirmationOracle(alice.d, paper16, b"got it")
         with pytest.raises(attacks.CandidateNotFound):
             attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
 

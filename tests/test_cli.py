@@ -144,6 +144,33 @@ class TestProtocolCommands:
                     "--in", "/nonexistent")
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["paper", "strict"])
+    @pytest.mark.parametrize("field, value, code", [
+        ("s", "-1", 1),          # no tag exists for it: rejected
+        ("s", "f" * 61, 1),
+        ("s", 5, 2),             # not a hex string: bad input
+        ("Ry", 7, 2),
+    ], ids=["negative_s", "61_hex_digit_s", "int_s", "int_Ry"])
+    def test_hostile_signcrypted_text(self, capsys, tmp_path, toy_params_file,
+                                      mode, field, value, code):
+        alice_priv, alice_pub = self._keygen(capsys, tmp_path, toy_params_file,
+                                             "alice", 1)
+        bob_priv, bob_pub = self._keygen(capsys, tmp_path, toy_params_file,
+                                         "bob", 2)
+        message = tmp_path / "m"
+        message.write_bytes(b"intact")
+        _, out = run(capsys, "--params", toy_params_file, "--seed", "3",
+                     "signcrypt", "--key", alice_priv, "--peer", bob_pub,
+                     "--in", str(message))
+        obj = json.loads(out)
+        obj[field] = value
+        sct = tmp_path / "sct.json"
+        sct.write_text(json.dumps(obj))
+        rc, _ = run(capsys, "--params", toy_params_file, "--mode", mode,
+                    "unsigncrypt", "--key", bob_priv, "--peer", alice_pub,
+                    "--in", str(sct))
+        assert rc == code
+
 
 class TestAttackCommands:
     @pytest.mark.parametrize("name", cli.ATTACK_NAMES)
@@ -199,6 +226,16 @@ class TestAttackCommands:
         rc, _ = run(capsys, "--params", toy_params_file, "attack", "uks")
         assert rc == 2
 
+    @pytest.mark.parametrize("mode, code", [("paper", 0), ("strict", 1)])
+    def test_text_report_shows_wall_time(self, capsys, tmp_path, mode, code):
+        path = tmp_path / "secp160r1.json"
+        path.write_text(fixtures.fixture_text(fixtures.SECP160R1))
+        rc, out = run(capsys, "--params", str(path), "--mode", mode,
+                      "--format", "text", "attack", "nonce-reuse", "--self-stage")
+        assert rc == code
+        line = next(ln for ln in out.splitlines() if ln.startswith("wall time:"))
+        assert float(line.split()[-1].rstrip("s")) > 0
+
 
 class TestDemoAll:
     def test_mode_duality(self, capsys, toy_params_file):
@@ -231,3 +268,16 @@ class TestDemoAll:
         assert rc == 0
         assert "paper-mode attacks landed: 6/6" in out
         assert "strict-mode attacks landed: 0/6" in out
+
+    @pytest.mark.parametrize("hash_name", ["md5", "nosuch"])
+    def test_bad_hash_refused(self, capsys, toy_params_file, hash_name):
+        rc, out = run(capsys, "--params", toy_params_file, "--hash", hash_name,
+                      "demo", "all")
+        assert (rc, out) == (2, "")
+
+    def test_hash_choice_reaches_every_scenario(self, capsys, toy_params_file):
+        rc, out = run(capsys, "--params", toy_params_file, "--hash", "sha512",
+                      "demo", "all")
+        summary = json.loads(out)
+        assert rc == 0
+        assert (summary["paper_successes"], summary["strict_successes"]) == (6, 0)

@@ -227,6 +227,19 @@ class TestUnsigncrypt:
         assert trace.session_key_x == 0
         assert trace.message_region == body
 
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    @pytest.mark.parametrize("s", [-1, 256 ** 2, 16 ** 61 - 1],
+                             ids=["negative", "one_past_width", "61_hex_digits"])
+    def test_unencodable_s_rejected(self, toy16, keys16, mode, s):
+        # toy16 scalars are 2 bytes wide; no tag H(M || s) exists for these
+        config = SchemeConfig(params=toy16, mode=mode)
+        alice, bob = keys16
+        honest = hyh.signcrypt(config, alice.d, bob.U, b"payload", rng_seed=8)
+        sct = SigncryptedText(R=honest.R, C=honest.C, s=s)
+        trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
+        assert not trace.accepted and trace.rejected_at == "tag"
+        assert hyh.unsigncrypt(config, bob.d, alice.U, sct) is None
+
 
 class TestPublicVerify:
     def test_honest_triple_verifies(self, paper16, keys16):
