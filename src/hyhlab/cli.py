@@ -21,15 +21,6 @@ from .attacks import AttackReport
 from .curve import CurveParams
 from .hyh import SchemeConfig, SigncryptedText
 
-ATTACK_NAMES = (
-    "ephemeral",
-    "nonce-reuse",
-    "invalid-curve",
-    "uks",
-    "forward-secrecy",
-    "degenerate-key",
-)
-
 
 class CliError(Exception):
     """Input or configuration problem; maps to exit code 2."""
@@ -42,7 +33,9 @@ class CliError(Exception):
 # leaked or reused ephemeral scalar, a permissive recipient, a CA that skips
 # proof of possession). In strict mode the same scenario is staged without
 # the misuse and with every validation enabled, and the report records where
-# the attack dies.
+# the attack dies. An attack that needs no misuse (invalid-curve,
+# degenerate-key) is staged the same way in both modes, and the recipient's
+# own checks decide it.
 
 def _keys(config: SchemeConfig, rng: random.Random) -> tuple[hyh.KeyPair, hyh.KeyPair]:
     alice = hyh.keypair_from_secret(config, rng.randrange(1, config.params.n))
@@ -105,7 +98,7 @@ def scenario_invalid_curve(config: SchemeConfig, seed: int) -> AttackReport:
     oracle = attacks.ConfirmationOracle(
         bob.d, config, b"delivery confirmed", query_budget=64)
     report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=seed)
-    if not report.success and config.mode == hyh.STRICT:
+    if not report.success:
         report.log("blocked", reason="recipient validates ephemeral points")
     return report
 
@@ -140,18 +133,8 @@ def scenario_forward_secrecy(config: SchemeConfig, seed: int) -> AttackReport:
 
 
 def scenario_degenerate_key(config: SchemeConfig, seed: int) -> AttackReport:
-    if config.mode == hyh.PAPER:
-        return attacks.degenerate_key_demo(config, rng_seed=seed)
-    rng = random.Random(seed)
-    alice, bob = _keys(config, rng)
-    s = rng.randrange(1, config.params.n)
-    message = b"weak key probe"
-    sct = SigncryptedText(R=None, C=message + hyh.message_tag(config, message, s), s=s)
-    trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
-    report = AttackReport("degenerate_key_demo", success=trace.decrypt_attempted)
-    report.log("strict_mode", decrypt_attempted=trace.decrypt_attempted,
-               rejected_at=trace.rejected_at)
-    if not trace.decrypt_attempted:
+    report = attacks.degenerate_key_demo(config, rng_seed=seed)
+    if not report.success:
         report.log("blocked", reason="identity ephemeral point rejected")
     return report
 
@@ -164,6 +147,7 @@ SCENARIOS = {
     "forward-secrecy": scenario_forward_secrecy,
     "degenerate-key": scenario_degenerate_key,
 }
+ATTACK_NAMES = tuple(SCENARIOS)
 
 
 def run_demo_all(params: CurveParams, seed: int, hash_name: str = "sha256") -> dict:
@@ -296,16 +280,16 @@ def cmd_unsigncrypt(args) -> int:
     sct = _load_sct(args.infile)
     message = hyh.unsigncrypt(config, d_b, u_a, sct)
     if message is None:
-        _emit(args, {"accepted": False}, ["rejected"])
-        return 1
-    if args.out:
+        payload, lines = {"accepted": False}, ["rejected"]
+    elif args.out:
         with open(args.out, "wb") as fh:
             fh.write(message)
-        sys.stdout.write(json.dumps({"accepted": True, "out": args.out},
-                                    sort_keys=True) + "\n")
+        payload, lines = {"accepted": True, "out": args.out}, [f"wrote {args.out}"]
     else:
-        _emit(args, {"accepted": True, "message": message.hex()}, [message.hex()])
-    return 0
+        payload, lines = {"accepted": True, "message": message.hex()}, [message.hex()]
+    # --out names the plaintext file here, so the report stays on stdout
+    _emit(args, payload, lines, copy_to_out=False)
+    return 0 if message is not None else 1
 
 
 def _load_sct(path: str) -> SigncryptedText:
@@ -467,10 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (hyh.InvalidParams, hyh.InvalidRecipientKey, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -140,10 +140,15 @@ def xor_bytes(data: bytes, stream: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(data, stream))
 
 
+def _encodable(config: SchemeConfig, s: int) -> bool:
+    """Whether s has a fixed-width encoding: s in [0, 256**scalar_width)."""
+    return 0 <= s < 256 ** config.scalar_width
+
+
 def message_tag(config: SchemeConfig, message: bytes, s: int) -> bytes | None:
     """The tag H(M || s), or None when s has no fixed-width encoding, in
     which case no tag can match it."""
-    if not 0 <= s < 256 ** config.scalar_width:
+    if not _encodable(config, s):
         return None
     return hash_bytes(config, message + encode_scalar(config, s))[:TAG_LEN]
 
@@ -264,7 +269,7 @@ def unsigncrypt_trace(config: SchemeConfig, d_b: int, u_a: Point,
     message, tag = open_ciphertext(config, x_k, C)
     expected_tag = message_tag(config, message, s)
     tag_ok = tag == expected_tag
-    sig_ok = expected_tag is not None and public_verify(config, u_a, message, R, s)
+    sig_ok = public_verify(config, u_a, message, R, s)
     accepted = tag_ok and sig_ok
     return UnsigncryptTrace(
         accepted=accepted,
@@ -289,7 +294,10 @@ def unsigncrypt(config: SchemeConfig, d_b: int, u_a: Point,
 
 def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,
                   s: int) -> bool:
-    """Anyone holding the message can check s*R == H(M)*G + (x_R mod n)*U_A."""
+    """Anyone holding the message can check s*R == H(M)*G + (x_R mod n)*U_A.
+    An s with no fixed-width encoding fails, as no tag can be made for it."""
+    if not _encodable(config, s):
+        return False
     params = config.params
     lhs = scalar_mul(params, s, R)
     rhs = point_add(

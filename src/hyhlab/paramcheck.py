@@ -108,10 +108,12 @@ def validate_domain_params(params: cv.CurveParams, f: int = DEFAULT_MOV_ROUNDS,
         "G = O" if G is None else f"G = {G}",
     ))
     run("n_prime", lambda: (is_prime(n), f"n = {n}"))
-    run("n_annihilates_g", lambda: (
-        cv.scalar_mul(params, n, G) is None,
-        f"n*G = {cv.scalar_mul(params, n, G)}",
-    ))
+
+    def annihilates():
+        nG = cv.scalar_mul(params, n, G)
+        return nG is None, f"n*G = {nG}"
+
+    run("n_annihilates_g", annihilates)
     run("n_above_4sqrt_q", lambda: (
         n * n > 16 * q,
         f"n^2 = {n * n} vs 16q = {16 * q}",

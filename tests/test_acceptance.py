@@ -210,11 +210,13 @@ def test_7_validator_matrix_and_identity_ephemeral(paper20):
                   and paper_trace.session_key_x == 0
                   and not strict_trace.decrypt_attempted
                   and strict_trace.message is None)
-    # with a message hashing to 0 mod n, paper mode fully accepts R = O
-    forged = attacks.degenerate_key_demo(paper20, rng_seed=1007)
-    forgery = next(e for e in forged.transcript if e["event"] == "keyless_forgery")
-    duality_ok = duality_ok and forgery["accepted_by_paper_mode"] \
-        and not forgery["accepted_by_strict_mode"]
+    # with a message hashing to 0 mod n, paper mode fully accepts R = O and
+    # strict mode refuses it
+    for config, accepted in ((paper20, True), (strict20, False)):
+        forged = attacks.degenerate_key_demo(config, rng_seed=1007)
+        forgery = next(e for e in forged.transcript
+                       if e["event"] == "keyless_forgery")
+        duality_ok = duality_ok and forgery["accepted"] is accepted
 
     verdict(7, "validator matrix and identity ephemeral duality",
             matrix_ok and duality_ok, "; ".join(details) or "all as intended")

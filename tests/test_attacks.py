@@ -353,21 +353,29 @@ class TestBreakForwardSecrecy:
         assert int(back.recovered_secrets["d_A"], 16) == alice.d
 
 
+def _event(report: attacks.AttackReport, name: str) -> dict:
+    return next(e for e in report.transcript if e["event"] == name)
+
+
 class TestDegenerateKeyDemo:
-    def test_modes_diverge(self, paper16):
-        report = attacks.degenerate_key_demo(paper16, rng_seed=4)
-        assert report.success
-        paper_event = next(e for e in report.transcript if e["event"] == "paper_mode")
-        strict_event = next(e for e in report.transcript if e["event"] == "strict_mode")
+    def test_modes_diverge(self, paper16, strict16):
+        paper = attacks.degenerate_key_demo(paper16, rng_seed=4)
+        assert paper.success
+        paper_event = _event(paper, "identity_ephemeral")
         assert paper_event["plaintext_read_back_verbatim"]
         assert paper_event["session_key_x"] == 0
+        strict = attacks.degenerate_key_demo(strict16, rng_seed=4)
+        assert not strict.success
+        strict_event = _event(strict, "identity_ephemeral")
         assert not strict_event["decrypt_attempted"]
+        assert strict_event["rejected_at"] == "ephemeral_point"
 
-    def test_keyless_forgery_fully_accepted(self, paper16):
-        report = attacks.degenerate_key_demo(paper16, rng_seed=4)
-        forgery = next(e for e in report.transcript if e["event"] == "keyless_forgery")
-        assert forgery["accepted_by_paper_mode"]
-        assert not forgery["accepted_by_strict_mode"]
+    def test_keyless_forgery_fully_accepted(self, paper16, strict16):
+        paper = attacks.degenerate_key_demo(paper16, rng_seed=4)
+        assert _event(paper, "keyless_forgery")["accepted"]
+        assert "forged_M" in paper.recovered_secrets
+        strict = attacks.degenerate_key_demo(strict16, rng_seed=4)
+        assert not _event(strict, "keyless_forgery")["accepted"]
 
     def test_small_order_point_same_collapse(self, paper16):
         # an order-2 ephemeral point and an even recipient key also give K = O

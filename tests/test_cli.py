@@ -144,15 +144,41 @@ class TestProtocolCommands:
                     "--in", "/nonexistent")
         assert rc == 2
 
+    def test_rejection_writes_no_out_file(self, capsys, tmp_path,
+                                          toy_params_file):
+        alice_priv, alice_pub = self._keygen(capsys, tmp_path, toy_params_file,
+                                             "alice", 1)
+        bob_priv, bob_pub = self._keygen(capsys, tmp_path, toy_params_file,
+                                         "bob", 2)
+        message = tmp_path / "m"
+        message.write_bytes(b"intact")
+        _, out = run(capsys, "--params", toy_params_file, "--seed", "3",
+                     "signcrypt", "--key", alice_priv, "--peer", bob_pub,
+                     "--in", str(message))
+        obj = json.loads(out)
+        obj["C"] = ("00" if obj["C"][:2] != "00" else "01") + obj["C"][2:]
+        sct = tmp_path / "sct.json"
+        sct.write_text(json.dumps(obj))
+        recovered = tmp_path / "recovered.bin"
+        rc, out = run(capsys, "--params", toy_params_file, "--out",
+                      str(recovered), "unsigncrypt", "--key", bob_priv,
+                      "--peer", alice_pub, "--in", str(sct))
+        assert rc == 1
+        assert json.loads(out) == {"accepted": False}
+        assert not recovered.exists()
+
     @pytest.mark.parametrize("mode", ["paper", "strict"])
-    @pytest.mark.parametrize("field, value, code", [
-        ("s", "-1", 1),          # no tag exists for it: rejected
-        ("s", "f" * 61, 1),
-        ("s", 5, 2),             # not a hex string: bad input
-        ("Ry", 7, 2),
-    ], ids=["negative_s", "61_hex_digit_s", "int_s", "int_Ry"])
+    @pytest.mark.parametrize("command, field, value, code", [
+        (command, *case) for command in ("unsigncrypt", "verify") for case in [
+            ("s", "-1", 1),      # no tag or encoding exists for it: rejected
+            ("s", "f" * 61, 1),
+            ("s", 5, 2),         # not a hex string: bad input
+            ("Ry", 7, 2),
+        ]
+    ], ids=[prefix + case for prefix in ("", "verify_") for case in
+            ("negative_s", "61_hex_digit_s", "int_s", "int_Ry")])
     def test_hostile_signcrypted_text(self, capsys, tmp_path, toy_params_file,
-                                      mode, field, value, code):
+                                      mode, command, field, value, code):
         alice_priv, alice_pub = self._keygen(capsys, tmp_path, toy_params_file,
                                              "alice", 1)
         bob_priv, bob_pub = self._keygen(capsys, tmp_path, toy_params_file,
@@ -166,9 +192,10 @@ class TestProtocolCommands:
         obj[field] = value
         sct = tmp_path / "sct.json"
         sct.write_text(json.dumps(obj))
+        command_args = (["--key", bob_priv] if command == "unsigncrypt"
+                        else ["--message", str(message)])
         rc, _ = run(capsys, "--params", toy_params_file, "--mode", mode,
-                    "unsigncrypt", "--key", bob_priv, "--peer", alice_pub,
-                    "--in", str(sct))
+                    command, *command_args, "--peer", alice_pub, "--in", str(sct))
         assert rc == code
 
 
