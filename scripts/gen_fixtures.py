@@ -31,7 +31,10 @@ def group_order_by_walk(params: cv.CurveParams, rng: random.Random,
     """#E(F_q) from the order of one random point, walking the Hasse window.
 
     Works whenever the sampled point's order exceeds the window width; small
-    orders give several hits, in which case we resample.
+    orders give several hits, in which case we resample. curve.count_points
+    is faster, but the random points drawn here from the generator's rng
+    determine which curves are picked, so replacing this walk would change
+    the bundled fixtures.
     """
     q = params.q
     span = math.isqrt(4 * q) + 1
@@ -225,24 +228,32 @@ def secp160r1() -> cv.CurveParams:
     return params
 
 
-def write(name: str, params: cv.CurveParams):
-    path = OUT_DIR / f"{name}.json"
-    path.write_text(json.dumps(params_to_dict(params), indent=2) + "\n")
-    print(f"{name:24} q={params.q} n={params.n} h={params.h}")
+def generate() -> dict[str, cv.CurveParams]:
+    """Every bundled fixture, by file name without the .json suffix."""
+    good = gen_good(1 << 20, seed=2024, require_even_h=True)
+    return {
+        "params_good": good,
+        "params_toy16": gen_good(1 << 16, seed=16, require_even_h=False),
+        "params_composite_n": derive_composite_n(good),
+        "params_small_n": gen_small_n(1 << 18, seed=61),
+        "params_mov": gen_mov(1 << 17, seed=7),
+        "params_n_eq_q": gen_anomalous(1 << 17, seed=8),
+        "params_supersingular": gen_supersingular(1 << 17, seed=9),
+        "params_f23_n7": gen_f23(),
+        "params_secp160r1": secp160r1(),
+    }
+
+
+def render(params: cv.CurveParams) -> str:
+    """The fixture file's text."""
+    return json.dumps(params_to_dict(params), indent=2) + "\n"
 
 
 def main():
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    good = gen_good(1 << 20, seed=2024, require_even_h=True)
-    write("params_good", good)
-    write("params_toy16", gen_good(1 << 16, seed=16, require_even_h=False))
-    write("params_composite_n", derive_composite_n(good))
-    write("params_small_n", gen_small_n(1 << 18, seed=61))
-    write("params_mov", gen_mov(1 << 17, seed=7))
-    write("params_n_eq_q", gen_anomalous(1 << 17, seed=8))
-    write("params_supersingular", gen_supersingular(1 << 17, seed=9))
-    write("params_f23_n7", gen_f23())
-    write("params_secp160r1", secp160r1())
+    for name, params in generate().items():
+        (OUT_DIR / f"{name}.json").write_text(render(params))
+        print(f"{name:24} q={params.q} n={params.n} h={params.h}")
 
 
 if __name__ == "__main__":

@@ -9,12 +9,12 @@ That separation is the whole point of this module: it lets the rest of the
 lab feed carefully crafted invalid points to code that forgot to check.
 """
 
-import functools
+import math
 import random
 from dataclasses import dataclass
 
 from . import numtheory
-from .numtheory import mod_inverse, sqrt_mod, is_prime
+from .numtheory import is_prime, legendre, mod_inverse, sqrt_mod
 
 Point = tuple[int, int] | None
 
@@ -22,9 +22,18 @@ DEFAULT_COUNT_BOUND = 1 << 24
 
 _SEARCH_TRIES = 4096
 
+# Above this q the group exponents of E and of its quadratic twist always
+# single out #E in the Hasse window (Cremona and Sutherland, "On a theorem
+# of Mestre and Schoof", 2010); at or below it count_points enumerates.
+_MESTRE_BOUND = 229
+
+# Random points count_points may sample, alternately on E and on its twist,
+# before it gives up.
+_COUNT_TRIES = 64
+
 
 class CurveTooLarge(ValueError):
-    """Field too big for exhaustive point counting."""
+    """Field at or beyond the point-counting bound."""
 
 
 class OrderMismatch(ValueError):
@@ -141,17 +150,62 @@ def validate_public_key(params: CurveParams, U: Point) -> ValidationVerdict:
     return ValidationVerdict(failed=tuple(failed))
 
 
-@functools.lru_cache(maxsize=256)
 def count_points(params: CurveParams, bound: int = DEFAULT_COUNT_BOUND) -> int:
-    """#E(F_q) including O, by exhaustive enumeration over x.
+    """#E(F_q) including O, by Shanks-Mestre baby-step giant-step.
+
+    Each random point P, on E or on its quadratic twist, contributes its
+    exact order: baby-step giant-step finds a multiple of it in the Hasse
+    window [q+1-2*sqrt(q), q+1+2*sqrt(q)], and point_order reduces that.
+    With L the lcm of the orders on E and L' that on the twist, whose order
+    is 2q+2-#E, the count is the one N in the window with L | N and
+    L' | 2q+2-N. The points are seeded from (q, a, b), so the count and the
+    work it does depend on the curve alone. Fields with q <= 229, where
+    that N need not be unique, are enumerated (count_points_exhaustive).
+
+    Raises CurveTooLarge for q >= bound, and ValueError for a composite q or
+    a singular curve, which have no Hasse window to search.
+    """
+    q, a, b = params.q, params.a, params.b
+    if q >= bound:
+        raise CurveTooLarge(f"q = {q} exceeds counting bound {bound}")
+    if not is_prime(q):
+        raise ValueError(f"cannot count points: q = {q} is not prime")
+    if (4 * a ** 3 + 27 * b * b) % q == 0:
+        raise ValueError("cannot count points: the curve is singular")
+    if q <= _MESTRE_BOUND:
+        return count_points_exhaustive(params)
+    d = 2
+    while legendre(d, q) != -1:
+        d += 1
+    curves = (params, CurveParams(q, a * d * d % q, b * d ** 3 % q, None, 0, 0))
+    span = math.isqrt(4 * q)
+    lo, hi = q + 1 - span, q + 1 + span
+    rng = random.Random(f"count_points {q} {a} {b}")
+    orders = [1, 1]
+    for attempt in range(_COUNT_TRIES):
+        side = attempt % 2
+        E = curves[side]
+        P = random_point(E, rng)
+        orders[side] = math.lcm(
+            orders[side], point_order(E, P, _multiple_in_window(E, P, lo, hi)))
+        L, L_twist = orders
+        # the twist's order 2q+2-N lies in the same window as N
+        fits = [N for N in range(-(-lo // L) * L, hi + 1, L)
+                if (2 * q + 2 - N) % L_twist == 0]
+        if len(fits) == 1:
+            return fits[0]
+    raise SearchBudgetExceeded(
+        f"{_COUNT_TRIES} points left {len(fits)} candidate orders for #E")
+
+
+def count_points_exhaustive(params: CurveParams) -> int:
+    """#E(F_q) including O, by enumeration over x: the reference count.
 
     A multiplicity table of squares makes this a linear pass: for each x the
-    number of y with y^2 = x^3 + ax + b is looked up directly. Results are
-    cached; the table costs about half a second at q near 2^20.
+    number of y with y^2 = x^3 + ax + b is looked up directly. It costs
+    O(q) time and memory, about half a second at q near 2^20.
     """
     q = params.q
-    if q >= bound:
-        raise CurveTooLarge(f"q = {q} exceeds enumeration bound {bound}")
     sq_mult = bytearray(q)
     for y in range(q):
         sq_mult[(y * y) % q] += 1
@@ -160,6 +214,27 @@ def count_points(params: CurveParams, bound: int = DEFAULT_COUNT_BOUND) -> int:
     for x in range(q):
         total += sq_mult[(x * x % q * x + a * x + b) % q]
     return total
+
+
+def _multiple_in_window(params: CurveParams, P: Point, lo: int, hi: int) -> int:
+    """Least N in [lo, hi] with N*P = O, by baby-step giant-step.
+
+    The baby steps store -(j*P) for j < m; a giant step Q = (lo + i*m)*P that
+    meets one gives N = lo + i*m + j. With m*m > hi - lo, m giant steps
+    cover the window.
+    """
+    m = math.isqrt(hi - lo) + 1
+    baby: dict[Point, int] = {}
+    R: Point = None
+    for j in range(m):
+        baby.setdefault(negate(params, R), j)
+        R = point_add(params, R, P)
+    Q = scalar_mul(params, lo, P)
+    for i in range(m):
+        if Q in baby:
+            return lo + i * m + baby[Q]
+        Q = point_add(params, Q, R)
+    raise ValueError(f"no multiple of {P} in [{lo}, {hi}]")
 
 
 def point_order(params: CurveParams, P: Point, group_order: int) -> int:

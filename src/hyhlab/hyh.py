@@ -295,10 +295,14 @@ def unsigncrypt(config: SchemeConfig, d_b: int, u_a: Point,
 def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,
                   s: int) -> bool:
     """Anyone holding the message can check s*R == H(M)*G + (x_R mod n)*U_A.
-    An s with no fixed-width encoding fails, as no tag can be made for it."""
+    An s with no fixed-width encoding fails, as no tag can be made for it.
+    Strict mode also refuses an s outside [1, n-1], so that s + n cannot
+    stand in for an honest s; the paper has no such check."""
+    params = config.params
     if not _encodable(config, s):
         return False
-    params = config.params
+    if config.mode == STRICT and not 1 <= s < params.n:
+        return False
     lhs = scalar_mul(params, s, R)
     rhs = point_add(
         params,

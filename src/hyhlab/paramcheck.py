@@ -3,8 +3,8 @@
 Nine checks, always all of them, in a fixed order, so a bad parameter set
 produces a complete diagnostic rather than stopping at the first failure.
 The supersingular test works off the claimed cofactor (trace = q + 1 - h*n)
-and is cross-checked against an exhaustive point count whenever the field is
-small enough to enumerate.
+and is cross-checked against a point count (``curve.count_points``) whenever
+q is below the counting bound.
 """
 
 import functools
@@ -84,9 +84,9 @@ def validate_domain_params(params: cv.CurveParams, f: int = DEFAULT_MOV_ROUNDS,
                            count_budget: int = cv.DEFAULT_COUNT_BOUND) -> ParamReport:
     """Run the full nine-check battery against a parameter set.
 
-    count_budget bounds the exhaustive point count used to cross-check the
-    claimed h*n; pass 0 to skip the cross-check entirely. Reports are cached
-    (the validator is pure and the cross-check is the expensive part).
+    count_budget is the bound on q below which the point count cross-checks
+    the claimed h*n; pass 0 to skip the cross-check entirely. Reports are
+    cached, as the validator is pure.
     """
     q, a, b, G, n, h = params.q, params.a, params.b, params.G, params.n, params.h
     results = []

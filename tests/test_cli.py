@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from hyhlab import cli, fixtures
+from hyhlab import cli, fixtures, hyh
+from hyhlab.hyh import SchemeConfig
 
 
 def run(capsys, *argv):
@@ -46,6 +47,23 @@ class TestParamsValidate:
         path.write_text(json.dumps(obj))
         rc, _ = run(capsys, "--params", str(path), "params", "validate")
         assert rc == 2
+
+    @pytest.mark.parametrize("base, fields", [
+        (fixtures.GOOD, {"q": f"{fixtures.load(fixtures.GOOD).q + 2:x}"}),
+        (fixtures.TOY16, {"a": "0", "b": "0", "Gx": "1", "Gy": "1",
+                          "n": f"{fixtures.load(fixtures.TOY16).q:x}", "h": "1"}),
+    ], ids=["composite_q", "singular"])
+    def test_uncountable_curve_fails_cleanly(self, capsys, tmp_path, base, fields):
+        obj = json.loads(fixtures.fixture_text(base))
+        obj.update(fields)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        rc = cli.main(["--params", str(path), "params", "validate"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err == ""
+        checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        assert not checks["not_supersingular"]["passed"]
+        assert "cannot count points" in checks["not_supersingular"]["detail"]
 
     def test_text_format(self, capsys, toy_params_file):
         rc, out = run(capsys, "--params", toy_params_file, "--format", "text",
@@ -137,6 +155,35 @@ class TestProtocolCommands:
                       "--peer", alice_pub, "--in", str(sct),
                       "--message", str(other))
         assert rc == 1 and json.loads(out)["valid"] is False
+
+    @pytest.mark.parametrize("mode, code", [("paper", 0), ("strict", 1)])
+    def test_verify_s_outside_one_to_n(self, capsys, tmp_path, toy_params_file,
+                                       mode, code):
+        alice_priv, alice_pub = self._keygen(capsys, tmp_path, toy_params_file,
+                                             "alice", 1)
+        _, bob_pub = self._keygen(capsys, tmp_path, toy_params_file, "bob", 2)
+        message = tmp_path / "m"
+        message.write_bytes(b"attested")
+        _, out = run(capsys, "--params", toy_params_file, "--seed", "3",
+                     "signcrypt", "--key", alice_priv, "--peer", bob_pub,
+                     "--in", str(message))
+        honest = json.loads(out)
+        n = fixtures.load(fixtures.TOY16).n
+        # s + n passes the verification equation wherever s does; so does
+        # s = 0 with R = O and a message hashing to 0 mod n
+        config = SchemeConfig(params=fixtures.load(fixtures.TOY16))
+        zero_hash = next(m for m in (b"zero-%d" % i for i in range(1 << 20))
+                         if hyh.hash_to_scalar(config, m) == 0)
+        zero_message = tmp_path / "zero"
+        zero_message.write_bytes(zero_hash)
+        for fields, msg in [({"s": f"{int(honest['s'], 16) + n:x}"}, message),
+                            ({"Rx": "00", "Ry": "inf", "s": "0"}, zero_message)]:
+            sct = tmp_path / "sct.json"
+            sct.write_text(json.dumps({**honest, **fields}))
+            rc, out = run(capsys, "--params", toy_params_file, "--mode", mode,
+                          "verify", "--peer", alice_pub, "--in", str(sct),
+                          "--message", str(msg))
+            assert rc == code and json.loads(out)["valid"] is (code == 0)
 
     def test_missing_file_exits_two(self, capsys, toy_params_file):
         rc, _ = run(capsys, "--params", toy_params_file, "unsigncrypt",

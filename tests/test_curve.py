@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyhlab import curve as cv
+from hyhlab import fixtures
+from hyhlab import numtheory as nt
 
 
 def all_points(params):
@@ -150,6 +152,56 @@ class TestCountPoints:
         t = 103 + 1 - N
         assert t * t <= 4 * 103
 
+    def test_composite_field_refused(self):
+        params = cv.CurveParams(q=1003, a=1, b=1, G=None, n=1, h=1)
+        with pytest.raises(ValueError, match="not prime"):
+            cv.count_points(params)
+
+    @pytest.mark.parametrize("q", [23, 1009])
+    def test_singular_curve_refused(self, q):
+        with pytest.raises(ValueError, match="singular"):
+            cv.count_points(cv.CurveParams(q=q, a=0, b=0, G=None, n=1, h=1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.sampled_from([q for q in range(230, 1 << 14) if nt.is_prime(q)]),
+           a=st.integers(min_value=0), b=st.integers(min_value=0))
+    def test_matches_exhaustive_count(self, q, a, b):
+        params = cv.CurveParams(q=q, a=a % q, b=b % q, G=None, n=1, h=1)
+        assume((4 * params.a ** 3 + 27 * params.b ** 2) % q != 0)
+        assert cv.count_points(params) == cv.count_points_exhaustive(params)
+
+    def test_matches_exhaustive_on_invalid_curve_candidates(self, toy16):
+        # the curves find_invalid_curves scans: b+1, ..., b+64
+        for step in range(1, 65):
+            candidate = toy16.with_b(toy16.b + step, G=None, n=0, h=0)
+            if (4 * candidate.a ** 3 + 27 * candidate.b ** 2) % toy16.q == 0:
+                continue
+            assert cv.count_points(candidate) == cv.count_points_exhaustive(candidate)
+
+    @pytest.mark.parametrize("q, a, b, trace", [
+        (233, 1, 5, 30), (233, 7, 37, -30),
+        (1009, 11, 295, 63), (1009, 22, 303, -63),
+    ])
+    def test_hasse_window_edges(self, q, a, b, trace):
+        # |trace| = floor(2*sqrt(q)): #E sits on an end of the search window
+        params = cv.CurveParams(q=q, a=a, b=b, G=None, n=1, h=1)
+        assert trace * trace <= 4 * q < (abs(trace) + 1) ** 2
+        assert cv.count_points(params) == q + 1 - trace
+        assert cv.count_points_exhaustive(params) == q + 1 - trace
+
+    @pytest.mark.parametrize("name, trace", [
+        (fixtures.SUPERSINGULAR, 0),
+        (fixtures.N_EQ_Q, 1),
+        (fixtures.MOV, 2),
+        (fixtures.GOOD, None),
+    ])
+    def test_extreme_orders(self, name, trace):
+        params = fixtures.load(name)
+        N = cv.count_points(params)
+        assert N == params.h * params.n == cv.count_points_exhaustive(params)
+        if trace is not None:
+            assert N == params.q + 1 - trace
+
 
 class TestPointOrder:
     def test_identity(self, f23):
@@ -206,6 +258,25 @@ class TestFindInvalidCurves:
         b = cv.find_invalid_curves(toy16, min_product=1000, rng_seed=5)
         assert [(h.params.b, h.point, h.order) for h in a] == \
                [(h.params.b, h.point, h.order) for h in b]
+
+    @pytest.mark.parametrize("name, seed, expected", [
+        (fixtures.GOOD, 7, [
+            (324565, 3, (657345, 80680), 1049508),
+            (324566, 631, (884368, 1032950), 1048091),
+            (324567, 197, (162418, 1007345), 1048828),
+        ]),
+        (fixtures.TOY16, 11, [
+            (30751, 2, (27261, 0), 65822),
+            (30752, 911, (50836, 61888), 65592),
+            (30754, 10847, (51275, 29058), 65082),
+        ]),
+    ])
+    def test_golden_curves(self, name, seed, expected):
+        # (b', order, point, #E') as found with the exhaustive count
+        params = fixtures.load(name)
+        hits = cv.find_invalid_curves(params, min_product=params.n, rng_seed=seed)
+        assert [(h.params.b, h.order, h.point, h.params.h * h.order)
+                for h in hits] == expected
 
     def test_min_product_validated(self, toy16):
         with pytest.raises(ValueError):

@@ -260,6 +260,27 @@ class TestPublicVerify:
         assert not hyh.public_verify(paper16, alice.U, m, sct.R,
                                      (sct.s + 1) % paper16.params.n)
 
+    @pytest.mark.parametrize("mode, accepted", [(PAPER, True), (STRICT, False)])
+    def test_s_plus_n_accepted_only_by_paper(self, good_params, mode, accepted):
+        config = SchemeConfig(params=good_params, mode=mode)
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        m = b"malleable"
+        sct = hyh.signcrypt(config, alice.d, bob.U, m, rng_seed=3)
+        assert hyh.public_verify(config, alice.U, m, sct.R, sct.s)
+        assert hyh.public_verify(config, alice.U, m, sct.R,
+                                 sct.s + good_params.n) is accepted
+
+    @pytest.mark.parametrize("mode, accepted", [(PAPER, True), (STRICT, False)])
+    def test_zero_s_accepted_only_by_paper(self, good_params, mode, accepted):
+        # R = O and H(M) = 0 mod n make both sides O, whatever s is
+        config = SchemeConfig(params=good_params, mode=mode)
+        alice = hyh.keypair_from_secret(config, 1234)
+        m = next(m for m in (b"zero-%d" % i for i in range(1 << 20))
+                 if hyh.hash_to_scalar(config, m) == 0)
+        assert hyh.public_verify(config, alice.U, m, None, 1)
+        assert hyh.public_verify(config, alice.U, m, None, 0) is accepted
+
 
 class TestWireFormat:
     def test_round_trip(self, paper16, keys16):
