@@ -11,6 +11,7 @@ was recomputed from the attacker's view and verified via d*G == U.
 
 import hmac
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -199,10 +200,16 @@ class ConfirmationOracle:
 @dataclass(frozen=True)
 class Residue:
     """The victim's key modulo a small order, known only up to sign: the MAC
-    depends on the shared point's x-coordinate alone, and x(j*W) = x(-j*W)."""
+    depends on the shared point's x-coordinate alone, and x(j*W) = x(-j*W).
+    It is one of ``values``; there are two when x(d_B*W) = 0, which the MAC
+    cannot tell from the lab's x(O) = 0."""
 
-    value: int
+    values: tuple[int, ...]
     modulus: int
+
+    def signed(self) -> tuple[int, ...]:
+        return tuple(v * sign % self.modulus
+                     for v in self.values for sign in (1, -1))
 
 
 def invalid_curve_attack(config: SchemeConfig, u_b: Point,
@@ -237,43 +244,55 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
             report.oracle_queries = oracle.queries
             report.log("oracle_rejected", order=hit.order, reason=str(exc))
             return report
-        j, trials = _brute_force_coset(config, hit, message, z)
-        if j is None:
+        values, trials = _brute_force_coset(config, hit, message, z)
+        if not values:
             raise ResidueNotFound(
                 f"no multiple of the order-{hit.order} point matched the MAC"
             )
-        residues.append(Residue(value=j, modulus=hit.order))
+        residues.append(Residue(values=values, modulus=hit.order))
         trials_per_curve.append(trials)
-        report.log("residue_found", order=hit.order, value=j, mac_trials=trials)
+        details = {"candidates": list(values)} if len(values) > 1 else {}
+        report.log("residue_found", order=hit.order, value=values[0],
+                   mac_trials=trials, **details)
     report.oracle_queries = oracle.queries
 
     d_b = _resolve_signs(params, residues, u_b)
     if d_b is None:
         raise CandidateNotFound("no sign assignment reproduced the public key")
     report.log("crt_recombined", d_b=_hex(d_b),
-               sign_vectors_max=2 ** len(residues))
+               sign_vectors_max=math.prod(len(r.signed()) for r in residues))
     report.success = scalar_mul(params, d_b, params.G) == u_b
     if report.success:
         report.recovered_secrets = {"d_B": _hex(d_b)}
         report.recovered_secrets["residues"] = ",".join(
-            f"{r.value}%{r.modulus}" for r in residues)
+            f"{min(d_b % r.modulus, -d_b % r.modulus)}%{r.modulus}"
+            for r in residues)
         report.log("mac_trials_total", per_curve=trials_per_curve,
                    bounds=[h.order // 2 + 1 + h.order % 2 for h in hits])
     return report
 
 
 def _brute_force_coset(config: SchemeConfig, hit: InvalidCurveHit,
-                       message: bytes, z: bytes) -> tuple[int | None, int]:
-    """Scan j = 0 .. ceil(g/2) computing the MAC keyed by x(j*W)."""
+                       message: bytes, z: bytes) -> tuple[tuple[int, ...], int]:
+    """Scan j = 0 .. ceil(g/2) computing the MAC keyed by x(j*W); return the
+    candidate residues and the MAC trials spent."""
     half = (hit.order + 1) // 2
+    xs = enumerate(_coset_x(hit, half))
+    for j, x in xs:
+        if confirmation_mac(config, x, message) == z:
+            # a match at j = 0 means x(d_B*W) = 0, which the j with
+            # x(j*W) = 0, if there is one, fits as well
+            also = [i for i, x_i in xs if x_i == 0] if j == 0 else []
+            return (j, *also), j + 1
+    return (), half + 1
+
+
+def _coset_x(hit: InvalidCurveHit, half: int):
+    """x(j*W) for j = 0 .. half, with the lab's x(O) = 0."""
     K: Point = None
-    trials = 0
-    for j in range(half + 1):
-        trials += 1
-        if confirmation_mac(config, x_coord(K), message) == z:
-            return j, trials
+    for _ in range(half + 1):
+        yield x_coord(K)
         K = point_add(hit.params, K, hit.point)
-    return None, trials
 
 
 def _resolve_signs(params: CurveParams, residues: list[Residue],
@@ -284,16 +303,16 @@ def _resolve_signs(params: CurveParams, residues: list[Residue],
     moduli_product = 1
     for r in residues:
         moduli_product *= r.modulus
+    # a private key lies in [1, n-1]; d + n would pass the d*G check as well
+    bound = min(moduli_product, params.n)
     seen: set[int] = set()
-    for signs in itertools.product((1, -1), repeat=len(residues)):
-        pairs = [(r.value * sign % r.modulus, r.modulus)
-                 for r, sign in zip(residues, signs)]
-        candidate = crt_combine(pairs)
+    for choice in itertools.product(*(r.signed() for r in residues)):
+        candidate = crt_combine([(v, r.modulus) for v, r in zip(choice, residues)])
         for d in (candidate, moduli_product - candidate):
             if d in seen:
                 continue
             seen.add(d)
-            if 1 <= d < moduli_product and scalar_mul(params, d, params.G) == u_b:
+            if 1 <= d < bound and scalar_mul(params, d, params.G) == u_b:
                 return d
     return None
 

@@ -1,12 +1,16 @@
-"""Short-Weierstrass group arithmetic over prime fields, in affine coordinates.
+"""Short-Weierstrass group arithmetic over prime fields.
 
-Points are plain ``(x, y)`` tuples; the point at infinity is ``None``. The
-addition law is total and never checks whether its inputs satisfy the curve
-equation: the chord/tangent formulas do not involve the coefficient ``b``, so
-they act identically on every curve ``y^2 = x^3 + a*x + b'`` over the same
-field. Validation is a separate, explicit step (``validate_public_key``).
-That separation is the whole point of this module: it lets the rest of the
-lab feed carefully crafted invalid points to code that forgot to check.
+Points are plain affine ``(x, y)`` tuples; the point at infinity is ``None``.
+``point_add`` is the affine chord/tangent law, the reference every faster
+path is tested against. ``scalar_mul`` works internally in Jacobian
+coordinates and inverts once, at the end; it agrees with repeated
+``point_add`` on every input, off-curve points included. Neither ever checks
+whether its inputs satisfy the curve equation: the formulas do not involve
+the coefficient ``b``, so they act identically on every curve
+``y^2 = x^3 + a*x + b'`` over the same field. Validation is a separate,
+explicit step (``validate_public_key``). That separation is the whole point
+of this module: it lets the rest of the lab feed carefully crafted invalid
+points to code that forgot to check.
 """
 
 import math
@@ -115,17 +119,59 @@ def point_add(params: CurveParams, P: Point, Q: Point) -> Point:
 
 
 def scalar_mul(params: CurveParams, k: int, P: Point) -> Point:
-    """k-fold sum of P by double-and-add. No reduction of k is performed."""
+    """k-fold sum of P. No reduction of k is performed.
+
+    Left-to-right double-and-add on a running point (X, Y, Z) in Jacobian
+    coordinates, x = X/Z^2 and y = Y/Z^3, with Z = 0 for O, plus mixed
+    additions of the affine P; the one field inversion converts the result
+    back (Cohen, Miyaji and Ono, ASIACRYPT 1998). Like ``point_add`` it never
+    reads b, and its special cases copy that law: adding P to a point with
+    the same x gives O unless the two are equal, when P is doubled; doubling
+    a point with y = 0 gives O. Every step is taken mod q, so coordinates
+    outside [0, q) name the same point as their residues.
+    """
     if k < 0:
         raise ValueError("scalar must be non-negative")
-    R: Point = None
-    acc = P
-    while k:
-        if k & 1:
-            R = point_add(params, R, acc)
-        acc = point_add(params, acc, acc)
-        k >>= 1
-    return R
+    if k == 0 or P is None:
+        return None
+    q, a = params.q, params.a
+    x, y = P
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        X, Y, Z = _jacobian_double(q, a, X, Y, Z)
+        if bit == "0":
+            continue
+        if Z == 0:
+            X, Y, Z = x, y, 1
+            continue
+        ZZ = Z * Z % q
+        H = (x * ZZ - X) % q
+        r = (y * ZZ * Z - Y) % q
+        if H == 0:
+            X, Y, Z = _jacobian_double(q, a, x, y, 1) if r == 0 else (1, 1, 0)
+            continue
+        HH = H * H % q
+        HHH = H * HH % q
+        V = X * HH % q
+        X = (r * r - HHH - 2 * V) % q
+        Y = (r * (V - X) - Y * HHH) % q
+        Z = Z * H % q
+    if Z == 0:
+        return None
+    z_inv = mod_inverse(Z, q)
+    z_inv2 = z_inv * z_inv % q
+    return (X * z_inv2 % q, Y * z_inv2 * z_inv % q)
+
+
+def _jacobian_double(q: int, a: int, X: int, Y: int, Z: int) -> tuple[int, int, int]:
+    """2*(X, Y, Z) with M = 3X^2 + a*Z^4. Z3 = 2*Y*Z is 0 when Y or Z is, so
+    doubling O or a point with y = 0 gives O."""
+    YY = Y * Y % q
+    ZZ = Z * Z % q
+    S = 4 * X * YY % q
+    M = (3 * X * X + a * ZZ * ZZ) % q
+    X3 = (M * M - 2 * S) % q
+    return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q
 
 
 def is_on_curve(params: CurveParams, P: Point) -> bool:

@@ -45,6 +45,9 @@ TAG_LEN = 32
 
 _RESAMPLE_LIMIT = 256
 
+# Bytes XORed as one integer by xor_bytes.
+_XOR_CHUNK = 1 << 16
+
 
 class InvalidParams(ValueError):
     """Strict-mode refusal: domain parameters failed validation."""
@@ -136,8 +139,19 @@ def keystream(config: SchemeConfig, x_k: int, length: int) -> bytes:
 
 
 def xor_bytes(data: bytes, stream: bytes) -> bytes:
-    """Bytewise XOR, truncated to the shorter input like ``zip``."""
-    return bytes(a ^ b for a, b in zip(data, stream))
+    """Bytewise XOR, truncated to the shorter input like ``zip``.
+
+    Each chunk is XORed as one integer; chunking bounds the size of the
+    temporary integers, so peak memory stays near that of the output.
+    """
+    length = min(len(data), len(stream))
+    chunks = []
+    for start in range(0, length, _XOR_CHUNK):
+        end = min(start + _XOR_CHUNK, length)
+        x = (int.from_bytes(data[start:end], "big")
+             ^ int.from_bytes(stream[start:end], "big"))
+        chunks.append(x.to_bytes(end - start, "big"))
+    return b"".join(chunks)
 
 
 def _encodable(config: SchemeConfig, s: int) -> bool:

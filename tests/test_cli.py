@@ -1,8 +1,10 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
-from hyhlab import cli, fixtures, hyh
+from hyhlab import cli, curve, fixtures, hyh
 from hyhlab.hyh import SchemeConfig
 
 
@@ -12,11 +14,15 @@ def run(capsys, *argv):
     return rc, out
 
 
+def params_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(fixtures.fixture_text(name))
+    return str(path)
+
+
 @pytest.fixture()
 def toy_params_file(tmp_path):
-    path = tmp_path / "toy16.json"
-    path.write_text(fixtures.fixture_text(fixtures.TOY16))
-    return str(path)
+    return params_file(tmp_path, fixtures.TOY16)
 
 
 class TestParamsValidate:
@@ -185,6 +191,23 @@ class TestProtocolCommands:
                           "--message", str(msg))
             assert rc == code and json.loads(out)["valid"] is (code == 0)
 
+    @pytest.mark.parametrize("mode", ["paper", "strict"])
+    def test_verify_unreduced_small_order_ephemeral(self, capsys, tmp_path, mode):
+        # the order-3 point of b' = b + 1 with q added to its x once made
+        # public_verify raise NotInvertible, and verify exit 2
+        good = params_file(tmp_path, fixtures.GOOD)
+        _, alice_pub = self._keygen(capsys, tmp_path, good, "alice", 1)
+        message = tmp_path / "m"
+        message.write_bytes(b"m")
+        sct = tmp_path / "sct.json"
+        q = fixtures.load(fixtures.GOOD).q
+        sct.write_text(json.dumps({"Rx": f"{657345 + q:x}", "Ry": f"{967893:x}",
+                                   "C": "00" * 40, "s": "3"}))
+        rc, out = run(capsys, "--params", good, "--mode", mode, "verify",
+                      "--peer", alice_pub, "--in", str(sct),
+                      "--message", str(message))
+        assert rc == 1 and json.loads(out)["valid"] is False
+
     def test_missing_file_exits_two(self, capsys, toy_params_file):
         rc, _ = run(capsys, "--params", toy_params_file, "unsigncrypt",
                     "--key", "/nonexistent", "--peer", "/nonexistent",
@@ -295,6 +318,31 @@ class TestAttackCommands:
         events = [e["event"] for e in json.loads(out)["transcript"]]
         assert "oracle_rejected" in events
 
+    def test_invalid_curve_x_zero_collision(self, capsys, tmp_path):
+        # seed 11 stages d_B = 5 on the 7-point group, and 5*W = (0, 21) for
+        # the order-29 point W of b' = 4: the MAC keyed by x = 0 also
+        # matches j = 0, as x(O) = 0 in the lab
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
+                      "--seed", "11", "attack", "invalid-curve", "--self-stage")
+        report = json.loads(out)
+        config = SchemeConfig(params=fixtures.load(fixtures.F23_N7))
+        _, bob = cli._keys(config, random.Random(11))
+        assert rc == 0
+        d_b = int(report["recovered_secrets"]["d_B"], 16)
+        assert d_b == bob.d == 5
+        assert curve.scalar_mul(config.params, d_b, config.params.G) == bob.U
+        residue = next(e for e in report["transcript"]
+                       if e["event"] == "residue_found" and e["order"] == 29)
+        assert residue["candidates"] == [0, 5]
+
+    def test_invalid_curve_x_zero_collision_strict(self, capsys, tmp_path):
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
+                      "--mode", "strict", "--seed", "11",
+                      "attack", "invalid-curve", "--self-stage")
+        report = json.loads(out)
+        assert rc == 1 and report["oracle_queries"] == 1
+        assert report["transcript"][1]["event"] == "oracle_rejected"
+
     def test_non_staged_without_inputs_is_config_error(self, capsys,
                                                        toy_params_file):
         rc, _ = run(capsys, "--params", toy_params_file, "attack", "uks")
@@ -349,9 +397,34 @@ class TestDemoAll:
                       "demo", "all")
         assert (rc, out) == (2, "")
 
+    def test_x_zero_collision_seed_runs_to_a_table(self, capsys, tmp_path):
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
+                      "--seed", "11", "demo", "all")
+        rows = {r["attack"]: (r["paper_success"], r["strict_success"])
+                for r in json.loads(out)["findings"]}
+        assert rows.pop("invalid-curve") == (True, False)
+        # two fresh ephemerals out of [1, 6] give one keystream here, so the
+        # nonce-reuse XOR lands in strict mode too, and the exit code is 1
+        assert rows.pop("nonce-reuse") == (True, True)
+        assert set(rows.values()) == {(True, False)}
+        assert rc == 1
+
     def test_hash_choice_reaches_every_scenario(self, capsys, toy_params_file):
         rc, out = run(capsys, "--params", toy_params_file, "--hash", "sha512",
                       "demo", "all")
         summary = json.loads(out)
         assert rc == 0
         assert (summary["paper_successes"], summary["strict_successes"]) == (6, 0)
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "cli_seed5.json").read_text())["runs"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[
+    "-".join([c["params"], *(a for a in c["argv"][2:] if a[0] != "-")])
+    for c in GOLDEN])
+def test_golden_output(capsys, tmp_path, case):
+    rc, out = run(capsys, "--params", params_file(tmp_path, case["params"]),
+                  *case["argv"])
+    assert (rc, out) == (case["exit"], case["stdout"])

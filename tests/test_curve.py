@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,19 @@ class TestPointAdd:
         assert not cv.is_on_curve(f23, R) or R is None
 
 
+def affine_scalar_mul(params, k, P):
+    """The reference: right-to-left double-and-add on the affine law."""
+    if k < 0:
+        raise ValueError("scalar must be non-negative")
+    R, acc = None, P
+    while k:
+        if k & 1:
+            R = cv.point_add(params, R, acc)
+        acc = cv.point_add(params, acc, acc)
+        k >>= 1
+    return R
+
+
 class TestScalarMul:
     def test_small_scalars(self, f23):
         P = (0, 1)
@@ -75,6 +90,61 @@ class TestScalarMul:
     def test_negative_rejected(self, f23):
         with pytest.raises(ValueError):
             cv.scalar_mul(f23, -1, (0, 1))
+        with pytest.raises(ValueError):
+            cv.scalar_mul(f23, -1, None)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 28, 1 << 200])
+    def test_identity_input(self, f23, k):
+        assert cv.scalar_mul(f23, k, None) is None
+
+
+class TestScalarMulMatchesAffine:
+    """scalar_mul (Jacobian) against the affine reference, on and off the
+    curve: the invalid-curve attack multiplies points of other curves."""
+
+    @pytest.mark.parametrize("a", [0, 1, 22])
+    def test_every_point_of_f23(self, a):
+        # b is never read, so the 529 pairs cover every curve with this a,
+        # singular ones included; k passes twice the largest group order
+        params = cv.CurveParams(q=23, a=a, b=1, G=None, n=1, h=1)
+        for x in range(23):
+            for y in range(23):
+                for k in range(70):
+                    assert (cv.scalar_mul(params, k, (x, y))
+                            == affine_scalar_mul(params, k, (x, y)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           name=st.sampled_from([fixtures.TOY16, fixtures.GOOD, fixtures.SECP160R1]))
+    def test_random_points_and_scalars(self, data, name):
+        params = fixtures.load(name)
+        q = params.q
+        if data.draw(st.booleans(), label="on_curve"):
+            P = cv.random_point(params, random.Random(data.draw(st.integers())))
+        else:
+            P = (data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1)))
+        k = data.draw(st.one_of(st.integers(0, 64), st.integers(0, 4 * params.n)))
+        # unreduced coordinates in [q, 2q) name the same point
+        shift = data.draw(st.sampled_from([(0, 0), (q, 0), (0, q), (q, q)]))
+        unreduced = (P[0] + shift[0], P[1] + shift[1])
+        assert cv.scalar_mul(params, k, unreduced) == affine_scalar_mul(params, k, P)
+
+    @pytest.mark.parametrize("name", [fixtures.TOY16, fixtures.GOOD,
+                                      fixtures.SECP160R1])
+    def test_group_order_and_its_neighbours(self, name):
+        params = fixtures.load(name)
+        for k in (params.n - 1, params.n, params.n + 1, 2 * params.n):
+            assert (cv.scalar_mul(params, k, params.G)
+                    == affine_scalar_mul(params, k, params.G))
+        assert cv.scalar_mul(params, params.n - 1, params.G) == cv.negate(params, params.G)
+
+    def test_small_order_point_off_the_curve(self, good_params):
+        # the order-3 point of b' = b + 1 that the invalid-curve attack sends
+        W = (657345, 967893)
+        assert not cv.is_on_curve(good_params, W)
+        for k in range(10):
+            assert cv.scalar_mul(good_params, k, W) == affine_scalar_mul(good_params, k, W)
+        assert cv.scalar_mul(good_params, 3, W) is None
 
 
 class TestGroupLawExhaustive:

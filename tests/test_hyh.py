@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyhlab import curve as cv
@@ -88,6 +88,26 @@ class TestKeystream:
     def test_rejects_empty(self, paper16):
         with pytest.raises(ValueError):
             hyh.keystream(paper16, 1, 0)
+
+
+_CHUNK = hyh._XOR_CHUNK
+_XOR_LENGTHS = st.one_of(
+    st.integers(0, 64),
+    st.sampled_from([m * _CHUNK + d for m in (1, 2) for d in (-1, 0, 1)]),
+    st.integers(0, 3 * _CHUNK),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(len_a=_XOR_LENGTHS, len_b=_XOR_LENGTHS, seed=st.integers(0, 2**32))
+@example(len_a=0, len_b=0, seed=0)
+@example(len_a=0, len_b=5, seed=0)
+@example(len_a=_CHUNK + 1, len_b=_CHUNK - 1, seed=1)
+@example(len_a=2 * _CHUNK + 1, len_b=2 * _CHUNK, seed=2)
+def test_xor_bytes_matches_bytewise_reference(len_a, len_b, seed):
+    rng = random.Random(seed)
+    a, b = rng.randbytes(len_a), rng.randbytes(len_b)
+    assert hyh.xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
 
 
 class TestSigncrypt:
@@ -280,6 +300,21 @@ class TestPublicVerify:
                  if hyh.hash_to_scalar(config, m) == 0)
         assert hyh.public_verify(config, alice.U, m, None, 1)
         assert hyh.public_verify(config, alice.U, m, None, 0) is accepted
+
+
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    def test_unreduced_small_order_ephemeral_rejected(self, good_params, mode):
+        # R is the order-3 point W of b' = b + 1 with q added to its x; the
+        # affine law compares raw coordinates, so R + 2R once hit a chord
+        # with denominator 0 and raised NotInvertible
+        W = (657345, 967893)
+        R = (W[0] + good_params.q, W[1])
+        config = SchemeConfig(params=good_params, mode=mode)
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        assert hyh.public_verify(config, alice.U, b"m", R, 3) is False
+        sct = SigncryptedText(R=R, C=bytes(40), s=3)
+        assert hyh.unsigncrypt(config, bob.d, alice.U, sct) is None
 
 
 class TestWireFormat:
