@@ -21,8 +21,8 @@ from .curve import (
     InvalidCurveHit,
     Point,
     find_invalid_curves,
+    fixed_base_mul,
     point_add,
-    scalar_mul,
     validate_public_key,
 )
 from .hyh import (
@@ -112,16 +112,16 @@ def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
     params = config.params
     n = params.n
     report = AttackReport("recover_sender_key", success=False)
-    if scalar_mul(params, r, params.G) != sct.R:
+    if fixed_base_mul(params, r, params.G) != sct.R:
         raise EphemeralMismatch("r*G does not match the transmitted R")
-    x_k = x_coord(scalar_mul(params, r, u_b))
+    x_k = x_coord(fixed_base_mul(params, r, u_b))
     message, tag = open_ciphertext(config, x_k, sct.C)
     report.log("decrypted", message=message.hex(),
                tag_matches=tag == message_tag(config, message, sct.s))
     x_r = x_coord(sct.R) % n
     d_a = mod_inverse(x_r, n) * (r * sct.s - hash_to_scalar(config, message)) % n
     report.log("key_formula_applied", d_a=_hex(d_a))
-    report.success = scalar_mul(params, d_a, params.G) == u_a
+    report.success = fixed_base_mul(params, d_a, params.G) == u_a
     if report.success:
         report.recovered_secrets = {
             "d_A": _hex(d_a), "M": message.hex(), "x_K": _hex(x_k),
@@ -261,7 +261,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
         raise CandidateNotFound("no sign assignment reproduced the public key")
     report.log("crt_recombined", d_b=_hex(d_b),
                sign_vectors_max=math.prod(len(r.signed()) for r in residues))
-    report.success = scalar_mul(params, d_b, params.G) == u_b
+    report.success = fixed_base_mul(params, d_b, params.G) == u_b
     if report.success:
         report.recovered_secrets = {"d_B": _hex(d_b)}
         report.recovered_secrets["residues"] = ",".join(
@@ -312,7 +312,7 @@ def _resolve_signs(params: CurveParams, residues: list[Residue],
             if d in seen:
                 continue
             seen.add(d)
-            if 1 <= d < bound and scalar_mul(params, d, params.G) == u_b:
+            if 1 <= d < bound and fixed_base_mul(params, d, params.G) == u_b:
                 return d
     return None
 
@@ -343,7 +343,7 @@ class CertRegistry:
         self.config = config
         rng = random.Random(rng_seed)
         self._d = rng.randrange(1, config.params.n)
-        self.public_key = scalar_mul(config.params, self._d, config.params.G)
+        self.public_key = fixed_base_mul(config.params, self._d, config.params.G)
         self.issued: dict[str, Certificate] = {}
         self.revoked: set[bytes] = set()
         self._rng = rng
@@ -373,7 +373,7 @@ def schnorr_sign(config: SchemeConfig, d: int, message: bytes,
     n = params.n
     while True:
         k = rng.randrange(1, n)
-        R = scalar_mul(params, k, params.G)
+        R = fixed_base_mul(params, k, params.G)
         c = int.from_bytes(
             hash_bytes(config, _point_bytes(config, R) + message), "big") % n
         z = (k + c * d) % n
@@ -392,8 +392,8 @@ def schnorr_verify(config: SchemeConfig, public_key: Point, message: bytes,
     z = int.from_bytes(signature[2 * w:], "big")
     c = int.from_bytes(
         hash_bytes(config, signature[:2 * w] + message), "big") % params.n
-    lhs = scalar_mul(params, z, params.G)
-    rhs = point_add(params, R, scalar_mul(params, c, public_key))
+    lhs = fixed_base_mul(params, z, params.G)
+    rhs = point_add(params, R, fixed_base_mul(params, c, public_key))
     return lhs == rhs
 
 
@@ -520,11 +520,11 @@ def break_forward_secrecy(config: SchemeConfig, d_a: int, u_b: Point,
     report = AttackReport("break_forward_secrecy", success=False)
     x_r = x_coord(sct.R) % n
     r = mod_inverse(sct.s, n) * (hash_to_scalar(config, message) + x_r * d_a) % n
-    if scalar_mul(params, r, params.G) != sct.R:
+    if fixed_base_mul(params, r, params.G) != sct.R:
         raise ConsistencyFailure(
             "recovered r does not regenerate R; wrong message or sender key")
     report.log("ephemeral_recovered", r=_hex(r))
-    x_k = x_coord(scalar_mul(params, r, u_b))
+    x_k = x_coord(fixed_base_mul(params, r, u_b))
     redecrypted, _ = open_ciphertext(config, x_k, sct.C)
     report.log("session_redecrypted", matches=redecrypted == message)
     report.success = redecrypted == message

@@ -4,15 +4,18 @@ Points are plain affine ``(x, y)`` tuples; the point at infinity is ``None``.
 ``point_add`` is the affine chord/tangent law, the reference every faster
 path is tested against. ``scalar_mul`` works internally in Jacobian
 coordinates and inverts once, at the end; it agrees with repeated
-``point_add`` on every input, off-curve points included. Neither ever checks
-whether its inputs satisfy the curve equation: the formulas do not involve
-the coefficient ``b``, so they act identically on every curve
-``y^2 = x^3 + a*x + b'`` over the same field. Validation is a separate,
-explicit step (``validate_public_key``). That separation is the whole point
-of this module: it lets the rest of the lab feed carefully crafted invalid
-points to code that forgot to check.
+``point_add`` on every input, off-curve points included. ``fixed_base_mul``
+gives the same results for a base that recurs (G, a long-lived public key)
+from a width-4 Lim-Lee comb, whose tables are kept in a 16-entry cache keyed
+on (params, base mod q). None of them ever checks whether its inputs satisfy
+the curve equation: the formulas do not involve the coefficient ``b``, so
+they act identically on every curve ``y^2 = x^3 + a*x + b'`` over the same
+field. Validation is a separate, explicit step (``validate_public_key``).
+That separation is the whole point of this module: it lets the rest of the
+lab feed carefully crafted invalid points to code that forgot to check.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -30,6 +33,10 @@ _SEARCH_TRIES = 4096
 # single out #E in the Hasse window (Cremona and Sutherland, "On a theorem
 # of Mestre and Schoof", 2010); at or below it count_points enumerates.
 _MESTRE_BOUND = 229
+
+# Rows of the fixed-base comb, and how many (params, base) tables to keep.
+_COMB_WIDTH = 4
+_COMB_TABLES = 16
 
 # Random points count_points may sample, alternately on E and on its twist,
 # before it gives up.
@@ -125,37 +132,110 @@ def scalar_mul(params: CurveParams, k: int, P: Point) -> Point:
     coordinates, x = X/Z^2 and y = Y/Z^3, with Z = 0 for O, plus mixed
     additions of the affine P; the one field inversion converts the result
     back (Cohen, Miyaji and Ono, ASIACRYPT 1998). Like ``point_add`` it never
-    reads b, and its special cases copy that law: adding P to a point with
-    the same x gives O unless the two are equal, when P is doubled; doubling
-    a point with y = 0 gives O. Every step is taken mod q, so coordinates
-    outside [0, q) name the same point as their residues.
+    reads b. Every step is taken mod q, so coordinates outside [0, q) name
+    the same point as their residues.
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")
     if k == 0 or P is None:
         return None
     q, a = params.q, params.a
-    x, y = P
-    X, Y, Z = x, y, 1
+    X, Y, Z = P[0], P[1], 1
     for bit in bin(k)[3:]:
         X, Y, Z = _jacobian_double(q, a, X, Y, Z)
-        if bit == "0":
-            continue
-        if Z == 0:
-            X, Y, Z = x, y, 1
-            continue
-        ZZ = Z * Z % q
-        H = (x * ZZ - X) % q
-        r = (y * ZZ * Z - Y) % q
-        if H == 0:
-            X, Y, Z = _jacobian_double(q, a, x, y, 1) if r == 0 else (1, 1, 0)
-            continue
-        HH = H * H % q
-        HHH = H * HH % q
-        V = X * HH % q
-        X = (r * r - HHH - 2 * V) % q
-        Y = (r * (V - X) - Y * HHH) % q
-        Z = Z * H % q
+        if bit == "1":
+            X, Y, Z = _mixed_add(q, a, X, Y, Z, P)
+    return _to_affine(q, X, Y, Z)
+
+
+def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
+    """k-fold sum of a base P that recurs; equal to
+    ``scalar_mul(params, k, P)`` on every input.
+
+    The rule for callers: every multiple of G or of a public key (U_A, U_B,
+    a registry's key) goes through here, and every other point, such as an
+    ephemeral R or a point an attacker made up, through ``scalar_mul``.
+    ``hyh.keypair_from_secret`` builds the table of each key it makes, so a
+    key's first message costs what the later ones do.
+
+    Lim-Lee comb of width 4 (CRYPTO 1994). With d = ceil(bitlen(n)/4), a
+    k < 2^(4d) is cut into four d-bit rows k_0..k_3, k = sum k_j*2^(j*d).
+    Column i of the rows selects T[b] = sum b_j*2^(j*d)*P, b_j = bit i of
+    k_j, so k*P costs d Jacobian doublings, at most d mixed additions and
+    one inversion. The 15 points T[1..15] are built once per (params, P mod
+    q) and kept in a bounded cache. A larger k, such as an attacker's
+    Schnorr response, goes to ``scalar_mul``.
+    """
+    if k < 0:
+        raise ValueError("scalar must be non-negative")
+    if k == 0 or P is None:
+        return None
+    d = _comb_row_bits(params)
+    if k >> (_COMB_WIDTH * d):
+        return scalar_mul(params, k, P)
+    q, a = params.q, params.a
+    # the affine law compares raw coordinates, so the table is built from
+    # (and cached under) the residues of P
+    table = _comb_table(params, (P[0] % q, P[1] % q))
+    mask = (1 << d) - 1
+    rows = [format(k >> (j * d) & mask, f"0{d}b")
+            for j in reversed(range(_COMB_WIDTH))]
+    X, Y, Z = 1, 1, 0
+    for column in zip(*rows):
+        X, Y, Z = _jacobian_double(q, a, X, Y, Z)
+        b = int("".join(column), 2)
+        if b:
+            X, Y, Z = _mixed_add(q, a, X, Y, Z, table[b])
+    return _to_affine(q, X, Y, Z)
+
+
+def _comb_row_bits(params: CurveParams) -> int:
+    """d = ceil(bitlen(n)/4), the width of each of the comb's four rows."""
+    return -(-params.n.bit_length() // _COMB_WIDTH)
+
+
+@functools.lru_cache(maxsize=_COMB_TABLES)
+def _comb_table(params: CurveParams, P: Point) -> tuple[Point, ...]:
+    """T[b] = sum of the 2^(j*d)*P with bit j set in b, for b = 0 .. 15.
+
+    All of them are multiples of P, so they lie on P's own curve, where the
+    law is a group even when P is off params' curve. P must be reduced mod
+    q, as ``fixed_base_mul`` passes it."""
+    d = _comb_row_bits(params)
+    rows = [P]
+    for _ in range(_COMB_WIDTH - 1):
+        rows.append(scalar_mul(params, 1 << d, rows[-1]))
+    table: list[Point] = [None]
+    for b in range(1, 1 << _COMB_WIDTH):
+        top = b.bit_length() - 1
+        table.append(point_add(params, table[b ^ (1 << top)], rows[top]))
+    return tuple(table)
+
+
+def _mixed_add(q: int, a: int, X: int, Y: int, Z: int,
+               P: Point) -> tuple[int, int, int]:
+    """(X, Y, Z) + the affine P. The special cases copy ``point_add``: O
+    plus P is P; when the x's agree the sum is O unless the two points are
+    equal, when P is doubled."""
+    if P is None:
+        return X, Y, Z
+    x, y = P
+    if Z == 0:
+        return x, y, 1
+    ZZ = Z * Z % q
+    H = (x * ZZ - X) % q
+    r = (y * ZZ * Z - Y) % q
+    if H == 0:
+        return _jacobian_double(q, a, x, y, 1) if r == 0 else (1, 1, 0)
+    HH = H * H % q
+    HHH = H * HH % q
+    V = X * HH % q
+    X3 = (r * r - HHH - 2 * V) % q
+    return X3, (r * (V - X3) - Y * HHH) % q, Z * H % q
+
+
+def _to_affine(q: int, X: int, Y: int, Z: int) -> Point:
+    """The one inversion: (X/Z^2, Y/Z^3), or O when Z = 0."""
     if Z == 0:
         return None
     z_inv = mod_inverse(Z, q)

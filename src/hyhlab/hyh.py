@@ -30,6 +30,8 @@ from . import paramcheck
 from .curve import (
     CurveParams,
     Point,
+    _comb_table,
+    fixed_base_mul,
     point_add,
     scalar_mul,
     validate_public_key,
@@ -174,7 +176,25 @@ def open_ciphertext(config: SchemeConfig, x_k: int, C: bytes) -> tuple[bytes, by
 
 
 def _has_order_n(config: SchemeConfig, P: Point) -> bool:
-    return P is not None and scalar_mul(config.params, config.params.n, P) is None
+    """Whether n*P = O (SEC 1 v2, section 3.2.2.1). Precondition: P has
+    passed ``validate_public_key``, so it lies on the curve, as at both call
+    sites; the shortcut below holds only for such points.
+
+    With h = 1 and domain parameters that pass the validator, the answer is
+    yes without a multiplication. The validator shows that n is prime and that
+    G != O lies on the curve with n*G = O, so n divides #E. It also shows
+    that h*n lies in the Hasse window and that n^2 > 16q: the window is
+    4*sqrt(q) wide and n is wider, so h*n is the one multiple of n in it,
+    and #E = h*n. With h = 1, #E = n is prime, and every point of the curve
+    other than O has order n. h is tested first, so h != 1 never triggers a
+    validation.
+    """
+    if P is None:
+        return False
+    params = config.params
+    if params.h == 1 and paramcheck.validate_domain_params(params).overall:
+        return True
+    return scalar_mul(params, params.n, P) is None
 
 
 def recipient_shared_point(config: SchemeConfig, d_b: int,
@@ -207,9 +227,16 @@ def gen(config: SchemeConfig, rng_seed: int | random.Random | None = None) -> Ke
 
 
 def keypair_from_secret(config: SchemeConfig, d: int) -> KeyPair:
-    if not 1 <= d < config.params.n:
+    """d, U = d*G. Every message to or from the key multiplies U, so its
+    comb table is built here, with the key, and not inside its first
+    message."""
+    params = config.params
+    if not 1 <= d < params.n:
         raise ValueError("secret scalar out of range")
-    return KeyPair(d=d, U=scalar_mul(config.params, d, config.params.G))
+    U = fixed_base_mul(params, d, params.G)
+    if U is not None:
+        _comb_table(params, U)
+    return KeyPair(d=d, U=U)
 
 
 def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
@@ -237,8 +264,8 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
         r = forced_r if forced_r is not None else rng.randrange(1, n)
         if not 1 <= r < n:
             raise ValueError("forced ephemeral scalar out of range")
-        R = scalar_mul(params, r, params.G)
-        K = scalar_mul(params, r, u_b)
+        R = fixed_base_mul(params, r, params.G)
+        K = fixed_base_mul(params, r, u_b)
         x_r = x_coord(R) % n
         if x_r == 0 or K is None:
             if forced_r is not None:
@@ -320,8 +347,8 @@ def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,
     lhs = scalar_mul(params, s, R)
     rhs = point_add(
         params,
-        scalar_mul(params, hash_to_scalar(config, message), params.G),
-        scalar_mul(params, x_coord(R) % params.n, u_a),
+        fixed_base_mul(params, hash_to_scalar(config, message), params.G),
+        fixed_base_mul(params, x_coord(R) % params.n, u_a),
     )
     return lhs == rhs
 

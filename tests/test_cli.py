@@ -208,6 +208,27 @@ class TestProtocolCommands:
                       "--message", str(message))
         assert rc == 1 and json.loads(out)["valid"] is False
 
+    @pytest.mark.parametrize("mode", ["paper", "strict"])
+    def test_verify_unreduced_small_order_sender_key(self, capsys, tmp_path, mode):
+        # the same point as the sender key: its comb table must be built
+        # from the residues, or the affine law raises NotInvertible
+        good = params_file(tmp_path, fixtures.GOOD)
+        alice_priv, _ = self._keygen(capsys, tmp_path, good, "alice", 1)
+        _, bob_pub = self._keygen(capsys, tmp_path, good, "bob", 2)
+        message = tmp_path / "m"
+        message.write_bytes(b"m")
+        sct = tmp_path / "sct.json"
+        run(capsys, "--params", good, "--seed", "3", "--out", str(sct),
+            "signcrypt", "--key", alice_priv, "--peer", bob_pub,
+            "--in", str(message))
+        q = fixtures.load(fixtures.GOOD).q
+        hostile = tmp_path / "hostile.pub"
+        hostile.write_text(json.dumps({"Ux": f"{657345 + q:x}", "Uy": f"{967893:x}"}))
+        rc, out = run(capsys, "--params", good, "--mode", mode, "verify",
+                      "--peer", str(hostile), "--in", str(sct),
+                      "--message", str(message))
+        assert rc == 1 and json.loads(out)["valid"] is False
+
     def test_missing_file_exits_two(self, capsys, toy_params_file):
         rc, _ = run(capsys, "--params", toy_params_file, "unsigncrypt",
                     "--key", "/nonexistent", "--peer", "/nonexistent",

@@ -147,6 +147,94 @@ class TestScalarMulMatchesAffine:
         assert cv.scalar_mul(good_params, 3, W) is None
 
 
+ALL_FIXTURES = [fixtures.GOOD, fixtures.TOY16, fixtures.F23_N7,
+                fixtures.COMPOSITE_N, fixtures.SMALL_N, fixtures.MOV,
+                fixtures.N_EQ_Q, fixtures.SUPERSINGULAR, fixtures.SECP160R1]
+
+
+def comb_span(params):
+    """2^(4d), d = ceil(bitlen(n)/4): fixed_base_mul combs the k below it."""
+    return 1 << 4 * cv._comb_row_bits(params)
+
+
+class TestFixedBaseMul:
+    """fixed_base_mul (comb) against scalar_mul and the affine reference, on
+    and off the curve: a paper-mode public key may be any pair."""
+
+    @pytest.mark.parametrize("n", [5, 7, 29])
+    @pytest.mark.parametrize("a", [0, 1, 22])
+    def test_every_point_of_f23(self, a, n):
+        # k passes every group order over F_23 (at most 33); the claimed n
+        # sets the comb's d: 1 for n = 5 and 7, so k >= 16 leaves the comb,
+        # and 2 for n = 29
+        params = cv.CurveParams(q=23, a=a, b=1, G=None, n=n, h=1)
+        span = comb_span(params)
+        for x in range(23):
+            for y in range(23):
+                P = (x, y)
+                acc = None
+                for k in range(40):
+                    assert cv.fixed_base_mul(params, k, P) == acc
+                    acc = cv.point_add(params, acc, P)
+                for k in (span - 1, span, span + 1):
+                    assert (cv.fixed_base_mul(params, k, P)
+                            == cv.scalar_mul(params, k, P))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(ALL_FIXTURES))
+    def test_random_bases_and_scalars(self, data, name):
+        params = fixtures.load(name)
+        q, n = params.q, params.n
+        base = data.draw(st.sampled_from(["G", "on_curve", "random"]), label="base")
+        if base == "G":
+            P = params.G
+        elif base == "on_curve":
+            P = cv.random_point(params, random.Random(data.draw(st.integers())))
+        else:
+            P = (data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1)))
+        span = comb_span(params)
+        k = data.draw(st.one_of(st.integers(0, 64), st.integers(0, 4 * n),
+                                st.integers(span - 1, span + 4 * n)), label="k")
+        # unreduced coordinates in [q, 3q) name the same point
+        shift = data.draw(st.tuples(st.sampled_from([0, q, 2 * q]),
+                                    st.sampled_from([0, q, 2 * q])))
+        unreduced = (P[0] + shift[0], P[1] + shift[1])
+        expected = affine_scalar_mul(params, k, P)
+        assert cv.fixed_base_mul(params, k, unreduced) == expected
+        assert cv.scalar_mul(params, k, unreduced) == expected
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_every_fixture_at_the_edges(self, name):
+        params = fixtures.load(name)
+        span = comb_span(params)
+        for k in (0, 1, 2, params.n - 1, params.n, params.n + 1,
+                  span - 1, span, span + 1):
+            assert (cv.fixed_base_mul(params, k, params.G)
+                    == affine_scalar_mul(params, k, params.G))
+
+    def test_negative_scalar_and_identity_base(self, f23):
+        for P in [(0, 1), None]:
+            with pytest.raises(ValueError):
+                cv.fixed_base_mul(f23, -1, P)
+        for k in [0, 1, 28, 1 << 200]:
+            assert cv.fixed_base_mul(f23, k, None) is None
+
+    def test_unreduced_base_shares_the_reduced_table(self, good_params):
+        # the order-3 point of b' = b + 1 with q added to its x
+        W = (657345, 967893)
+        cv._comb_table.cache_clear()
+        assert cv.fixed_base_mul(good_params, 4, W) == W
+        assert cv.fixed_base_mul(good_params, 4, (W[0] + good_params.q, W[1])) == W
+        info = cv._comb_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_table_cache_is_bounded(self, f23):
+        for x in range(40):
+            cv.fixed_base_mul(f23, 5, (x, 1))
+        info = cv._comb_table.cache_info()
+        assert info.maxsize == 16 and info.currsize == 16
+
+
 class TestGroupLawExhaustive:
     """The 28-element group is small enough to check the axioms outright."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyhlab import curve as cv
-from hyhlab import fixtures, hyh
+from hyhlab import fixtures, hyh, paramcheck
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig, SigncryptedText
 from hyhlab.numtheory import mod_inverse
 
@@ -315,6 +316,103 @@ class TestPublicVerify:
         assert hyh.public_verify(config, alice.U, b"m", R, 3) is False
         sct = SigncryptedText(R=R, C=bytes(40), s=3)
         assert hyh.unsigncrypt(config, bob.d, alice.U, sct) is None
+
+
+class TestUnreducedKey:
+    """U = (W.x + q, W.y), W the order-3 point of b' = b + 1 on params_good.
+    A comb table built from U itself would hit a chord with denominator 0 in
+    the affine law, which compares raw coordinates."""
+
+    W = (657345, 967893)
+
+    def test_public_verify_rejects_it_as_sender_key(self, good_params):
+        config = SchemeConfig(params=good_params)
+        U = (self.W[0] + good_params.q, self.W[1])
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=3)
+        assert hyh.public_verify(config, U, b"m", sct.R, sct.s) is False
+
+    def test_signcrypt_to_it_as_recipient_key(self, good_params):
+        config = SchemeConfig(params=good_params)
+        U = (self.W[0] + good_params.q, self.W[1])
+        sct = hyh.signcrypt(config, 1234, U, b"to an unreduced key", rng_seed=7)
+        # recorded with scalar_mul in place of the comb
+        assert hyh.sct_to_dict(sct) == {
+            "Rx": "a6d69", "Ry": "3efef", "s": "285",
+            "C": "7e68e16b69e17f69b36f63b46962a52a6ca473b906938f9556efd2bc"
+                 "6255b06110cd6f4edd7dd4bf7bc717b97fdc677f9d7e52",
+        }
+
+
+class TestOrderCheck:
+    """Strict mode skips n*P only for h = 1 params that validate."""
+
+    @pytest.mark.parametrize("mode, name", [
+        (PAPER, fixtures.SECP160R1), (STRICT, fixtures.SECP160R1),
+        (STRICT, fixtures.TOY16)])
+    def test_scalar_mul_calls_per_round_trip(self, monkeypatch, mode, name):
+        # r*G, r*U_B, H(M)*G and x_R*U_A take the comb; d_B*R and s*R
+        # multiply a fresh R. Only toy16 (h = 4) still checks n*U_B, n*R.
+        params = fixtures.load(name)
+        assert paramcheck.validate_domain_params(params).overall
+        config = SchemeConfig(params=params, mode=mode)
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        calls = []
+        real = hyh.scalar_mul
+
+        def counting(params_, k, P):
+            calls.append((k, P))
+            return real(params_, k, P)
+
+        monkeypatch.setattr(hyh, "scalar_mul", counting)
+        sct = hyh.signcrypt(config, alice.d, bob.U, b"counted", rng_seed=1)
+        assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"counted"
+        order_checks = [(params.n, bob.U), (params.n, sct.R)] if params.h != 1 else []
+        assert calls == order_checks + [(bob.d, sct.R), (sct.s, sct.R)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_false_h1_claim_keeps_the_check(self, toy16, seed):
+        # toy16 has h = 4; with h = 1 claimed the params fail validation, so
+        # its three points of order 2 (one per seed) must still be refused
+        lying = dataclasses.replace(toy16, h=1)
+        assert not paramcheck.validate_domain_params(lying).overall
+        config = SchemeConfig(params=lying, mode=STRICT)
+        W = cv.find_point_of_order(toy16, 2, toy16.h * toy16.n, rng_seed=seed)
+        assert cv.is_on_curve(lying, W)
+        bob = hyh.keypair_from_secret(config, 5678)
+        sct = SigncryptedText(R=W, C=bytes(40), s=1)
+        trace = hyh.unsigncrypt_trace(config, bob.d, bob.U, sct)
+        assert trace.rejected_at == "ephemeral_point"
+        with pytest.raises(hyh.InvalidRecipientKey):
+            hyh.signcrypt(config, 1234, W, b"m", rng_seed=2)
+
+
+class TestCombTables:
+    """The comb tables a round trip needs: a key pair brings its own, and
+    G's stays cached however many peer keys come and go."""
+
+    def test_key_pairs_bring_their_tables(self, good_params):
+        config = SchemeConfig(params=good_params)
+        cv._comb_table.cache_clear()
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        assert cv._comb_table.cache_info().misses == 3   # G, U_A, U_B
+        sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=1)
+        assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
+        assert cv._comb_table.cache_info().misses == 3
+
+    def test_peer_keys_do_not_evict_g(self, good_params):
+        # every message multiplies G, so the LRU cache drops older peer
+        # keys first: 40 peers through 16 entries build 40 tables, not more
+        config = SchemeConfig(params=good_params)
+        cv._comb_table.cache_clear()
+        alice = hyh.keypair_from_secret(config, 1234)
+        for d in range(2, 42):
+            U = cv.scalar_mul(good_params, d, good_params.G)
+            hyh.signcrypt(config, alice.d, U, b"m", rng_seed=d)
+        assert cv._comb_table.cache_info().misses == 2 + 40
 
 
 class TestWireFormat:
