@@ -5,14 +5,16 @@ Points are plain affine ``(x, y)`` tuples; the point at infinity is ``None``.
 path is tested against. ``scalar_mul`` works internally in Jacobian
 coordinates and inverts once, at the end; it agrees with repeated
 ``point_add`` on every input, off-curve points included. ``fixed_base_mul``
-gives the same results for a base that recurs (G, a long-lived public key)
-from a width-4 Lim-Lee comb, whose tables are kept in a 16-entry cache keyed
-on (params, base mod q). None of them ever checks whether its inputs satisfy
-the curve equation: the formulas do not involve the coefficient ``b``, so
-they act identically on every curve ``y^2 = x^3 + a*x + b'`` over the same
-field. Validation is a separate, explicit step (``validate_public_key``).
-That separation is the whole point of this module: it lets the rest of the
-lab feed carefully crafted invalid points to code that forgot to check.
+gives the same results from a width-4 Lim-Lee comb; it is the one path by
+which ``hyh`` and ``attacks`` multiply (G, the keys, each message's R). Its
+tables cost two batched inversions each and are kept in a 16-entry cache
+keyed on (params, base mod q). None of them ever checks whether its inputs
+satisfy the curve equation: the formulas do not involve the coefficient
+``b``, so they act identically on every curve ``y^2 = x^3 + a*x + b'`` over
+the same field. Validation is a separate, explicit step
+(``validate_public_key``). That separation is the whole point of this
+module: it lets the rest of the lab feed carefully crafted invalid points to
+code that forgot to check.
 """
 
 import functools
@@ -149,14 +151,16 @@ def scalar_mul(params: CurveParams, k: int, P: Point) -> Point:
 
 
 def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
-    """k-fold sum of a base P that recurs; equal to
+    """k-fold sum of P from a comb table; equal to
     ``scalar_mul(params, k, P)`` on every input.
 
-    The rule for callers: every multiple of G or of a public key (U_A, U_B,
-    a registry's key) goes through here, and every other point, such as an
-    ephemeral R or a point an attacker made up, through ``scalar_mul``.
-    ``hyh.keypair_from_secret`` builds the table of each key it makes, so a
-    key's first message costs what the later ones do.
+    The rule for callers: every point that ``hyh`` or ``attacks``
+    multiplies goes through here: G, the keys, and each message's R, whose
+    table serves both d_B*R and s*R. ``scalar_mul`` is for the one-off
+    multiples inside ``curve`` and ``paramcheck``. ``hyh.keypair_from_secret``
+    builds the table of each key it makes, so a key's first message costs
+    what the later ones do. Every round trip uses the tables of G, U_A and
+    U_B, so a stream of fresh R's through the LRU cache evicts only R's.
 
     Lim-Lee comb of width 4 (CRYPTO 1994). With d = ceil(bitlen(n)/4), a
     k < 2^(4d) is cut into four d-bit rows k_0..k_3, k = sum k_j*2^(j*d).
@@ -164,7 +168,8 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     k_j, so k*P costs d Jacobian doublings, at most d mixed additions and
     one inversion. The 15 points T[1..15] are built once per (params, P mod
     q) and kept in a bounded cache. A larger k, such as an attacker's
-    Schnorr response, goes to ``scalar_mul``.
+    Schnorr response or a paper-mode s near 256^scalar_width, goes to
+    ``scalar_mul``.
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")
@@ -174,8 +179,7 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     if k >> (_COMB_WIDTH * d):
         return scalar_mul(params, k, P)
     q, a = params.q, params.a
-    # the affine law compares raw coordinates, so the table is built from
-    # (and cached under) the residues of P
+    # cached under the residues of P, so unreduced forms share one table
     table = _comb_table(params, (P[0] % q, P[1] % q))
     mask = (1 << d) - 1
     rows = [format(k >> (j * d) & mask, f"0{d}b")
@@ -199,17 +203,25 @@ def _comb_table(params: CurveParams, P: Point) -> tuple[Point, ...]:
     """T[b] = sum of the 2^(j*d)*P with bit j set in b, for b = 0 .. 15.
 
     All of them are multiples of P, so they lie on P's own curve, where the
-    law is a group even when P is off params' curve. P must be reduced mod
-    q, as ``fixed_base_mul`` passes it."""
+    law is a group even when P is off params' curve. The rows 2^(j*d)*P come
+    from Jacobian doublings and the sums from mixed additions; each set goes
+    to affine with one batched inversion, so a table costs two inversions.
+    Every step is taken mod q, so an unreduced P gives the table of its
+    residues."""
+    q, a = params.q, params.a
     d = _comb_row_bits(params)
-    rows = [P]
+    X, Y, Z = P[0], P[1], 1
+    doubled = []
     for _ in range(_COMB_WIDTH - 1):
-        rows.append(scalar_mul(params, 1 << d, rows[-1]))
-    table: list[Point] = [None]
+        for _ in range(d):
+            X, Y, Z = _jacobian_double(q, a, X, Y, Z)
+        doubled.append((X, Y, Z))
+    rows = [P, *_batch_to_affine(q, doubled)]
+    sums = [(1, 1, 0)]
     for b in range(1, 1 << _COMB_WIDTH):
         top = b.bit_length() - 1
-        table.append(point_add(params, table[b ^ (1 << top)], rows[top]))
-    return tuple(table)
+        sums.append(_mixed_add(q, a, *sums[b ^ (1 << top)], rows[top]))
+    return (None, *_batch_to_affine(q, sums[1:]))
 
 
 def _mixed_add(q: int, a: int, X: int, Y: int, Z: int,
@@ -241,6 +253,28 @@ def _to_affine(q: int, X: int, Y: int, Z: int) -> Point:
     z_inv = mod_inverse(Z, q)
     z_inv2 = z_inv * z_inv % q
     return (X * z_inv2 % q, Y * z_inv2 * z_inv % q)
+
+
+def _batch_to_affine(q: int, points: list[tuple[int, int, int]]) -> list[Point]:
+    """``_to_affine`` of each point with one inversion (Montgomery, Math.
+    Comp. 1987): invert the product of the Z's, then peel off one Z at a
+    time. A Z = 0 is left out of the product, and its point is O."""
+    prefix = []
+    product = 1
+    for _, _, Z in points:
+        prefix.append(product)
+        if Z:
+            product = product * Z % q
+    inv = mod_inverse(product, q)
+    affine: list[Point] = [None] * len(points)
+    for i in reversed(range(len(points))):
+        X, Y, Z = points[i]
+        if Z:
+            z_inv = inv * prefix[i] % q
+            inv = inv * Z % q
+            z_inv2 = z_inv * z_inv % q
+            affine[i] = (X * z_inv2 % q, Y * z_inv2 * z_inv % q)
+    return affine
 
 
 def _jacobian_double(q: int, a: int, X: int, Y: int, Z: int) -> tuple[int, int, int]:

@@ -33,7 +33,6 @@ from .curve import (
     _comb_table,
     fixed_base_mul,
     point_add,
-    scalar_mul,
     validate_public_key,
 )
 from .numtheory import mod_inverse
@@ -177,8 +176,9 @@ def open_ciphertext(config: SchemeConfig, x_k: int, C: bytes) -> tuple[bytes, by
 
 def _has_order_n(config: SchemeConfig, P: Point) -> bool:
     """Whether n*P = O (SEC 1 v2, section 3.2.2.1). Precondition: P has
-    passed ``validate_public_key``, so it lies on the curve, as at both call
-    sites; the shortcut below holds only for such points.
+    passed ``validate_public_key``, so it lies on the curve, as in its one
+    caller ``_valid_of_order_n``; the shortcut below holds only for such
+    points.
 
     With h = 1 and domain parameters that pass the validator, the answer is
     yes without a multiplication. The validator shows that n is prime and that
@@ -194,7 +194,13 @@ def _has_order_n(config: SchemeConfig, P: Point) -> bool:
     params = config.params
     if params.h == 1 and paramcheck.validate_domain_params(params).overall:
         return True
-    return scalar_mul(params, params.n, P) is None
+    return fixed_base_mul(params, params.n, P) is None
+
+
+def _valid_of_order_n(config: SchemeConfig, P: Point) -> bool:
+    """Strict mode's check of a peer's point (an ephemeral R, U_A, U_B):
+    it passes ``validate_public_key`` and has order n."""
+    return validate_public_key(config.params, P).ok and _has_order_n(config, P)
 
 
 def recipient_shared_point(config: SchemeConfig, d_b: int,
@@ -203,10 +209,9 @@ def recipient_shared_point(config: SchemeConfig, d_b: int,
     strict mode refuses. The paper checks nothing here; strict mode refuses
     an R that is not a valid point of order n (``ephemeral_point``) and a K
     that is the identity (``shared_point_identity``)."""
-    if config.mode == STRICT and not (
-            validate_public_key(config.params, R).ok and _has_order_n(config, R)):
+    if config.mode == STRICT and not _valid_of_order_n(config, R):
         return None, "ephemeral_point"
-    K = scalar_mul(config.params, d_b, R)
+    K = fixed_base_mul(config.params, d_b, R)
     if config.mode == STRICT and K is None:
         return None, "shared_point_identity"
     return K, None
@@ -253,12 +258,11 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
         raise ValueError("message must be non-empty")
     if not 1 <= d_a < n:
         raise ValueError("sender secret out of range")
-    if config.mode == STRICT:
-        verdict = validate_public_key(params, u_b)
-        if not verdict.ok or not _has_order_n(config, u_b):
-            raise InvalidRecipientKey(
-                f"recipient key failed validation ({','.join(verdict.failed) or 'order'})"
-            )
+    if config.mode == STRICT and not _valid_of_order_n(config, u_b):
+        failed = validate_public_key(params, u_b).failed
+        raise InvalidRecipientKey(
+            f"recipient key failed validation ({','.join(failed) or 'order'})"
+        )
     rng = _rng(rng_seed)
     for _ in range(_RESAMPLE_LIMIT):
         r = forced_r if forced_r is not None else rng.randrange(1, n)
@@ -338,13 +342,15 @@ def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,
     """Anyone holding the message can check s*R == H(M)*G + (x_R mod n)*U_A.
     An s with no fixed-width encoding fails, as no tag can be made for it.
     Strict mode also refuses an s outside [1, n-1], so that s + n cannot
-    stand in for an honest s; the paper has no such check."""
+    stand in for an honest s, and a U_A that is not a valid point of order
+    n; the paper has neither check."""
     params = config.params
     if not _encodable(config, s):
         return False
-    if config.mode == STRICT and not 1 <= s < params.n:
+    if config.mode == STRICT and not (
+            1 <= s < params.n and _valid_of_order_n(config, u_a)):
         return False
-    lhs = scalar_mul(params, s, R)
+    lhs = fixed_base_mul(params, s, R)
     rhs = point_add(
         params,
         fixed_base_mul(params, hash_to_scalar(config, message), params.G),

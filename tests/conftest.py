@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
-from hyhlab import fixtures
+from hyhlab import curve as cv
+from hyhlab import fixtures, hyh
 from hyhlab.curve import CurveParams
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig
+from hyhlab.numtheory import mod_inverse
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +39,41 @@ def paper16(toy16):
 @pytest.fixture(scope="session")
 def strict16(toy16):
     return SchemeConfig(params=toy16, mode=STRICT)
+
+
+@pytest.fixture(scope="session")
+def keyless_forgery():
+    """forge(config, u_a, order, u_b, message) -> a signcrypted text that
+    public_verify accepts for u_a without its secret, when u_a has the given
+    small order on its own curve. With x_R mod n a multiple of that order,
+    x_R*U_A = O, and s = r^-1*H(M) makes s*R = H(M)*G. C is encrypted for
+    u_b as signcrypt would, so its tag passes."""
+
+    def forge(config, u_a, order, u_b, message):
+        params = config.params
+        n = params.n
+        for r in range(1, n):
+            R = cv.scalar_mul(params, r, params.G)
+            K = cv.scalar_mul(params, r, u_b)
+            if R is None or K is None or R[0] % n % order:
+                continue
+            s = mod_inverse(r, n) * hyh.hash_to_scalar(config, message) % n
+            if s == 0:
+                continue
+            plain = message + hyh.message_tag(config, message, s)
+            stream = hyh.keystream(config, hyh.x_coord(K), len(plain))
+            return hyh.SigncryptedText(R=R, C=hyh.xor_bytes(plain, stream), s=s)
+        raise AssertionError("no usable r")
+
+    return forge
+
+
+@pytest.fixture(scope="session")
+def small_order_sender_keys(toy16):
+    """case -> (params, U_A, order of U_A on its own curve): O, a point
+    (x, 0) off toy16, and an order-2 point of toy16 (h = 4) under a false
+    h = 1 claim, which fails validation and so keeps the order check."""
+    x = next(x for x in range(toy16.q) if not cv.is_on_curve(toy16, (x, 0)))
+    W = cv.find_point_of_order(toy16, 2, toy16.h * toy16.n, rng_seed=0)
+    return {"identity": (toy16, None, 1), "off_curve": (toy16, (x, 0), 2),
+            "order_2": (dataclasses.replace(toy16, h=1), W, 2)}

@@ -210,8 +210,8 @@ class TestProtocolCommands:
 
     @pytest.mark.parametrize("mode", ["paper", "strict"])
     def test_verify_unreduced_small_order_sender_key(self, capsys, tmp_path, mode):
-        # the same point as the sender key: its comb table must be built
-        # from the residues, or the affine law raises NotInvertible
+        # the same point as the sender key: its comb table, once built with
+        # the affine law from the raw point, raised NotInvertible
         good = params_file(tmp_path, fixtures.GOOD)
         alice_priv, _ = self._keygen(capsys, tmp_path, good, "alice", 1)
         _, bob_pub = self._keygen(capsys, tmp_path, good, "bob", 2)
@@ -228,6 +228,31 @@ class TestProtocolCommands:
                       "--peer", str(hostile), "--in", str(sct),
                       "--message", str(message))
         assert rc == 1 and json.loads(out)["valid"] is False
+
+    @pytest.mark.parametrize("case", ["off_curve", "order_2"])
+    @pytest.mark.parametrize("mode, code", [("paper", 0), ("strict", 1)])
+    def test_verify_small_order_sender_key(self, capsys, tmp_path,
+                                           small_order_sender_keys,
+                                           keyless_forgery, mode, code, case):
+        # a sender key of order 2 on its own curve lets a triple made with
+        # no secret pass the paper's equation; strict mode refuses the key
+        params, u_a, order = small_order_sender_keys[case]
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(fixtures.params_to_dict(params)))
+        config = SchemeConfig(params=params)
+        bob = hyh.keypair_from_secret(config, 5678)
+        m = b"signed by nobody"
+        sct = tmp_path / "sct.json"
+        sct.write_text(json.dumps(hyh.sct_to_dict(
+            keyless_forgery(config, u_a, order, bob.U, m))))
+        message = tmp_path / "m"
+        message.write_bytes(m)
+        sender = tmp_path / "sender.pub"
+        sender.write_text(json.dumps({"Ux": f"{u_a[0]:x}", "Uy": f"{u_a[1]:x}"}))
+        rc, out = run(capsys, "--params", str(params_path), "--mode", mode,
+                      "verify", "--peer", str(sender), "--in", str(sct),
+                      "--message", str(message))
+        assert rc == code and json.loads(out)["valid"] is (code == 0)
 
     def test_missing_file_exits_two(self, capsys, toy_params_file):
         rc, _ = run(capsys, "--params", toy_params_file, "unsigncrypt",
@@ -364,6 +389,19 @@ class TestAttackCommands:
         assert rc == 1 and report["oracle_queries"] == 1
         assert report["transcript"][1]["event"] == "oracle_rejected"
 
+    @pytest.mark.parametrize("mode", ["paper", "strict"])
+    def test_invalid_curve_not_staged_at_secp160r1(self, capsys, tmp_path, mode):
+        # no invalid curve can be counted at q ~ 2^160, so nothing is sent
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.SECP160R1),
+                      "--seed", "5", "--mode", mode, "attack", "invalid-curve",
+                      "--self-stage")
+        report = json.loads(out)
+        assert rc == 1 and not report["success"] and report["oracle_queries"] == 0
+        [event] = report["transcript"]
+        assert event["event"] == "not_staged"
+        bound = curve.DEFAULT_COUNT_BOUND
+        assert event["reason"].endswith(f"exceeds counting bound {bound}")
+
     def test_non_staged_without_inputs_is_config_error(self, capsys,
                                                        toy_params_file):
         rc, _ = run(capsys, "--params", toy_params_file, "attack", "uks")
@@ -428,6 +466,18 @@ class TestDemoAll:
         # nonce-reuse XOR lands in strict mode too, and the exit code is 1
         assert rows.pop("nonce-reuse") == (True, True)
         assert set(rows.values()) == {(True, False)}
+        assert rc == 1
+
+    def test_secp160r1_prints_its_table(self, capsys, tmp_path):
+        # invalid-curve is not staged there; the other five run as usual
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.SECP160R1),
+                      "--seed", "5", "demo", "all")
+        summary = json.loads(out)
+        rows = {r["attack"]: (r["paper_success"], r["strict_success"])
+                for r in summary["findings"]}
+        assert rows.pop("invalid-curve") == (False, False)
+        assert set(rows.values()) == {(True, False)}
+        assert (summary["paper_successes"], summary["strict_successes"]) == (5, 0)
         assert rc == 1
 
     def test_hash_choice_reaches_every_scenario(self, capsys, toy_params_file):

@@ -235,6 +235,62 @@ class TestFixedBaseMul:
         assert info.maxsize == 16 and info.currsize == 16
 
 
+def reference_comb_table(params, P):
+    """The comb table from the affine law alone: each row is the one before
+    it doubled d times with point_add, and T[b] adds the rows of b's bits
+    in the order _comb_table does."""
+    d = cv._comb_row_bits(params)
+    rows = [P]
+    for _ in range(3):
+        R = rows[-1]
+        for _ in range(d):
+            R = cv.point_add(params, R, R)
+        rows.append(R)
+    table = [None]
+    for b in range(1, 16):
+        top = b.bit_length() - 1
+        table.append(cv.point_add(params, table[b ^ (1 << top)], rows[top]))
+    return tuple(table)
+
+
+class TestCombTable:
+    """_comb_table, built with Jacobian doublings and mixed additions and
+    two batched inversions, against the affine reference entry by entry.
+    The build is called uncached, so every case builds its own table."""
+
+    build = staticmethod(cv._comb_table.__wrapped__)
+
+    @pytest.mark.parametrize("n", [5, 7, 29])
+    @pytest.mark.parametrize("a", [0, 1, 22])
+    def test_every_point_of_f23(self, a, n):
+        # small-order bases make rows and sums O, which the batched
+        # conversions must leave out of their products
+        params = cv.CurveParams(q=23, a=a, b=1, G=None, n=n, h=1)
+        hit_identity = False
+        for x in range(23):
+            for y in range(23):
+                table = self.build(params, (x, y))
+                assert table == reference_comb_table(params, (x, y))
+                hit_identity |= None in table[1:]
+        assert hit_identity
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(ALL_FIXTURES))
+    def test_random_bases(self, data, name):
+        params = fixtures.load(name)
+        q = params.q
+        base = data.draw(st.sampled_from(["G", "random"]), label="base")
+        if base == "G":
+            P = params.G
+        else:
+            P = (data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1)))
+        # unreduced coordinates in [q, 3q) give the table of the residues
+        shift = data.draw(st.tuples(st.sampled_from([0, q, 2 * q]),
+                                    st.sampled_from([0, q, 2 * q])))
+        unreduced = (P[0] + shift[0], P[1] + shift[1])
+        assert self.build(params, unreduced) == reference_comb_table(params, P)
+
+
 class TestGroupLawExhaustive:
     """The 28-element group is small enough to check the axioms outright."""
 

@@ -320,8 +320,8 @@ class TestPublicVerify:
 
 class TestUnreducedKey:
     """U = (W.x + q, W.y), W the order-3 point of b' = b + 1 on params_good.
-    A comb table built from U itself would hit a chord with denominator 0 in
-    the affine law, which compares raw coordinates."""
+    A comb table built from U itself with the affine law, which compares
+    raw coordinates, once hit a chord with denominator 0."""
 
     W = (657345, 967893)
 
@@ -352,25 +352,36 @@ class TestOrderCheck:
         (PAPER, fixtures.SECP160R1), (STRICT, fixtures.SECP160R1),
         (STRICT, fixtures.TOY16)])
     def test_scalar_mul_calls_per_round_trip(self, monkeypatch, mode, name):
-        # r*G, r*U_B, H(M)*G and x_R*U_A take the comb; d_B*R and s*R
-        # multiply a fresh R. Only toy16 (h = 4) still checks n*U_B, n*R.
+        # every multiplication in hyh goes through the comb, in this order:
+        # r*G and r*U_B in signcrypt; d_B*R, s*R, H(M)*G and x_R*U_A in
+        # unsigncrypt. Only toy16 (h = 4) still checks n*U_B, n*R and n*U_A.
+        assert not hasattr(hyh, "scalar_mul")
         params = fixtures.load(name)
         assert paramcheck.validate_domain_params(params).overall
         config = SchemeConfig(params=params, mode=mode)
         alice = hyh.keypair_from_secret(config, 1234)
         bob = hyh.keypair_from_secret(config, 5678)
         calls = []
-        real = hyh.scalar_mul
+        real = hyh.fixed_base_mul
 
         def counting(params_, k, P):
             calls.append((k, P))
             return real(params_, k, P)
 
-        monkeypatch.setattr(hyh, "scalar_mul", counting)
-        sct = hyh.signcrypt(config, alice.d, bob.U, b"counted", rng_seed=1)
+        def order_check(P):
+            return [(params.n, P)] if params.h != 1 else []
+
+        monkeypatch.setattr(hyh, "fixed_base_mul", counting)
+        r = 4321
+        sct = hyh.signcrypt(config, alice.d, bob.U, b"counted", forced_r=r)
+        assert calls == order_check(bob.U) + [(r, params.G), (r, bob.U)]
+        calls.clear()
         assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"counted"
-        order_checks = [(params.n, bob.U), (params.n, sct.R)] if params.h != 1 else []
-        assert calls == order_checks + [(bob.d, sct.R), (sct.s, sct.R)]
+        h = hyh.hash_to_scalar(config, b"counted")
+        assert calls == (order_check(sct.R) + [(bob.d, sct.R)]
+                         + order_check(alice.U)
+                         + [(sct.s, sct.R), (h, params.G),
+                            (sct.R[0] % params.n, alice.U)])
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_false_h1_claim_keeps_the_check(self, toy16, seed):
@@ -390,8 +401,9 @@ class TestOrderCheck:
 
 
 class TestCombTables:
-    """The comb tables a round trip needs: a key pair brings its own, and
-    G's stays cached however many peer keys come and go."""
+    """The comb tables a round trip needs: a key pair brings its own, each
+    message builds one for its R, and the tables of G and of the keys stay
+    cached however many peer keys and ephemerals come and go."""
 
     def test_key_pairs_bring_their_tables(self, good_params):
         config = SchemeConfig(params=good_params)
@@ -399,9 +411,11 @@ class TestCombTables:
         alice = hyh.keypair_from_secret(config, 1234)
         bob = hyh.keypair_from_secret(config, 5678)
         assert cv._comb_table.cache_info().misses == 3   # G, U_A, U_B
-        sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=1)
-        assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
-        assert cv._comb_table.cache_info().misses == 3
+        for seed in (1, 2):
+            sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=seed)
+            assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
+            # d_B*R builds R's table and s*R finds it
+            assert cv._comb_table.cache_info().misses == 3 + seed
 
     def test_peer_keys_do_not_evict_g(self, good_params):
         # every message multiplies G, so the LRU cache drops older peer
@@ -413,6 +427,81 @@ class TestCombTables:
             U = cv.scalar_mul(good_params, d, good_params.G)
             hyh.signcrypt(config, alice.d, U, b"m", rng_seed=d)
         assert cv._comb_table.cache_info().misses == 2 + 40
+
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    def test_fresh_ephemerals_do_not_evict_keys(self, good_params, mode):
+        # every round trip multiplies G, U_A and U_B, so 40 fresh R's
+        # through 16 entries build 40 tables and never rebuild the keys'
+        config = SchemeConfig(params=good_params, mode=mode)
+        cv._comb_table.cache_clear()
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        ephemerals = set()
+        for seed in range(40):
+            sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=seed)
+            assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
+            ephemerals.add(sct.R)
+        assert len(ephemerals) == 40
+        info = cv._comb_table.cache_info()
+        assert (info.misses, info.currsize) == (3 + 40, 16)
+
+
+class TestSenderKeyCheck:
+    """Strict mode refuses a sender key U_A that is not a valid point of
+    order n; paper mode verifies against whatever U_A it is handed. Each
+    U_A has order 1 or 2 on its own curve, so a triple made without any
+    secret passes the paper's equation."""
+
+    @pytest.mark.parametrize("case", ["identity", "off_curve", "order_2"])
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    def test_refused_only_by_strict(self, small_order_sender_keys,
+                                    keyless_forgery, mode, case):
+        params, u_a, order = small_order_sender_keys[case]
+        config = SchemeConfig(params=params, mode=mode)
+        bob = hyh.keypair_from_secret(config, 5678)
+        m = b"signed by nobody"
+        sct = keyless_forgery(config, u_a, order, bob.U, m)
+        trace = hyh.unsigncrypt_trace(config, bob.d, u_a, sct)
+        assert trace.tag_ok
+        if mode == PAPER:
+            assert hyh.public_verify(config, u_a, m, sct.R, sct.s)
+            assert trace.accepted and trace.message == m
+        else:
+            assert not hyh.public_verify(config, u_a, m, sct.R, sct.s)
+            assert trace.rejected_at == "signature"
+            assert hyh.unsigncrypt(config, bob.d, u_a, sct) is None
+
+
+class TestHostileEphemeral:
+    """Paper-mode unsigncryption of an R that no honest sender makes: the
+    session key and the verdict are those of scalar_mul, whatever path the
+    library takes. Each C is encrypted under the key scalar_mul gives, so
+    a wrong session key would show as a failed tag."""
+
+    @pytest.mark.parametrize("case", ["off_curve", "order_3", "unreduced",
+                                      "identity"])
+    def test_matches_scalar_mul(self, good_params, case):
+        params = good_params
+        W = (657345, 967893)   # order 3 on b' = b + 1
+        R = {"off_curve": (123456, 654321), "order_3": W,
+             "unreduced": (W[0] + params.q, W[1]), "identity": None}[case]
+        config = SchemeConfig(params=params)
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        m = b"hostile"
+        h = hyh.hash_to_scalar(config, m)
+        x_k = hyh.x_coord(cv.scalar_mul(params, bob.d, R))
+        for s in (3, params.n - 1, 256 ** config.scalar_width - 1):
+            plain = m + hyh.message_tag(config, m, s)
+            C = hyh.xor_bytes(plain, hyh.keystream(config, x_k, len(plain)))
+            signature_ok = cv.scalar_mul(params, s, R) == cv.point_add(
+                params, cv.scalar_mul(params, h, params.G),
+                cv.scalar_mul(params, hyh.x_coord(R) % params.n, alice.U))
+            trace = hyh.unsigncrypt_trace(config, bob.d, alice.U,
+                                          SigncryptedText(R=R, C=C, s=s))
+            assert trace.session_key_x == x_k and trace.tag_ok
+            assert trace.signature_ok is signature_ok
+            assert trace.accepted is signature_ok
 
 
 class TestWireFormat:
