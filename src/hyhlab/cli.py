@@ -157,22 +157,26 @@ ATTACK_NAMES = tuple(SCENARIOS)
 
 
 def run_demo_all(params: CurveParams, seed: int, hash_name: str = "sha256") -> dict:
-    """Every attack in both modes; the mode-duality summary table."""
+    """Every attack in both modes; the mode-duality summary table. An attack
+    that could not be staged (a ``not_staged`` event) has success None: it
+    neither landed nor was held, and paper mode is not expected to land it."""
     findings = []
     for name in ATTACK_NAMES:
         row = {"attack": name}
         for mode in (hyh.PAPER, hyh.STRICT):
             config = SchemeConfig(params=params, mode=mode, hash_name=hash_name)
             report = SCENARIOS[name](config, seed)
-            row[f"{mode}_success"] = report.success
+            staged = all(e["event"] != "not_staged" for e in report.transcript)
+            row[f"{mode}_success"] = report.success if staged else None
         findings.append(row)
-    paper_total = sum(r["paper_success"] for r in findings)
-    strict_total = sum(r["strict_success"] for r in findings)
+    paper_total = sum(r["paper_success"] is True for r in findings)
+    strict_total = sum(r["strict_success"] is True for r in findings)
+    paper_staged = sum(r["paper_success"] is not None for r in findings)
     return {
         "findings": findings,
         "paper_successes": paper_total,
         "strict_successes": strict_total,
-        "expected": {"paper_successes": len(ATTACK_NAMES), "strict_successes": 0},
+        "expected": {"paper_successes": paper_staged, "strict_successes": 0},
     }
 
 
@@ -360,18 +364,20 @@ def _emit_report(args, report: AttackReport):
 def cmd_demo_all(args) -> int:
     params = load_params(args.params)
     summary = run_demo_all(params, args.seed, args.hash)
+    verdicts = {True: "BROKEN", False: "held", None: "n/a"}
     lines = [f"{'attack':<18} paper    strict"]
     for row in summary["findings"]:
         lines.append(f"{row['attack']:<18} "
-                     f"{'BROKEN' if row['paper_success'] else 'held':<8} "
-                     f"{'BROKEN' if row['strict_success'] else 'held'}")
+                     f"{verdicts[row['paper_success']]:<8} "
+                     f"{verdicts[row['strict_success']]}")
     lines.append(f"paper-mode attacks landed: {summary['paper_successes']}"
                  f"/{len(ATTACK_NAMES)}")
     lines.append(f"strict-mode attacks landed: {summary['strict_successes']}"
                  f"/{len(ATTACK_NAMES)}")
     _emit(args, summary, lines)
-    ok = (summary["paper_successes"] == len(ATTACK_NAMES)
-          and summary["strict_successes"] == 0)
+    expected = summary["expected"]
+    ok = (summary["paper_successes"] == expected["paper_successes"]
+          and summary["strict_successes"] == expected["strict_successes"])
     return 0 if ok else 1
 
 

@@ -5,7 +5,7 @@ Points are plain affine ``(x, y)`` tuples; the point at infinity is ``None``.
 path is tested against. ``scalar_mul`` works internally in Jacobian
 coordinates and inverts once, at the end; it agrees with repeated
 ``point_add`` on every input, off-curve points included. ``fixed_base_mul``
-gives the same results from a width-4 Lim-Lee comb; it is the one path by
+gives the same results from a width-6 Lim-Lee comb; it is the one path by
 which ``hyh`` and ``attacks`` multiply (G, the keys, each message's R). Its
 tables cost two batched inversions each and are kept in a 16-entry cache
 keyed on (params, base mod q). None of them ever checks whether its inputs
@@ -37,7 +37,7 @@ _SEARCH_TRIES = 4096
 _MESTRE_BOUND = 229
 
 # Rows of the fixed-base comb, and how many (params, base) tables to keep.
-_COMB_WIDTH = 4
+_COMB_WIDTH = 6
 _COMB_TABLES = 16
 
 # Random points count_points may sample, alternately on E and on its twist,
@@ -162,14 +162,14 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     what the later ones do. Every round trip uses the tables of G, U_A and
     U_B, so a stream of fresh R's through the LRU cache evicts only R's.
 
-    Lim-Lee comb of width 4 (CRYPTO 1994). With d = ceil(bitlen(n)/4), a
-    k < 2^(4d) is cut into four d-bit rows k_0..k_3, k = sum k_j*2^(j*d).
-    Column i of the rows selects T[b] = sum b_j*2^(j*d)*P, b_j = bit i of
-    k_j, so k*P costs d Jacobian doublings, at most d mixed additions and
-    one inversion. The 15 points T[1..15] are built once per (params, P mod
-    q) and kept in a bounded cache. A larger k, such as an attacker's
-    Schnorr response or a paper-mode s near 256^scalar_width, goes to
-    ``scalar_mul``.
+    Lim-Lee comb of width w = 6 (CRYPTO 1994). With d = ceil(bitlen(n)/w),
+    a k < 2^(w*d) is cut into w d-bit rows k_0..k_(w-1), k = sum
+    k_j*2^(j*d). Column i of the rows selects T[b] = sum b_j*2^(j*d)*P,
+    b_j = bit i of k_j, so k*P costs d Jacobian doublings, at most d mixed
+    additions and one inversion. The 2^w - 1 = 63 points T[1..63] are
+    built once per (params, P mod q) and kept in a bounded cache. A larger
+    k, such as an attacker's Schnorr response or a paper-mode s near
+    256^scalar_width, goes to ``scalar_mul``.
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")
@@ -194,13 +194,13 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
 
 
 def _comb_row_bits(params: CurveParams) -> int:
-    """d = ceil(bitlen(n)/4), the width of each of the comb's four rows."""
+    """d = ceil(bitlen(n)/w), the width of each of the comb's w rows."""
     return -(-params.n.bit_length() // _COMB_WIDTH)
 
 
 @functools.lru_cache(maxsize=_COMB_TABLES)
 def _comb_table(params: CurveParams, P: Point) -> tuple[Point, ...]:
-    """T[b] = sum of the 2^(j*d)*P with bit j set in b, for b = 0 .. 15.
+    """T[b] = sum of the 2^(j*d)*P with bit j set in b, for b = 0 .. 2^w - 1.
 
     All of them are multiples of P, so they lie on P's own curve, where the
     law is a group even when P is off params' curve. The rows 2^(j*d)*P come

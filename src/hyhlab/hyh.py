@@ -19,6 +19,12 @@ only if the tag matches and the public verification equation
     s*R == H(M)*G + (x_R mod n)*U_A
 
 holds.
+
+Each side hashes M once and XORs it once. One hash state over M gives H(M)
+and, copied and fed the encoding of s, the tag H(M || s); ``xor_keystream``
+XORs without building the keystream. ``hash_to_scalar``, ``message_tag``,
+``keystream`` and ``xor_bytes`` stay the definitions, which the tests hold
+the fast path to.
 """
 
 import hashlib
@@ -46,7 +52,8 @@ TAG_LEN = 32
 
 _RESAMPLE_LIMIT = 256
 
-# Bytes XORed as one integer by xor_bytes.
+# Bytes XORed as one integer by xor_bytes and, rounded down to whole
+# field-width blocks, by xor_keystream; it bounds the temporary integers.
 _XOR_CHUNK = 1 << 16
 
 
@@ -155,6 +162,28 @@ def xor_bytes(data: bytes, stream: bytes) -> bytes:
     return b"".join(chunks)
 
 
+def xor_keystream(config: SchemeConfig, x_k: int, data: bytes) -> bytes:
+    """``xor_bytes(data, keystream(config, x_k, len(data)))``, without the
+    keystream. Each chunk is a whole number of field-width blocks, so every
+    chunk meets the keystream at the start of a block, and one integer, the
+    block repeated, serves them all; a shorter last chunk takes its top
+    bytes. The chunk never exceeds the data by a block or more, so a short
+    message converts a short integer."""
+    if not data:
+        raise ValueError("keystream length must be >= 1")
+    width = config.field_width
+    length = len(data)
+    step = max(1, min(length, _XOR_CHUNK) // width) * width
+    stream = int.from_bytes(encode_field(config, x_k) * (step // width), "big")
+    chunks = []
+    for start in range(0, length, step):
+        size = min(step, length - start)
+        key = stream if size == step else stream >> 8 * (step - size)
+        x = int.from_bytes(data[start:start + size], "big") ^ key
+        chunks.append(x.to_bytes(size, "big"))
+    return b"".join(chunks)
+
+
 def _encodable(config: SchemeConfig, s: int) -> bool:
     """Whether s has a fixed-width encoding: s in [0, 256**scalar_width)."""
     return 0 <= s < 256 ** config.scalar_width
@@ -168,9 +197,25 @@ def message_tag(config: SchemeConfig, message: bytes, s: int) -> bytes | None:
     return hash_bytes(config, message + encode_scalar(config, s))[:TAG_LEN]
 
 
+def _hash_message(config: SchemeConfig, message: bytes):
+    """H(M) mod n, as ``hash_to_scalar``, with the hash state over M, from
+    which ``_tag`` makes H(M || s) without reading M again."""
+    state = hashlib.new(config.hash_name, message)
+    return int.from_bytes(state.digest(), "big") % config.params.n, state
+
+
+def _tag(config: SchemeConfig, state, s: int) -> bytes | None:
+    """``message_tag`` from the hash state of M."""
+    if not _encodable(config, s):
+        return None
+    tagged = state.copy()
+    tagged.update(encode_scalar(config, s))
+    return tagged.digest()[:TAG_LEN]
+
+
 def open_ciphertext(config: SchemeConfig, x_k: int, C: bytes) -> tuple[bytes, bytes]:
     """Strip the keystream of x_K and split the plaintext into (M, tag)."""
-    plain = xor_bytes(C, keystream(config, x_k, len(C)))
+    plain = xor_keystream(config, x_k, C)
     return plain[:-TAG_LEN], plain[-TAG_LEN:]
 
 
@@ -263,6 +308,7 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
         raise InvalidRecipientKey(
             f"recipient key failed validation ({','.join(failed) or 'order'})"
         )
+    e, state = _hash_message(config, message)
     rng = _rng(rng_seed)
     for _ in range(_RESAMPLE_LIMIT):
         r = forced_r if forced_r is not None else rng.randrange(1, n)
@@ -275,14 +321,13 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
             if forced_r is not None:
                 raise ValueError("forced ephemeral scalar hits a degenerate case")
             continue
-        s = mod_inverse(r, n) * (hash_to_scalar(config, message) + x_r * d_a) % n
+        s = mod_inverse(r, n) * (e + x_r * d_a) % n
         if s == 0:
             if forced_r is not None:
                 raise ValueError("forced ephemeral scalar yields s = 0")
             continue
-        tag = message_tag(config, message, s)
-        stream = keystream(config, x_coord(K), len(message) + TAG_LEN)
-        return SigncryptedText(R=R, C=xor_bytes(message + tag, stream), s=s)
+        C = xor_keystream(config, x_coord(K), message + _tag(config, state, s))
+        return SigncryptedText(R=R, C=C, s=s)
     raise RngFailure("no usable ephemeral scalar found; recipient key degenerate?")
 
 
@@ -312,9 +357,9 @@ def unsigncrypt_trace(config: SchemeConfig, d_b: int, u_a: Point,
         return UnsigncryptTrace(False, None, refused, decrypt_attempted=False)
     x_k = x_coord(K)
     message, tag = open_ciphertext(config, x_k, C)
-    expected_tag = message_tag(config, message, s)
-    tag_ok = tag == expected_tag
-    sig_ok = public_verify(config, u_a, message, R, s)
+    e, state = _hash_message(config, message)
+    tag_ok = tag == _tag(config, state, s)
+    sig_ok = _verify_equation(config, u_a, e, R, s)
     accepted = tag_ok and sig_ok
     return UnsigncryptTrace(
         accepted=accepted,
@@ -344,6 +389,12 @@ def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,
     Strict mode also refuses an s outside [1, n-1], so that s + n cannot
     stand in for an honest s, and a U_A that is not a valid point of order
     n; the paper has neither check."""
+    return _verify_equation(config, u_a, hash_to_scalar(config, message), R, s)
+
+
+def _verify_equation(config: SchemeConfig, u_a: Point, e: int, R: Point,
+                     s: int) -> bool:
+    """``public_verify`` with e = H(M) mod n already computed."""
     params = config.params
     if not _encodable(config, s):
         return False
@@ -353,7 +404,7 @@ def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,
     lhs = fixed_base_mul(params, s, R)
     rhs = point_add(
         params,
-        fixed_base_mul(params, hash_to_scalar(config, message), params.G),
+        fixed_base_mul(params, e, params.G),
         fixed_base_mul(params, x_coord(R) % params.n, u_a),
     )
     return lhs == rhs

@@ -41,6 +41,31 @@ def strict16(toy16):
     return SchemeConfig(params=toy16, mode=STRICT)
 
 
+def _reference_encrypt(config, K, message, s):
+    """C = (M || H(M || s)) XOR keystream(x_K), from the definitions."""
+    plain = message + hyh.message_tag(config, message, s)
+    stream = hyh.keystream(config, hyh.x_coord(K), len(plain))
+    return hyh.xor_bytes(plain, stream)
+
+
+@pytest.fixture(scope="session")
+def reference_signcrypt():
+    """signcrypt(config, d_a, u_b, message, r) -> the triple the paper
+    defines for the ephemeral scalar r, written from scalar_mul and the
+    definitions of H, the tag, the keystream and the XOR."""
+
+    def signcrypt(config, d_a, u_b, message, r):
+        params = config.params
+        n = params.n
+        R = cv.scalar_mul(params, r, params.G)
+        K = cv.scalar_mul(params, r, u_b)
+        s = mod_inverse(r, n) * (hyh.hash_to_scalar(config, message)
+                                 + hyh.x_coord(R) % n * d_a) % n
+        return hyh.SigncryptedText(R=R, C=_reference_encrypt(config, K, message, s), s=s)
+
+    return signcrypt
+
+
 @pytest.fixture(scope="session")
 def keyless_forgery():
     """forge(config, u_a, order, u_b, message) -> a signcrypted text that
@@ -60,9 +85,7 @@ def keyless_forgery():
             s = mod_inverse(r, n) * hyh.hash_to_scalar(config, message) % n
             if s == 0:
                 continue
-            plain = message + hyh.message_tag(config, message, s)
-            stream = hyh.keystream(config, hyh.x_coord(K), len(plain))
-            return hyh.SigncryptedText(R=R, C=hyh.xor_bytes(plain, stream), s=s)
+            return hyh.SigncryptedText(R=R, C=_reference_encrypt(config, K, message, s), s=s)
         raise AssertionError("no usable r")
 
     return forge

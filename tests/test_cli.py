@@ -475,10 +475,18 @@ class TestDemoAll:
         summary = json.loads(out)
         rows = {r["attack"]: (r["paper_success"], r["strict_success"])
                 for r in summary["findings"]}
-        assert rows.pop("invalid-curve") == (False, False)
+        assert rows.pop("invalid-curve") == (None, None)
         assert set(rows.values()) == {(True, False)}
         assert (summary["paper_successes"], summary["strict_successes"]) == (5, 0)
-        assert rc == 1
+        assert summary["expected"] == {"paper_successes": 5, "strict_successes": 0}
+        assert rc == 0
+
+    def test_secp160r1_text_table_marks_the_unstaged_attack(self, capsys, tmp_path):
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.SECP160R1),
+                      "--seed", "5", "--format", "text", "demo", "all")
+        assert "invalid-curve      n/a      n/a\n" in out
+        assert "paper-mode attacks landed: 5/6" in out
+        assert rc == 0
 
     def test_hash_choice_reaches_every_scenario(self, capsys, toy_params_file):
         rc, out = run(capsys, "--params", toy_params_file, "--hash", "sha512",

@@ -153,8 +153,9 @@ ALL_FIXTURES = [fixtures.GOOD, fixtures.TOY16, fixtures.F23_N7,
 
 
 def comb_span(params):
-    """2^(4d), d = ceil(bitlen(n)/4): fixed_base_mul combs the k below it."""
-    return 1 << 4 * cv._comb_row_bits(params)
+    """2^(w*d), d = ceil(bitlen(n)/w) for the comb width w: fixed_base_mul
+    combs the k below it."""
+    return 1 << cv._COMB_WIDTH * cv._comb_row_bits(params)
 
 
 class TestFixedBaseMul:
@@ -165,8 +166,9 @@ class TestFixedBaseMul:
     @pytest.mark.parametrize("a", [0, 1, 22])
     def test_every_point_of_f23(self, a, n):
         # k passes every group order over F_23 (at most 33); the claimed n
-        # sets the comb's d: 1 for n = 5 and 7, so k >= 16 leaves the comb,
-        # and 2 for n = 29
+        # sets the comb's d = ceil(bitlen(n)/w), here 1, so k = span = 2^w
+        # is the first k to leave the comb. Rows of several bits are
+        # exercised on the fixtures below (d = 3 on toy16, 27 on secp160r1)
         params = cv.CurveParams(q=23, a=a, b=1, G=None, n=n, h=1)
         span = comb_span(params)
         for x in range(23):
@@ -241,13 +243,13 @@ def reference_comb_table(params, P):
     in the order _comb_table does."""
     d = cv._comb_row_bits(params)
     rows = [P]
-    for _ in range(3):
+    for _ in range(cv._COMB_WIDTH - 1):
         R = rows[-1]
         for _ in range(d):
             R = cv.point_add(params, R, R)
         rows.append(R)
     table = [None]
-    for b in range(1, 16):
+    for b in range(1, 1 << cv._COMB_WIDTH):
         top = b.bit_length() - 1
         table.append(cv.point_add(params, table[b ^ (1 << top)], rows[top]))
     return tuple(table)

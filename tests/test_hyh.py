@@ -111,6 +111,127 @@ def test_xor_bytes_matches_bytewise_reference(len_a, len_b, seed):
     assert hyh.xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
 
 
+_BYTE_PATH_FIXTURES = [fixtures.F23_N7, fixtures.TOY16, fixtures.SECP160R1]
+
+
+def _edge_lengths(width):
+    """Lengths at and around the block, the keystream chunk (whole blocks)
+    and xor_bytes' chunk, up to 3*_XOR_CHUNK + 1."""
+    step = _CHUNK // width * width
+    around = [1, width - 1, width, width + 1, 2 * width + 1]
+    for m in (1, 2, 3):
+        around += [m * step - 1, m * step, m * step + 1, m * _CHUNK - 1, m * _CHUNK]
+    return sorted({n for n in around if 1 <= n <= 3 * _CHUNK + 1} | {3 * _CHUNK + 1})
+
+
+class TestXorKeystream:
+    """xor_keystream against the definition, xor_bytes over keystream, on a
+    1-byte field (f23_n7), a 2-byte one (toy16) and a 20-byte one
+    (secp160r1)."""
+
+    @pytest.mark.parametrize("name", _BYTE_PATH_FIXTURES)
+    def test_edges(self, name):
+        config = SchemeConfig(params=fixtures.load(name))
+        for x_k in (0, config.params.q - 1):
+            for length in _edge_lengths(config.field_width):
+                data = random.Random(length).randbytes(length)
+                expected = hyh.xor_bytes(data, hyh.keystream(config, x_k, length))
+                assert hyh.xor_keystream(config, x_k, data) == expected, length
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(_BYTE_PATH_FIXTURES))
+    def test_random(self, data, name):
+        config = SchemeConfig(params=fixtures.load(name))
+        q = config.params.q
+        x_k = data.draw(st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1)))
+        length = data.draw(st.one_of(st.integers(1, 64),
+                                     st.integers(1, 3 * _CHUNK + 1)))
+        message = random.Random(data.draw(st.integers(0, 2**32))).randbytes(length)
+        assert (hyh.xor_keystream(config, x_k, message)
+                == hyh.xor_bytes(message, hyh.keystream(config, x_k, length)))
+
+    def test_rejects_empty_like_keystream(self, paper16):
+        with pytest.raises(ValueError):
+            hyh.xor_keystream(paper16, 1, b"")
+
+
+class TestMessageHash:
+    """One hash state over M gives what hash_to_scalar and message_tag
+    give, each of which reads M again."""
+
+    @pytest.mark.parametrize("name", _BYTE_PATH_FIXTURES)
+    def test_matches_the_definitions(self, name):
+        config = SchemeConfig(params=fixtures.load(name))
+        n, w = config.params.n, config.scalar_width
+        for m in (b"", b"m", bytes(range(256)) * 40):
+            e, state = hyh._hash_message(config, m)
+            assert e == hyh.hash_to_scalar(config, m)
+            # each tag copies the state, so one state serves every s
+            for s in (0, 1, n - 1, n, 256 ** w - 1, 256 ** w, 256 ** w + 5):
+                assert hyh._tag(config, state, s) == hyh.message_tag(config, m, s)
+            assert hyh._hash_message(config, m)[1].digest() == state.digest()
+
+    def test_unencodable_s_has_no_tag_and_is_rejected(self, paper16, keys16):
+        alice, bob = keys16
+        m = b"s out of range"
+        _, state = hyh._hash_message(paper16, m)
+        wide = 256 ** paper16.scalar_width
+        assert hyh._tag(paper16, state, wide) is None
+        sct = hyh.signcrypt(paper16, alice.d, bob.U, m, rng_seed=4)
+        trace = hyh.unsigncrypt_trace(paper16, bob.d, alice.U,
+                                      dataclasses.replace(sct, s=wide + sct.s))
+        assert (trace.rejected_at, trace.tag_ok, trace.signature_ok) == ("tag", False, False)
+
+
+class TestBytePath:
+    """A round trip reads M as few times as the scheme allows and still
+    gives the triple of the definitions."""
+
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    def test_mebibyte_matches_the_reference(self, reference_signcrypt, mode):
+        config = SchemeConfig(params=fixtures.load(fixtures.SECP160R1), mode=mode)
+        alice = hyh.keypair_from_secret(config, 1234567)
+        bob = hyh.keypair_from_secret(config, 7654321)
+        m = random.Random(8).randbytes(1 << 20)
+        r = 0x1F2E3D4C5B6A79881726354453627180
+        sct = hyh.signcrypt(config, alice.d, bob.U, m, forced_r=r)
+        assert sct == reference_signcrypt(config, alice.d, bob.U, m, r)
+        assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == m
+
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    def test_each_side_hashes_the_message_once(self, monkeypatch, paper16,
+                                               keys16, mode):
+        config = dataclasses.replace(paper16, mode=mode)
+        alice, bob = keys16
+        fed = []
+        real_new = hashlib.new
+
+        class Counting:
+            def __init__(self, state):
+                self.state = state
+
+            def update(self, data):
+                fed.append(len(data))
+                self.state.update(data)
+
+            def copy(self):
+                return Counting(self.state.copy())
+
+            def digest(self):
+                return self.state.digest()
+
+        def new(name, data=b""):
+            fed.append(len(data))
+            return Counting(real_new(name, data))
+
+        monkeypatch.setattr(hyh.hashlib, "new", new)
+        size = 100_000
+        m = bytes(size)
+        sct = hyh.signcrypt(config, alice.d, bob.U, m, rng_seed=6)
+        assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == m
+        assert 2 * size <= sum(fed) <= 2 * size + 256
+
+
 class TestSigncrypt:
     def test_round_trip(self, paper16, keys16):
         alice, bob = keys16
