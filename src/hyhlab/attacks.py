@@ -9,6 +9,8 @@ the victim's state: if the report says a private key was recovered, the key
 was recomputed from the attacker's view and verified via d*G == U.
 """
 
+import functools
+import hashlib
 import hmac
 import itertools
 import math
@@ -566,8 +568,10 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport
                tag_passed=trace.tag_ok)
 
     if n <= 1 << 21:  # the forgery needs ~n hash trials
-        forged = _forge_zero_hash_triple(config, rng_seed)
-        plaintext = forged.C[:-TAG_LEN]
+        # R = O and H(M) = 0 mod n zero both sides of the verification equation
+        plaintext = _zero_hash_message(config.hash_name, n, rng_seed)
+        forged = SigncryptedText(R=None, s=1,
+                                 C=plaintext + message_tag(config, plaintext, 1))
         accepted = hyh.unsigncrypt(config, bob.d, alice.U, forged) == plaintext
         report.log("keyless_forgery", message=plaintext.hex(), accepted=accepted)
         report.success = report.success and accepted
@@ -577,14 +581,16 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport
     return report
 
 
-def _forge_zero_hash_triple(config: SchemeConfig, rng_seed: int) -> SigncryptedText:
-    """Build an accepted triple with no key material: R = O kills both sides
-    of the verification equation once H(M) = 0 mod n, and the zero keystream
-    makes the ciphertext the plaintext. Needs ~n hash trials."""
-    counter = 0
-    while True:
-        message = b"forged-%d-%d" % (rng_seed, counter)
-        if hash_to_scalar(config, message) == 0:
-            break
-        counter += 1
-    return SigncryptedText(R=None, C=message + message_tag(config, message, 1), s=1)
+@functools.lru_cache(maxsize=8)
+def _zero_hash_message(hash_name: str, n: int, rng_seed: int) -> bytes:
+    """The first b"forged-<seed>-<counter>" with H(M) = 0 mod n. Needs ~n
+    hash trials, so it is found once and shared by both modes of a demo;
+    each trial copies the hash state of the common prefix."""
+    prefix = b"forged-%d-" % rng_seed
+    base = hashlib.new(hash_name, prefix)
+    for counter in itertools.count():
+        trial = base.copy()
+        suffix = b"%d" % counter
+        trial.update(suffix)
+        if int.from_bytes(trial.digest(), "big") % n == 0:
+            return prefix + suffix

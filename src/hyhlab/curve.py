@@ -181,13 +181,12 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     q, a = params.q, params.a
     # cached under the residues of P, so unreduced forms share one table
     table = _comb_table(params, (P[0] % q, P[1] % q))
-    mask = (1 << d) - 1
-    rows = [format(k >> (j * d) & mask, f"0{d}b")
-            for j in reversed(range(_COMB_WIDTH))]
+    # rows k_(w-1)..k_0 side by side, so column i is every d-th bit from i
+    bits = format(k, f"0{_COMB_WIDTH * d}b")
     X, Y, Z = 1, 1, 0
-    for column in zip(*rows):
+    for i in range(d):
         X, Y, Z = _jacobian_double(q, a, X, Y, Z)
-        b = int("".join(column), 2)
+        b = int(bits[i::d], 2)
         if b:
             X, Y, Z = _mixed_add(q, a, X, Y, Z, table[b])
     return _to_affine(q, X, Y, Z)

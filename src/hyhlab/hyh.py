@@ -21,14 +21,15 @@ only if the tag matches and the public verification equation
 holds.
 
 Each side hashes M once and XORs it once. One hash state over M gives H(M)
-and, copied and fed the encoding of s, the tag H(M || s); ``xor_keystream``
-XORs without building the keystream. ``hash_to_scalar``, ``message_tag``,
-``keystream`` and ``xor_bytes`` stay the definitions, which the tests hold
-the fast path to.
+and, copied and fed the encoding of s, the tag H(M || s). ``xor_keystream``
+XORs without building the keystream: byte i meets key byte i mod w, so it
+remaps each of the w lanes of the message through one translate table.
+``hash_to_scalar``, ``message_tag``, ``keystream`` and ``xor_bytes`` stay
+the definitions, which the tests hold the fast path to.
 """
 
+import functools
 import hashlib
-import logging
 import random
 from dataclasses import dataclass
 
@@ -43,8 +44,6 @@ from .curve import (
 )
 from .numtheory import mod_inverse
 
-log = logging.getLogger(__name__)
-
 PAPER = "paper"
 STRICT = "strict"
 
@@ -52,8 +51,7 @@ TAG_LEN = 32
 
 _RESAMPLE_LIMIT = 256
 
-# Bytes XORed as one integer by xor_bytes and, rounded down to whole
-# field-width blocks, by xor_keystream; it bounds the temporary integers.
+# Bytes XORed as one integer by xor_bytes; it bounds the temporary integers.
 _XOR_CHUNK = 1 << 16
 
 
@@ -164,24 +162,24 @@ def xor_bytes(data: bytes, stream: bytes) -> bytes:
 
 def xor_keystream(config: SchemeConfig, x_k: int, data: bytes) -> bytes:
     """``xor_bytes(data, keystream(config, x_k, len(data)))``, without the
-    keystream. Each chunk is a whole number of field-width blocks, so every
-    chunk meets the keystream at the start of a block, and one integer, the
-    block repeated, serves them all; a shorter last chunk takes its top
-    bytes. The chunk never exceeds the data by a block or more, so a short
-    message converts a short integer."""
+    keystream. Byte i always meets key byte i mod w, w the field width, so
+    each lane data[i::w] is remapped by one translate table; a lane whose
+    key byte is zero is left as it is."""
     if not data:
         raise ValueError("keystream length must be >= 1")
     width = config.field_width
-    length = len(data)
-    step = max(1, min(length, _XOR_CHUNK) // width) * width
-    stream = int.from_bytes(encode_field(config, x_k) * (step // width), "big")
-    chunks = []
-    for start in range(0, length, step):
-        size = min(step, length - start)
-        key = stream if size == step else stream >> 8 * (step - size)
-        x = int.from_bytes(data[start:start + size], "big") ^ key
-        chunks.append(x.to_bytes(size, "big"))
-    return b"".join(chunks)
+    out = bytearray(data)
+    for i, k in enumerate(encode_field(config, x_k)):
+        if k:
+            out[i::width] = out[i::width].translate(_xor_table(k))
+    return bytes(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _xor_table(k: int) -> bytes:
+    """The translate table of XOR with the byte k; built on first use, as
+    most runs meet only the few key bytes of their sessions."""
+    return bytes(b ^ k for b in range(256))
 
 
 def _encodable(config: SchemeConfig, s: int) -> bool:
@@ -376,10 +374,7 @@ def unsigncrypt_trace(config: SchemeConfig, d_b: int, u_a: Point,
 def unsigncrypt(config: SchemeConfig, d_b: int, u_a: Point,
                 sct: SigncryptedText) -> bytes | None:
     """Recover the message, or None for any rejection."""
-    trace = unsigncrypt_trace(config, d_b, u_a, sct)
-    if not trace.accepted:
-        log.debug("unsigncryption rejected at %s", trace.rejected_at)
-    return trace.message
+    return unsigncrypt_trace(config, d_b, u_a, sct).message
 
 
 def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,

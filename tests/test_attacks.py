@@ -377,6 +377,20 @@ class TestDegenerateKeyDemo:
         strict = attacks.degenerate_key_demo(strict16, rng_seed=4)
         assert not _event(strict, "keyless_forgery")["accepted"]
 
+    def test_forged_message_is_searched_once(self, good_params):
+        attacks._zero_hash_message.cache_clear()
+        seed = 11
+        configs = [SchemeConfig(params=good_params, mode=m) for m in (PAPER, STRICT)]
+        reports = [attacks.degenerate_key_demo(c, rng_seed=seed) for c in configs]
+        info = attacks._zero_hash_message.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        counter = 0
+        while hyh.hash_to_scalar(configs[0], b"forged-%d-%d" % (seed, counter)):
+            counter += 1
+        expected = (b"forged-%d-%d" % (seed, counter)).hex()
+        assert [_event(r, "keyless_forgery")["message"] for r in reports] == [expected] * 2
+        assert [r.success for r in reports] == [True, False]
+
     def test_small_order_point_same_collapse(self, paper16):
         # an order-2 ephemeral point and an even recipient key also give K = O
         params = paper16.params

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -507,3 +510,14 @@ def test_golden_output(capsys, tmp_path, case):
     rc, out = run(capsys, "--params", params_file(tmp_path, case["params"]),
                   *case["argv"])
     assert (rc, out) == (case["exit"], case["stdout"])
+
+
+def test_cli_import_leaves_logging_unloaded():
+    # every CLI run and benchmark child pays the import; -S keeps
+    # site-packages' start-up hooks out of the count
+    src = str(Path(hyh.__file__).resolve().parent.parent)
+    code = "import sys, hyhlab.cli; print('logging' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -154,6 +154,28 @@ class TestXorKeystream:
         with pytest.raises(ValueError):
             hyh.xor_keystream(paper16, 1, b"")
 
+    @pytest.mark.parametrize("name", _BYTE_PATH_FIXTURES)
+    def test_zero_key_bytes_skip_their_lanes(self, name):
+        # x_K = 1 and 256^(w-1) leave every lane but one alone; the third
+        # value is q - 1 with its middle byte zeroed
+        config = SchemeConfig(params=fixtures.load(name))
+        w, q = config.field_width, config.params.q
+        middle = (q - 1) & ~(0xFF << 8 * (w // 2))
+        for x_k in (1, 256 ** (w - 1), middle):
+            key = hyh.encode_field(config, x_k)
+            assert w == 1 or 0 in key and any(key), key.hex()
+            for length in _edge_lengths(w):
+                data = random.Random(length).randbytes(length)
+                out = hyh.xor_keystream(config, x_k, data)
+                expected = hyh.xor_bytes(data, hyh.keystream(config, x_k, length))
+                assert type(out) is bytes and out == expected, length
+
+
+def test_xor_table_is_xor_with_its_byte():
+    for k in range(256):
+        table = hyh._xor_table(k)
+        assert [table[b] for b in range(256)] == [b ^ k for b in range(256)], k
+
 
 class TestMessageHash:
     """One hash state over M gives what hash_to_scalar and message_tag
