@@ -33,7 +33,6 @@ from .hyh import (
     SigncryptedText,
     TAG_LEN,
     encode_field,
-    hash_bytes,
     hash_to_scalar,
     message_tag,
     open_ciphertext,
@@ -42,7 +41,6 @@ from .hyh import (
 )
 from .numtheory import crt_combine, mod_inverse
 
-DEFAULT_NOT_AFTER = 1 << 31
 MAX_SIGN_VECTOR_CURVES = 24
 
 
@@ -216,7 +214,6 @@ class Residue:
 
 def invalid_curve_attack(config: SchemeConfig, u_b: Point,
                          oracle: ConfirmationOracle, rng_seed: int,
-                         min_product: int | None = None,
                          small_order_bound: int = 1 << 14) -> AttackReport:
     """Recover the recipient's long-term key via small-order points.
 
@@ -230,7 +227,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     """
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
-    hits = find_invalid_curves(params, min_product or params.n, rng_seed,
+    hits = find_invalid_curves(params, params.n, rng_seed,
                                small_order_bound=small_order_bound)
     report.log("invalid_curves_found",
                orders=[h.order for h in hits],
@@ -302,20 +299,13 @@ def _resolve_signs(params: CurveParams, residues: list[Residue],
     if len(residues) > MAX_SIGN_VECTOR_CURVES:
         raise CandidateNotFound(
             f"{len(residues)} curves exceed the sign-enumeration bound")
-    moduli_product = 1
-    for r in residues:
-        moduli_product *= r.modulus
     # a private key lies in [1, n-1]; d + n would pass the d*G check as well
-    bound = min(moduli_product, params.n)
-    seen: set[int] = set()
+    bound = min(math.prod(r.modulus for r in residues), params.n)
+    # the negation of every candidate is the candidate of the negated signs
     for choice in itertools.product(*(r.signed() for r in residues)):
-        candidate = crt_combine([(v, r.modulus) for v, r in zip(choice, residues)])
-        for d in (candidate, moduli_product - candidate):
-            if d in seen:
-                continue
-            seen.add(d)
-            if 1 <= d < bound and fixed_base_mul(params, d, params.G) == u_b:
-                return d
+        d = crt_combine([(v, r.modulus) for v, r in zip(choice, residues)])
+        if 1 <= d < bound and fixed_base_mul(params, d, params.G) == u_b:
+            return d
     return None
 
 
@@ -325,36 +315,21 @@ def _resolve_signs(params: CurveParams, residues: list[Residue],
 class Certificate:
     subject_identity: str
     public_key: Point
-    not_after: int
     ca_signature: bytes
 
 
-@dataclass(frozen=True)
-class CertVerdict:
-    failed: tuple[str, ...] = ()  # from {"signature", "expired", "revoked"}
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-
 class CertRegistry:
-    """An in-memory CA: one Schnorr keypair, issued certs, a revocation set."""
+    """An in-memory CA: one Schnorr keypair that signs what it is handed."""
 
     def __init__(self, config: SchemeConfig, rng_seed: int = 0):
         self.config = config
         rng = random.Random(rng_seed)
         self._d = rng.randrange(1, config.params.n)
         self.public_key = fixed_base_mul(config.params, self._d, config.params.G)
-        self.issued: dict[str, Certificate] = {}
-        self.revoked: set[bytes] = set()
         self._rng = rng
 
     def sign(self, message: bytes) -> bytes:
         return schnorr_sign(self.config, self._d, message, self._rng)
-
-    def revoke(self, cert: Certificate):
-        self.revoked.add(cert.ca_signature)
 
 
 def _point_bytes(config: SchemeConfig, P: Point) -> bytes:
@@ -363,37 +338,41 @@ def _point_bytes(config: SchemeConfig, P: Point) -> bytes:
     return encode_field(config, P[0]) + encode_field(config, P[1])
 
 
-def _cert_body(config: SchemeConfig, identity: str, public_key: Point,
-               not_after: int) -> bytes:
-    return (b"cert\0" + identity.encode() + b"\0"
-            + _point_bytes(config, public_key) + not_after.to_bytes(8, "big"))
+def _cert_body(config: SchemeConfig, identity: str, public_key: Point) -> bytes:
+    return b"cert\0" + identity.encode() + b"\0" + _point_bytes(config, public_key)
 
 
 def schnorr_sign(config: SchemeConfig, d: int, message: bytes,
                  rng: random.Random) -> bytes:
+    """(R, z) with R = k*G, z = k + H(R || message)*d mod n. Raises
+    ``hyh.RngFailure`` when no k in ``hyh._RESAMPLE_LIMIT`` draws gives
+    R != O and z != 0, as on a curve whose G has order 2."""
     params = config.params
-    n = params.n
-    while True:
-        k = rng.randrange(1, n)
+    for _ in range(hyh._RESAMPLE_LIMIT):
+        k = rng.randrange(1, params.n)
         R = fixed_base_mul(params, k, params.G)
-        c = int.from_bytes(
-            hash_bytes(config, _point_bytes(config, R) + message), "big") % n
-        z = (k + c * d) % n
+        c = hash_to_scalar(config, _point_bytes(config, R) + message)
+        z = (k + c * d) % params.n
         if z != 0 and R is not None:
             return _point_bytes(config, R) + hyh.encode_scalar(config, z)
+    raise hyh.RngFailure("no usable Schnorr nonce found; G degenerate?")
 
 
 def schnorr_verify(config: SchemeConfig, public_key: Point, message: bytes,
                    signature: bytes) -> bool:
+    """Whether z*G == R + H(R || message)*public_key. An R with a coordinate
+    outside [0, q) fails: ``point_add`` compares coordinates as integers,
+    and an unreduced R beside its reduced twin would divide by zero."""
     params = config.params
     w = config.field_width
     if len(signature) != 2 * w + config.scalar_width:
         return False
     R: Point = (int.from_bytes(signature[:w], "big"),
                 int.from_bytes(signature[w:2 * w], "big"))
+    if not (R[0] < params.q and R[1] < params.q):
+        return False
     z = int.from_bytes(signature[2 * w:], "big")
-    c = int.from_bytes(
-        hash_bytes(config, signature[:2 * w] + message), "big") % params.n
+    c = hash_to_scalar(config, signature[:2 * w] + message)
     lhs = fixed_base_mul(params, z, params.G)
     rhs = point_add(params, R, fixed_base_mul(params, c, public_key))
     return lhs == rhs
@@ -412,8 +391,8 @@ def make_possession_proof(config: SchemeConfig, keypair: KeyPair,
 
 
 def ca_issue(registry: CertRegistry, identity: str, public_key: Point,
-             check_possession: bool, possession_proof: bytes | None = None,
-             not_after: int = DEFAULT_NOT_AFTER) -> Certificate:
+             check_possession: bool,
+             possession_proof: bytes | None = None) -> Certificate:
     """Issue a certificate binding identity to public_key.
 
     With check_possession off -- the scheme's own operating model -- the CA
@@ -433,45 +412,32 @@ def ca_issue(registry: CertRegistry, identity: str, public_key: Point,
                 possession_proof):
             raise PossessionProofInvalid(
                 f"no valid proof of possession for {identity!r}")
-    cert = Certificate(
+    return Certificate(
         subject_identity=identity,
         public_key=public_key,
-        not_after=not_after,
-        ca_signature=registry.sign(
-            _cert_body(config, identity, public_key, not_after)),
+        ca_signature=registry.sign(_cert_body(config, identity, public_key)),
     )
-    registry.issued[identity] = cert
-    return cert
 
 
-def cert_validate(registry: CertRegistry, cert: Certificate,
-                  now: int) -> CertVerdict:
-    failed = []
-    body = _cert_body(registry.config, cert.subject_identity, cert.public_key,
-                      cert.not_after)
-    if not schnorr_verify(registry.config, registry.public_key, body,
-                          cert.ca_signature):
-        failed.append("signature")
-    if now > cert.not_after:
-        failed.append("expired")
-    if cert.ca_signature in registry.revoked:
-        failed.append("revoked")
-    return CertVerdict(failed=tuple(failed))
+def cert_validate(registry: CertRegistry, cert: Certificate) -> bool:
+    """Whether the CA's signature binds the certificate's identity to its
+    key."""
+    body = _cert_body(registry.config, cert.subject_identity, cert.public_key)
+    return schnorr_verify(registry.config, registry.public_key, body,
+                          cert.ca_signature)
 
 
 # --- finding 6: unknown key-share -------------------------------------------
 
 def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
                  mallory_identity: str, message: bytes, rng_seed: int = 0,
-                 strict_ca: bool = False,
-                 tamper_ciphertext: bool = False) -> AttackReport:
+                 strict_ca: bool = False) -> AttackReport:
     """Mallory certifies Alice's public key under his own name and replays
     her traffic: Bob accepts the message as coming from Mallory while Alice
     believes she wrote to Bob. Works because certification never asked
     Mallory to prove he holds the private key for the key he registered."""
     report = AttackReport("uks_scenario", success=False)
     registry = CertRegistry(config, rng_seed=rng_seed)
-    now = 1000
 
     ca_issue(registry, "Alice", alice.U, check_possession=False)
     try:
@@ -488,14 +454,9 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
                         rng_seed=random.Random(rng_seed ^ 0x5C))
     report.log("alice_sent", sender="Alice", believed_recipient="Bob",
                ciphertext_len=len(sct.C))
-
-    if tamper_ciphertext:
-        tampered = bytes([sct.C[0] ^ 1]) + sct.C[1:]
-        sct = SigncryptedText(R=sct.R, C=tampered, s=sct.s)
-        report.log("mallory_tampered", note="first ciphertext byte flipped")
     report.log("mallory_forwarded", claimed_sender=mallory_identity)
 
-    if not cert_validate(registry, mallory_cert, now).ok:
+    if not cert_validate(registry, mallory_cert):
         report.log("bob_rejected_certificate")
         return report
     recovered = hyh.unsigncrypt(config, bob.d, mallory_cert.public_key, sct)

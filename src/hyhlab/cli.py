@@ -95,8 +95,7 @@ def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
 def scenario_invalid_curve(config: SchemeConfig, seed: int) -> AttackReport:
     rng = random.Random(seed)
     _, bob = _keys(config, rng)
-    oracle = attacks.ConfirmationOracle(
-        bob.d, config, b"delivery confirmed", query_budget=64)
+    oracle = attacks.ConfirmationOracle(bob.d, config, b"delivery confirmed")
     try:
         report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=seed)
     except CurveTooLarge as exc:
@@ -255,6 +254,9 @@ def cmd_params_validate(args) -> int:
 def cmd_keygen(args) -> int:
     config = _config(args)
     keypair = hyh.gen(config, rng_seed=args.seed)
+    if keypair.U is None:
+        raise CliError(f"secret {keypair.d:x} gives the public key O; "
+                       "G does not have order n")
     pub = {"Ux": f"{keypair.U[0]:x}", "Uy": f"{keypair.U[1]:x}"}
     if args.out:
         with open(args.out, "w") as fh:
@@ -463,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, hyh.RngFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

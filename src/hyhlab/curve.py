@@ -147,7 +147,7 @@ def scalar_mul(params: CurveParams, k: int, P: Point) -> Point:
         X, Y, Z = _jacobian_double(q, a, X, Y, Z)
         if bit == "1":
             X, Y, Z = _mixed_add(q, a, X, Y, Z, P)
-    return _to_affine(q, X, Y, Z)
+    return _batch_to_affine(q, [(X, Y, Z)])[0]
 
 
 def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
@@ -189,7 +189,7 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
         b = int(bits[i::d], 2)
         if b:
             X, Y, Z = _mixed_add(q, a, X, Y, Z, table[b])
-    return _to_affine(q, X, Y, Z)
+    return _batch_to_affine(q, [(X, Y, Z)])[0]
 
 
 def _comb_row_bits(params: CurveParams) -> int:
@@ -245,19 +245,12 @@ def _mixed_add(q: int, a: int, X: int, Y: int, Z: int,
     return X3, (r * (V - X3) - Y * HHH) % q, Z * H % q
 
 
-def _to_affine(q: int, X: int, Y: int, Z: int) -> Point:
-    """The one inversion: (X/Z^2, Y/Z^3), or O when Z = 0."""
-    if Z == 0:
-        return None
-    z_inv = mod_inverse(Z, q)
-    z_inv2 = z_inv * z_inv % q
-    return (X * z_inv2 % q, Y * z_inv2 * z_inv % q)
-
-
 def _batch_to_affine(q: int, points: list[tuple[int, int, int]]) -> list[Point]:
-    """``_to_affine`` of each point with one inversion (Montgomery, Math.
-    Comp. 1987): invert the product of the Z's, then peel off one Z at a
-    time. A Z = 0 is left out of the product, and its point is O."""
+    """Each Jacobian (X, Y, Z) as the affine (X/Z^2, Y/Z^3), or O when
+    Z = 0, with one inversion for the whole list (Montgomery, Math. Comp.
+    1987): invert the product of the Z's, then peel off one Z at a time. A
+    Z = 0 is left out of the product. ``scalar_mul`` and ``fixed_base_mul``
+    convert their one result as a list of one."""
     prefix = []
     product = 1
     for _, _, Z in points:

@@ -80,7 +80,7 @@ def _hasse_holds(q: int, group_order: int) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def validate_domain_params(params: cv.CurveParams, f: int = DEFAULT_MOV_ROUNDS,
+def validate_domain_params(params: cv.CurveParams,
                            count_budget: int = cv.DEFAULT_COUNT_BOUND) -> ParamReport:
     """Run the full nine-check battery against a parameter set.
 
@@ -120,9 +120,9 @@ def validate_domain_params(params: cv.CurveParams, f: int = DEFAULT_MOV_ROUNDS,
     ))
 
     def mov():
-        i = mov_embedding_degree(q, n, f)
+        i = mov_embedding_degree(q, n)
         if i is None:
-            return True, f"q^i != 1 mod n for i <= {f}"
+            return True, f"q^i != 1 mod n for i <= {DEFAULT_MOV_ROUNDS}"
         return False, f"n divides q^{i} - 1"
 
     run("mov_condition", mov)

@@ -241,13 +241,13 @@ class TestToyCA:
                                 check_possession=False)
         assert cert.subject_identity == "Mallory"
         assert cert.public_key == alice.U
-        assert attacks.cert_validate(registry, cert, now=0).ok
+        assert attacks.cert_validate(registry, cert)
 
     def test_paper_ca_signs_off_curve_point(self, paper16):
         registry = attacks.CertRegistry(paper16, rng_seed=1)
         cert = attacks.ca_issue(registry, "Mallory", (5, 6),
                                 check_possession=False)
-        assert attacks.cert_validate(registry, cert, now=0).ok
+        assert attacks.cert_validate(registry, cert)
 
     def test_strict_ca_rejects_off_curve_point(self, paper16):
         registry = attacks.CertRegistry(paper16, rng_seed=1)
@@ -271,17 +271,7 @@ class TestToyCA:
         proof = attacks.make_possession_proof(paper16, alice, "Alice")
         cert = attacks.ca_issue(registry, "Alice", alice.U,
                                 check_possession=True, possession_proof=proof)
-        assert attacks.cert_validate(registry, cert, now=0).ok
-
-    def test_expiry_and_revocation(self, paper16, keys16):
-        alice, _ = keys16
-        registry = attacks.CertRegistry(paper16, rng_seed=1)
-        cert = attacks.ca_issue(registry, "Alice", alice.U,
-                                check_possession=False, not_after=100)
-        assert attacks.cert_validate(registry, cert, now=50).ok
-        assert attacks.cert_validate(registry, cert, now=101).failed == ("expired",)
-        registry.revoke(cert)
-        assert "revoked" in attacks.cert_validate(registry, cert, now=50).failed
+        assert attacks.cert_validate(registry, cert)
 
     def test_forged_signature_detected(self, paper16, keys16):
         alice, _ = keys16
@@ -290,8 +280,42 @@ class TestToyCA:
                                 check_possession=False)
         forged = attacks.Certificate(
             subject_identity="Eve", public_key=alice.U,
-            not_after=cert.not_after, ca_signature=cert.ca_signature)
-        assert "signature" in attacks.cert_validate(registry, forged, now=0).failed
+            ca_signature=cert.ca_signature)
+        assert not attacks.cert_validate(registry, forged)
+
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    def test_unreduced_proof_point_refused(self, f23_n7, mode):
+        # the proof's R = (132, 248) reduces to (17, 18), whose x is that of
+        # c*U; point_add compared the unreduced x's and divided by zero
+        config = SchemeConfig(params=f23_n7, mode=mode)
+        registry = attacks.CertRegistry(config, rng_seed=1)
+        key = hyh.keypair_from_secret(config, 3).U
+        with pytest.raises(attacks.PossessionProofInvalid):
+            attacks.ca_issue(registry, "Mallory", key, check_possession=True,
+                             possession_proof=bytes.fromhex("84f8cf"))
+
+
+class _DrawLimit(random.Random):
+    """A Random that fails the test past hyh._RESAMPLE_LIMIT draws, where an
+    unbounded sampling loop would run forever."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        assert self.draws <= hyh._RESAMPLE_LIMIT, "sampling loop never gave up"
+        return super().randrange(*args)
+
+
+def test_schnorr_sign_gives_up_on_a_degenerate_base_point():
+    # G = (3, 0) has order 2 and n = 2, so k = 1 and R = G on every draw;
+    # this message hashes to an odd c, so z = 1 + c*1 mod 2 is always 0
+    config = SchemeConfig(params=cv.CurveParams(q=11, a=1, b=1, G=(3, 0), n=2, h=2))
+    message = b"cert\0Alice\0" + attacks._point_bytes(config, config.params.G)
+    assert hyh.hash_to_scalar(
+        config, attacks._point_bytes(config, config.params.G) + message) == 1
+    with pytest.raises(hyh.RngFailure):
+        attacks.schnorr_sign(config, 1, message, _DrawLimit(0))
 
 
 class TestUksScenario:
@@ -313,13 +337,6 @@ class TestUksScenario:
                                       strict_ca=True)
         assert not report.success
         assert any(e["event"] == "certification_blocked" for e in report.transcript)
-
-    def test_tampered_ciphertext_rejected(self, paper16, keys16):
-        alice, bob = keys16
-        report = attacks.uks_scenario(paper16, alice, bob, "Mallory",
-                                      b"board minutes", rng_seed=2,
-                                      tamper_ciphertext=True)
-        assert not report.success
 
 
 class TestBreakForwardSecrecy:

@@ -421,6 +421,45 @@ class TestAttackCommands:
         assert float(line.split()[-1].rstrip("s")) > 0
 
 
+class TestDegenerateBasePoint:
+    """Params files whose G = (x, 0) has order 2: every command ends in a
+    refusal (exit 2), never in a hang or a traceback."""
+
+    @staticmethod
+    def _params(tmp_path, q, gx, n, h):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({"q": f"{q:x}", "a": "1", "b": "1", "Gx": f"{gx:x}",
+                                    "Gy": "0", "n": f"{n:x}", "h": f"{h:x}"}))
+        return str(path)
+
+    def test_ca_signing_gives_up(self, tmp_path):
+        # n = 2 leaves k = 1 as the only Schnorr nonce, and for this G the
+        # CA's z = 1 + c mod 2 is 0; run in a subprocess with a timeout, so
+        # an unbounded signing loop fails the test instead of hanging it
+        src = str(Path(hyh.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "hyhlab", "--params",
+             self._params(tmp_path, 11, 3, 2, 2), "attack", "uks", "--self-stage"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: no usable Schnorr nonce")
+
+    def test_signcrypt_rng_failure_exits_two(self, capsys, tmp_path):
+        # Bob's even secret makes U_B = O, so no ephemeral scalar is usable
+        rc = cli.main(["--params", self._params(tmp_path, 23, 13, 7, 4),
+                       "attack", "forward-secrecy", "--self-stage"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: no usable ephemeral scalar")
+
+    def test_keygen_of_identity_key_exits_two(self, capsys, tmp_path):
+        rc = cli.main(["--params", self._params(tmp_path, 23, 13, 7, 4),
+                       "--seed", "0", "keygen"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "public key O" in err
+
+
 class TestDemoAll:
     def test_mode_duality(self, capsys, toy_params_file):
         rc, out = run(capsys, "--params", toy_params_file, "--seed", "5",

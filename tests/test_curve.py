@@ -293,6 +293,35 @@ class TestCombTable:
         assert self.build(params, unreduced) == reference_comb_table(params, P)
 
 
+def _affine_of(q, X, Y, Z):
+    """(X/Z^2, Y/Z^3), or O for Z = 0: the definition, point by point."""
+    if Z == 0:
+        return None
+    return X * pow(Z, -2, q) % q, Y * pow(Z, -3, q) % q
+
+
+class TestBatchToAffine:
+    """_batch_to_affine, the one Jacobian-to-affine conversion, against
+    _affine_of on batches that mix Z = 0 and Z != 0."""
+
+    @pytest.mark.parametrize("batch", [
+        [(5, 7, 0)], [(5, 7, 1)], [(5, 7, 3)], [(0, 0, 0), (1, 1, 0)],
+        [(5, 7, 0), (5, 7, 3)], [(5, 7, 3), (5, 7, 0)],
+        [(1, 2, 0), (3, 4, 5), (6, 7, 0), (8, 9, 22)],
+    ])
+    def test_small_batches(self, batch):
+        assert cv._batch_to_affine(23, batch) == [_affine_of(23, *P) for P in batch]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(ALL_FIXTURES))
+    def test_random_batches(self, data, name):
+        q = fixtures.load(name).q
+        coord = st.integers(0, q - 1)
+        z = st.one_of(st.just(0), st.integers(1, q - 1))
+        batch = data.draw(st.lists(st.tuples(coord, coord, z), min_size=1, max_size=8))
+        assert cv._batch_to_affine(q, batch) == [_affine_of(q, *P) for P in batch]
+
+
 class TestGroupLawExhaustive:
     """The 28-element group is small enough to check the axioms outright."""
 

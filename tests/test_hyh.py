@@ -91,7 +91,8 @@ class TestKeystream:
             hyh.keystream(paper16, 1, 0)
 
 
-_CHUNK = hyh._XOR_CHUNK
+# lengths around multiples of 64 KiB, where an integer-chunk XOR would split
+_CHUNK = 1 << 16
 _XOR_LENGTHS = st.one_of(
     st.integers(0, 64),
     st.sampled_from([m * _CHUNK + d for m in (1, 2) for d in (-1, 0, 1)]),
@@ -116,7 +117,7 @@ _BYTE_PATH_FIXTURES = [fixtures.F23_N7, fixtures.TOY16, fixtures.SECP160R1]
 
 def _edge_lengths(width):
     """Lengths at and around the block, the keystream chunk (whole blocks)
-    and xor_bytes' chunk, up to 3*_XOR_CHUNK + 1."""
+    and 64 KiB, up to 3*_CHUNK + 1."""
     step = _CHUNK // width * width
     around = [1, width - 1, width, width + 1, 2 * width + 1]
     for m in (1, 2, 3):
