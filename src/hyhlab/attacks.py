@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from . import hyh
 from .curve import (
     CurveParams,
-    InvalidCurveHit,
     Point,
     find_invalid_curves,
     fixed_base_mul,
@@ -227,31 +226,31 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     """
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
-    hits = find_invalid_curves(params, params.n, rng_seed,
+    hits = find_invalid_curves(params, rng_seed,
                                small_order_bound=small_order_bound)
     report.log("invalid_curves_found",
-               orders=[h.order for h in hits],
-               b_values=[_hex(h.params.b) for h in hits])
+               orders=[h.n for h in hits],
+               b_values=[_hex(h.b) for h in hits])
 
     residues: list[Residue] = []
     trials_per_curve: list[int] = []
     junk_c = bytes(TAG_LEN + 1)
     for hit in hits:
         try:
-            message, z = oracle.query(hit.point, junk_c, 1)
+            message, z = oracle.query(hit.G, junk_c, 1)
         except OracleRejection as exc:
             report.oracle_queries = oracle.queries
-            report.log("oracle_rejected", order=hit.order, reason=str(exc))
+            report.log("oracle_rejected", order=hit.n, reason=str(exc))
             return report
         values, trials = _brute_force_coset(config, hit, message, z)
         if not values:
             raise ResidueNotFound(
-                f"no multiple of the order-{hit.order} point matched the MAC"
+                f"no multiple of the order-{hit.n} point matched the MAC"
             )
-        residues.append(Residue(values=values, modulus=hit.order))
+        residues.append(Residue(values=values, modulus=hit.n))
         trials_per_curve.append(trials)
         details = {"candidates": list(values)} if len(values) > 1 else {}
-        report.log("residue_found", order=hit.order, value=values[0],
+        report.log("residue_found", order=hit.n, value=values[0],
                    mac_trials=trials, **details)
     report.oracle_queries = oracle.queries
 
@@ -267,15 +266,15 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
             f"{min(d_b % r.modulus, -d_b % r.modulus)}%{r.modulus}"
             for r in residues)
         report.log("mac_trials_total", per_curve=trials_per_curve,
-                   bounds=[h.order // 2 + 1 + h.order % 2 for h in hits])
+                   bounds=[h.n // 2 + 1 + h.n % 2 for h in hits])
     return report
 
 
-def _brute_force_coset(config: SchemeConfig, hit: InvalidCurveHit,
+def _brute_force_coset(config: SchemeConfig, hit: CurveParams,
                        message: bytes, z: bytes) -> tuple[tuple[int, ...], int]:
     """Scan j = 0 .. ceil(g/2) computing the MAC keyed by x(j*W); return the
     candidate residues and the MAC trials spent."""
-    half = (hit.order + 1) // 2
+    half = (hit.n + 1) // 2
     xs = enumerate(_coset_x(hit, half))
     for j, x in xs:
         if confirmation_mac(config, x, message) == z:
@@ -286,12 +285,12 @@ def _brute_force_coset(config: SchemeConfig, hit: InvalidCurveHit,
     return (), half + 1
 
 
-def _coset_x(hit: InvalidCurveHit, half: int):
+def _coset_x(hit: CurveParams, half: int):
     """x(j*W) for j = 0 .. half, with the lab's x(O) = 0."""
     K: Point = None
     for _ in range(half + 1):
         yield x_coord(K)
-        K = point_add(hit.params, K, hit.point)
+        K = point_add(hit, K, hit.G)
 
 
 def _resolve_signs(params: CurveParams, residues: list[Residue],

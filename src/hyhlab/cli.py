@@ -18,7 +18,7 @@ import time
 
 from . import attacks, fixtures, hyh, paramcheck
 from .attacks import AttackReport
-from .curve import CurveParams, CurveTooLarge
+from .curve import CurveParams, CurveTooLarge, Point
 from .hyh import SchemeConfig, SigncryptedText
 
 
@@ -181,17 +181,6 @@ def run_demo_all(params: CurveParams, seed: int, hash_name: str = "sha256") -> d
 
 # --- input/output ------------------------------------------------------------
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise CliError(f"{path}: expected a JSON object")
-    return obj
-
-
 def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
@@ -200,31 +189,49 @@ def _read_bytes(path: str) -> bytes:
         raise CliError(str(exc)) from None
 
 
+def _load(path: str, parse, refusal: str = "{}"):
+    """What ``parse`` makes of the JSON object in the file at path. Bad
+    input ends in exit 2: an unreadable file, JSON that is not an object,
+    or a parser's KeyError, ValueError or TypeError, which prints
+    ``path: `` and ``refusal.format(error)``."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    try:
+        return parse(obj)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CliError(f"{path}: " + refusal.format(exc)) from None
+
+
 def load_params(path: str | None) -> CurveParams:
     if path is None:
         return fixtures.load(fixtures.GOOD)
-    try:
-        return fixtures.params_from_dict(_read_json(path))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    return _load(path, fixtures.params_from_dict)
 
 
 def _load_private(path: str) -> int:
-    obj = _read_json(path)
-    try:
-        return int(obj["d"], 16)
-    except (KeyError, ValueError, TypeError):
-        raise CliError(f"{path}: expected a private key file {{\"d\": hex}}") from None
+    return _load(path, lambda obj: int(obj["d"], 16),
+                 'expected a private key file {{"d": hex}}')
 
 
-def _load_public(path: str):
-    obj = _read_json(path)
-    try:
-        return (int(obj["Ux"], 16), int(obj["Uy"], 16))
-    except (KeyError, ValueError, TypeError):
-        raise CliError(
-            f"{path}: expected a public key file {{\"Ux\": hex, \"Uy\": hex}}"
-        ) from None
+def _public_key(obj: dict) -> Point:
+    U = hyh.point_from_hex(obj, "U")
+    if U is None:
+        raise ValueError("a public key is never O")
+    return U
+
+
+def _load_public(path: str) -> Point:
+    return _load(path, _public_key,
+                 'expected a public key file {{"Ux": hex, "Uy": hex}}')
+
+
+def _load_sct(path: str) -> SigncryptedText:
+    return _load(path, hyh.sct_from_dict, "bad signcrypted text: {}")
 
 
 def _emit(args, payload: dict, text_lines: list[str], copy_to_out: bool = True):
@@ -257,7 +264,7 @@ def cmd_keygen(args) -> int:
     if keypair.U is None:
         raise CliError(f"secret {keypair.d:x} gives the public key O; "
                        "G does not have order n")
-    pub = {"Ux": f"{keypair.U[0]:x}", "Uy": f"{keypair.U[1]:x}"}
+    pub = hyh.point_to_hex(keypair.U, "U")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"d": f"{keypair.d:x}"}, fh, indent=2, sort_keys=True)
@@ -302,14 +309,6 @@ def cmd_unsigncrypt(args) -> int:
     # --out names the plaintext file here, so the report stays on stdout
     _emit(args, payload, lines, copy_to_out=False)
     return 0 if message is not None else 1
-
-
-def _load_sct(path: str) -> SigncryptedText:
-    obj = _read_json(path)
-    try:
-        return hyh.sct_from_dict(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"{path}: bad signcrypted text: {exc}") from None
 
 
 def cmd_verify(args) -> int:

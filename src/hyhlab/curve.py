@@ -20,7 +20,7 @@ code that forgot to check.
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import numtheory
 from .numtheory import is_prime, legendre, mod_inverse, sqrt_mod
@@ -78,9 +78,6 @@ class CurveParams:
             raise ValueError(f"field modulus must be odd and >= 5, got {self.q}")
         if not (0 <= self.a < self.q and 0 <= self.b < self.q):
             raise ValueError("curve coefficients must be reduced mod q")
-
-    def with_b(self, new_b: int, G: Point, n: int, h: int) -> "CurveParams":
-        return CurveParams(self.q, self.a, new_b % self.q, G, n, h)
 
 
 @dataclass(frozen=True)
@@ -442,56 +439,44 @@ def find_point_of_order(params: CurveParams, g: int, group_order: int,
     raise SearchBudgetExceeded(f"no point of order {g} found in {_SEARCH_TRIES} tries")
 
 
-@dataclass(frozen=True)
-class InvalidCurveHit:
-    """One curve y^2 = x^3 + a*x + b' (b' != b) with a small-order point."""
-
-    params: CurveParams
-    point: Point
-    order: int
-
-
-def find_invalid_curves(params: CurveParams, min_product: int, rng_seed: int,
+def find_invalid_curves(params: CurveParams, rng_seed: int,
                         small_order_bound: int = 1 << 14,
-                        max_candidates: int = 64) -> list[InvalidCurveHit]:
-    """Curves differing from params only in b, each carrying a point of small
-    prime order, orders pairwise coprime with product above min_product.
+                        max_candidates: int = 64) -> list[CurveParams]:
+    """Curves differing from params only in b, each with a base point G of
+    small prime order n and cofactor h = #E'/n, the orders pairwise coprime
+    with product above params.n.
 
     Candidates are scanned deterministically (b+1, b+2, ...) so a fixed seed
     reproduces the same list; at most one small-order point is taken per
-    curve. Every returned point fails validation against the original curve.
+    curve, and only a prime that does not divide the product so far. Every
+    returned G fails validation against the original curve.
     """
-    if min_product < 2:
-        raise ValueError("min_product must be >= 2")
+    if params.n < 2:
+        raise ValueError("n must be >= 2")
     rng = random.Random(rng_seed)
-    hits: list[InvalidCurveHit] = []
-    used_orders: set[int] = set()
+    hits: list[CurveParams] = []
     product = 1
     for step in range(1, max_candidates + 1):
-        if product > min_product:
-            return hits
         b2 = (params.b + step) % params.q
         if b2 == params.b:
             continue
         if (4 * params.a ** 3 + 27 * b2 * b2) % params.q == 0:
             continue
-        candidate = params.with_b(b2, G=None, n=0, h=0)
+        candidate = CurveParams(params.q, params.a, b2, None, 0, 0)
         order2 = count_points(candidate)
         usable = [
             g for g in numtheory.factor(order2)
-            if g <= small_order_bound and g not in used_orders
+            if g <= small_order_bound and product % g
         ]
         if not usable:
             continue
         g = max(usable)
         W = find_point_of_order(candidate, g, order2, rng.getrandbits(64))
         assert not is_on_curve(params, W)
-        hits.append(InvalidCurveHit(candidate.with_b(b2, G=W, n=g, h=order2 // g),
-                                    W, g))
-        used_orders.add(g)
+        hits.append(replace(candidate, G=W, n=g, h=order2 // g))
         product *= g
-    if product > min_product:
-        return hits
+        if product > params.n:
+            return hits
     raise SearchBudgetExceeded(
         f"product of small orders only reached {product} after {max_candidates} curves"
     )

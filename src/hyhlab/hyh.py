@@ -220,8 +220,6 @@ def _has_order_n(config: SchemeConfig, P: Point) -> bool:
     other than O has order n. h is tested first, so h != 1 never triggers a
     validation.
     """
-    if P is None:
-        return False
     params = config.params
     if params.h == 1 and paramcheck.validate_domain_params(params).overall:
         return True
@@ -395,20 +393,24 @@ def _verify_equation(config: SchemeConfig, u_a: Point, e: int, R: Point,
 
 # --- wire format -----------------------------------------------------------
 
-def point_to_json(P: Point) -> dict:
-    if P is None:
-        return {"x": "00", "y": "inf"}
-    return {"x": f"{P[0]:x}", "y": f"{P[1]:x}"}
+def point_to_hex(P: Point, name: str) -> dict:
+    """P as the hex fields ``<name>x`` and ``<name>y``; O is ("00", "inf")."""
+    x, y = ("00", "inf") if P is None else (f"{P[0]:x}", f"{P[1]:x}")
+    return {name + "x": x, name + "y": y}
+
+
+def point_from_hex(obj: dict, name: str) -> Point:
+    """The point that ``point_to_hex`` wrote under name; a ``<name>y`` of
+    "inf" is O, whatever ``<name>x`` holds."""
+    if obj[name + "y"] == "inf":
+        return None
+    return (int(obj[name + "x"], 16), int(obj[name + "y"], 16))
 
 
 def sct_to_dict(sct: SigncryptedText) -> dict:
-    pt = point_to_json(sct.R)
-    return {"Rx": pt["x"], "Ry": pt["y"], "C": sct.C.hex(), "s": f"{sct.s:x}"}
+    return {**point_to_hex(sct.R, "R"), "C": sct.C.hex(), "s": f"{sct.s:x}"}
 
 
 def sct_from_dict(obj: dict) -> SigncryptedText:
-    if obj["Ry"] == "inf":
-        R: Point = None
-    else:
-        R = (int(obj["Rx"], 16), int(obj["Ry"], 16))
-    return SigncryptedText(R=R, C=bytes.fromhex(obj["C"]), s=int(obj["s"], 16))
+    return SigncryptedText(R=point_from_hex(obj, "R"), C=bytes.fromhex(obj["C"]),
+                           s=int(obj["s"], 16))

@@ -107,6 +107,11 @@ class TestProtocolCommands:
                     "--in", str(sct))
         assert rc == 0
         assert recovered.read_bytes() == b"files all the way down"
+        rc, out = run(capsys, "--params", toy_params_file, "unsigncrypt",
+                      "--key", bob_priv, "--peer", alice_pub, "--in", str(sct))
+        assert rc == 0
+        assert json.loads(out) == {"accepted": True,
+                                   "message": b"files all the way down".hex()}
 
     def test_forced_r_reproduces_ephemeral_point(self, capsys, tmp_path,
                                                  toy_params_file):
@@ -316,6 +321,55 @@ class TestProtocolCommands:
         rc, _ = run(capsys, "--params", toy_params_file, "--mode", mode,
                     command, *command_args, "--peer", alice_pub, "--in", str(sct))
         assert rc == code
+
+
+class TestWireFileRefusals:
+    """Each malformed wire file ends in exit 2 with one ``error:`` line that
+    names the file, never a traceback."""
+
+    @pytest.fixture()
+    def wire_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        params = fixtures.load(fixtures.TOY16)
+        config = SchemeConfig(params=params)
+        alice = hyh.keypair_from_secret(config, 5)
+        bob = hyh.keypair_from_secret(config, 7)
+        sct = hyh.signcrypt(config, alice.d, bob.U, b"wire", rng_seed=1)
+        files = {
+            "--params": fixtures.params_to_dict(params),
+            "--key": {"d": f"{bob.d:x}"},
+            "--peer": {"Ux": f"{alice.U[0]:x}", "Uy": f"{alice.U[1]:x}"},
+            "--in": hyh.sct_to_dict(sct),
+        }
+        for flag, obj in files.items():
+            (tmp_path / f"{flag[2:]}.json").write_text(json.dumps(obj))
+        return files
+
+    @pytest.mark.parametrize("flag, name, edit, error", [
+        ("--in", "array.json", lambda obj: [obj],
+         "array.json: expected a JSON object"),
+        ("--key", "nod.json", lambda obj: {},
+         'nod.json: expected a private key file {"d": hex}'),
+        ("--peer", "inf.json", lambda obj: {**obj, "Uy": "inf"},
+         'inf.json: expected a public key file {"Ux": hex, "Uy": hex}'),
+        ("--params", "q.json", lambda obj: {**obj, "q": "zz"},
+         "q.json: params fields must be lowercase hex strings"),
+        ("--params", "g.json", lambda obj: {**obj, "Gy": "inf"},
+         "g.json: params fields must be lowercase hex strings"),
+        ("--in", "nos.json", lambda obj: {k: v for k, v in obj.items() if k != "s"},
+         "nos.json: bad signcrypted text: 's'"),
+    ], ids=["array", "key_without_d", "public_key_at_infinity", "params_bad_q",
+            "params_g_at_infinity", "sct_without_s"])
+    def test_refusal_line(self, capsys, wire_files, flag, name, edit, error):
+        Path(name).write_text(json.dumps(edit(wire_files[flag])))
+        paths = {f: f"{f[2:]}.json" for f in wire_files}
+        paths[flag] = name
+        rc = cli.main(["--params", paths["--params"], "unsigncrypt",
+                       "--key", paths["--key"], "--peer", paths["--peer"],
+                       "--in", paths["--in"]])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
 
 class TestAttackCommands:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -418,7 +419,8 @@ class TestCountPoints:
     def test_matches_exhaustive_on_invalid_curve_candidates(self, toy16):
         # the curves find_invalid_curves scans: b+1, ..., b+64
         for step in range(1, 65):
-            candidate = toy16.with_b(toy16.b + step, G=None, n=0, h=0)
+            candidate = cv.CurveParams(toy16.q, toy16.a, (toy16.b + step) % toy16.q,
+                                       None, 0, 0)
             if (4 * candidate.a ** 3 + 27 * candidate.b ** 2) % toy16.q == 0:
                 continue
             assert cv.count_points(candidate) == cv.count_points_exhaustive(candidate)
@@ -483,26 +485,26 @@ class TestFindPointOfOrder:
 
 class TestFindInvalidCurves:
     def test_postconditions(self, toy16):
-        hits = cv.find_invalid_curves(toy16, min_product=toy16.n, rng_seed=11)
+        hits = cv.find_invalid_curves(toy16, rng_seed=11)
         product = 1
         orders = []
         for hit in hits:
-            assert hit.params.q == toy16.q and hit.params.a == toy16.a
-            assert hit.params.b != toy16.b
-            assert not cv.is_on_curve(toy16, hit.point)
-            assert cv.is_on_curve(hit.params, hit.point)
-            group_order = cv.count_points(hit.params)
-            assert cv.point_order(hit.params, hit.point, group_order) == hit.order
-            product *= hit.order
-            orders.append(hit.order)
+            assert hit.q == toy16.q and hit.a == toy16.a
+            assert hit.b != toy16.b
+            assert not cv.is_on_curve(toy16, hit.G)
+            assert cv.is_on_curve(hit, hit.G)
+            group_order = cv.count_points(hit)
+            assert group_order == hit.h * hit.n
+            assert cv.point_order(hit, hit.G, group_order) == hit.n
+            product *= hit.n
+            orders.append(hit.n)
         assert product > toy16.n
         assert len(set(orders)) == len(orders)
 
     def test_deterministic_for_seed(self, toy16):
-        a = cv.find_invalid_curves(toy16, min_product=1000, rng_seed=5)
-        b = cv.find_invalid_curves(toy16, min_product=1000, rng_seed=5)
-        assert [(h.params.b, h.point, h.order) for h in a] == \
-               [(h.params.b, h.point, h.order) for h in b]
+        a = cv.find_invalid_curves(toy16, rng_seed=5)
+        b = cv.find_invalid_curves(toy16, rng_seed=5)
+        assert a == b
 
     @pytest.mark.parametrize("name, seed, expected", [
         (fixtures.GOOD, 7, [
@@ -519,18 +521,16 @@ class TestFindInvalidCurves:
     def test_golden_curves(self, name, seed, expected):
         # (b', order, point, #E') as found with the exhaustive count
         params = fixtures.load(name)
-        hits = cv.find_invalid_curves(params, min_product=params.n, rng_seed=seed)
-        assert [(h.params.b, h.order, h.point, h.params.h * h.order)
-                for h in hits] == expected
+        hits = cv.find_invalid_curves(params, rng_seed=seed)
+        assert [(h.b, h.n, h.G, h.h * h.n) for h in hits] == expected
 
-    def test_min_product_validated(self, toy16):
+    def test_n_below_two_refused(self, toy16):
         with pytest.raises(ValueError):
-            cv.find_invalid_curves(toy16, min_product=1, rng_seed=1)
+            cv.find_invalid_curves(dataclasses.replace(toy16, n=1), rng_seed=1)
 
     def test_candidate_budget(self, toy16):
         with pytest.raises(cv.SearchBudgetExceeded):
-            cv.find_invalid_curves(toy16, min_product=toy16.n, rng_seed=1,
-                                   max_candidates=1)
+            cv.find_invalid_curves(toy16, rng_seed=1, max_candidates=1)
 
 
 class TestValidatedParams:

@@ -383,6 +383,23 @@ class TestUnsigncrypt:
         trace = hyh.unsigncrypt_trace(strict16, bob.d, alice.U, sct)
         assert trace.rejected_at == "ephemeral_point"
 
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    def test_secret_equal_to_n_gives_identity_shared_point(self, toy16, keys16,
+                                                           mode):
+        # no range check stops a key file from carrying d_B = n; then
+        # K = n*R = O for every honest R
+        config = SchemeConfig(params=toy16, mode=mode)
+        alice, bob = keys16
+        sct = hyh.signcrypt(config, alice.d, bob.U, b"payload", rng_seed=8)
+        trace = hyh.unsigncrypt_trace(config, toy16.n, alice.U, sct)
+        assert not trace.accepted
+        if mode == STRICT:
+            assert trace.rejected_at == "shared_point_identity"
+            assert not trace.decrypt_attempted
+        else:
+            assert trace.decrypt_attempted and trace.session_key_x == 0
+            assert trace.rejected_at == "tag"
+
     def test_paper_mode_decrypts_identity_ephemeral(self, paper16, keys16):
         alice, bob = keys16
         body = b"visible through the zero keystream"

@@ -149,6 +149,17 @@ class TestSingleCheckCorruptions:
         assert report.failed_names() == ["not_supersingular"]
         assert "Hasse" in report["not_supersingular"].detail
 
+    def test_claimed_order_in_hasse_window_but_not_the_count(self, good_params):
+        # h*n = q + 1 passes the Hasse test; only the point count refutes it
+        q = good_params.q
+        corrupted = cv.CurveParams(q=q, a=good_params.a, b=good_params.b,
+                                   G=good_params.G, n=q + 1, h=1)
+        report = validate_domain_params(corrupted)
+        assert report.failed_names() == ["n_prime", "n_annihilates_g",
+                                         "mov_condition", "not_supersingular"]
+        assert report["not_supersingular"].detail == \
+            "h*n = 1048574 but #E = 1047264"
+
 
 class TestPassingSetConsequences:
     def test_annihilation_and_hasse(self, good_params, toy16):
