@@ -82,20 +82,9 @@ class AttackReport:
     recovered_secrets: dict[str, str] = field(default_factory=dict)
     oracle_queries: int = 0
     transcript: list[dict] = field(default_factory=list)
-    wall_time: float = 0.0
 
     def log(self, event: str, **details):
         self.transcript.append({"event": event, **details})
-
-    def to_dict(self) -> dict:
-        """Everything but the wall time, so the JSON is reproducible."""
-        return {
-            "attack_name": self.attack_name,
-            "success": self.success,
-            "recovered_secrets": dict(self.recovered_secrets),
-            "oracle_queries": self.oracle_queries,
-            "transcript": list(self.transcript),
-        }
 
 
 def _hex(v: int) -> str:
@@ -390,21 +379,20 @@ def make_possession_proof(config: SchemeConfig, keypair: KeyPair,
 
 
 def ca_issue(registry: CertRegistry, identity: str, public_key: Point,
-             check_possession: bool,
              possession_proof: bytes | None = None) -> Certificate:
     """Issue a certificate binding identity to public_key.
 
-    With check_possession off -- the scheme's own operating model -- the CA
-    signs whatever it is handed: another party's key, an off-curve point,
-    anything. With it on, the key must validate and the applicant must
-    present a valid signature of possession under that key.
+    A paper-mode CA -- the scheme's own operating model -- signs whatever it
+    is handed: another party's key, an off-curve point, anything. A
+    strict-mode CA requires the key to validate and the applicant to present
+    a valid signature of possession under that key.
     """
     config = registry.config
-    if check_possession:
-        verdict = validate_public_key(config.params, public_key)
-        if not verdict.ok:
+    if config.mode == hyh.STRICT:
+        failed = validate_public_key(config.params, public_key)
+        if failed:
             raise InvalidPublicKey(
-                f"public key failed validation ({','.join(verdict.failed)})")
+                f"public key failed validation ({','.join(failed)})")
         if possession_proof is None or not schnorr_verify(
                 config, public_key,
                 _possession_body(config, identity, public_key),
@@ -429,19 +417,18 @@ def cert_validate(registry: CertRegistry, cert: Certificate) -> bool:
 # --- finding 6: unknown key-share -------------------------------------------
 
 def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
-                 mallory_identity: str, message: bytes, rng_seed: int = 0,
-                 strict_ca: bool = False) -> AttackReport:
+                 mallory_identity: str, message: bytes,
+                 rng_seed: int = 0) -> AttackReport:
     """Mallory certifies Alice's public key under his own name and replays
     her traffic: Bob accepts the message as coming from Mallory while Alice
-    believes she wrote to Bob. Works because certification never asked
-    Mallory to prove he holds the private key for the key he registered."""
+    believes she wrote to Bob. Works because the paper-mode CA never asks
+    Mallory to prove he holds the private key for the key he registered;
+    the strict-mode CA does, and refuses him."""
     report = AttackReport("uks_scenario", success=False)
     registry = CertRegistry(config, rng_seed=rng_seed)
 
-    ca_issue(registry, "Alice", alice.U, check_possession=False)
     try:
-        mallory_cert = ca_issue(registry, mallory_identity, alice.U,
-                                check_possession=strict_ca)
+        mallory_cert = ca_issue(registry, mallory_identity, alice.U)
     except PossessionProofInvalid as exc:
         report.log("certification_blocked", identity=mallory_identity,
                    reason=str(exc))

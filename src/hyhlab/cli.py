@@ -10,6 +10,7 @@ unsuccessful, 2 bad input or configuration.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -20,6 +21,7 @@ from . import attacks, fixtures, hyh, paramcheck
 from .attacks import AttackReport
 from .curve import CurveParams, CurveTooLarge, Point
 from .hyh import SchemeConfig, SigncryptedText
+from .numtheory import NotInvertible
 
 
 class CliError(Exception):
@@ -30,17 +32,35 @@ class CliError(Exception):
 #
 # Each scenario stages its own victims from the seed and then runs the attack
 # against them. In paper mode the staging includes the enabling misuse (a
-# leaked or reused ephemeral scalar, a permissive recipient, a CA that skips
-# proof of possession). In strict mode the same scenario is staged without
-# the misuse and with every validation enabled, and the report records where
-# the attack dies. An attack that needs no misuse (invalid-curve,
-# degenerate-key) is staged the same way in both modes, and the recipient's
-# own checks decide it.
+# leaked or reused ephemeral scalar, a leaked long-term key). In strict mode
+# the same scenario is staged without the misuse, and the report records
+# where the attack dies. An attack that needs no misuse (invalid-curve, uks,
+# degenerate-key) is staged the same way in both modes, and the checks of the
+# recipient or the CA, which read the mode from the config, decide it.
 
 def _keys(config: SchemeConfig, rng: random.Random) -> tuple[hyh.KeyPair, hyh.KeyPair]:
     alice = hyh.keypair_from_secret(config, rng.randrange(1, config.params.n))
     bob = hyh.keypair_from_secret(config, rng.randrange(1, config.params.n))
     return alice, bob
+
+
+def _signcrypt_under_one_r(config: SchemeConfig, rng: random.Random,
+                           d_a: int, u_b: Point, messages: tuple[bytes, ...]
+                           ) -> tuple[int, list[SigncryptedText]]:
+    """(r, texts): the messages signcrypted from d_a to u_b under the first
+    r drawn from rng under which every one of them signcrypts. A degenerate
+    r is drawn again, as ``hyh.signcrypt`` draws its own; a NotInvertible,
+    as from a composite n, is no degenerate r and propagates."""
+    for _ in range(hyh._RESAMPLE_LIMIT):
+        r = rng.randrange(1, config.params.n)
+        try:
+            return r, [hyh.signcrypt(config, d_a, u_b, m, forced_r=r)
+                       for m in messages]
+        except NotInvertible:
+            raise
+        except ValueError:
+            continue
+    raise hyh.RngFailure("no ephemeral scalar signcrypts every staged message")
 
 
 def scenario_ephemeral(config: SchemeConfig, seed: int) -> AttackReport:
@@ -49,8 +69,7 @@ def scenario_ephemeral(config: SchemeConfig, seed: int) -> AttackReport:
     message = b"wire transfer: move the usual amount"
     if config.mode == hyh.PAPER:
         # the victim pre-computed (r, R) pairs and the store leaked
-        r = rng.randrange(1, config.params.n)
-        sct = hyh.signcrypt(config, alice.d, bob.U, message, forced_r=r)
+        r, (sct,) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (message,))
         report = attacks.recover_sender_key(config, alice.U, bob.U, sct, r)
         report.log("staging", leaked_ephemeral=True)
         return report
@@ -72,15 +91,13 @@ def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
     m1 = b"first message, padded to equal size."
     m2 = b"second message, same size as first!!!"[: len(m1)]
     report = AttackReport("nonce_reuse_recover", success=False)
-    if config.mode == hyh.PAPER:
-        r = rng.randrange(1, config.params.n)
-        sct1 = hyh.signcrypt(config, alice.d, bob.U, m1, forced_r=r)
-        sct2 = hyh.signcrypt(config, alice.d, bob.U, m2, forced_r=r)
-        report.log("staging", shared_ephemeral=True, same_R=sct1.R == sct2.R)
+    shared = config.mode == hyh.PAPER
+    if shared:
+        _, (sct1, sct2) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (m1, m2))
     else:
-        sct1 = hyh.signcrypt(config, alice.d, bob.U, m1, rng_seed=rng)
-        sct2 = hyh.signcrypt(config, alice.d, bob.U, m2, rng_seed=rng)
-        report.log("staging", shared_ephemeral=False, same_R=sct1.R == sct2.R)
+        sct1, sct2 = (hyh.signcrypt(config, alice.d, bob.U, m, rng_seed=rng)
+                      for m in (m1, m2))
+    report.log("staging", shared_ephemeral=shared, same_R=sct1.R == sct2.R)
     result = attacks.nonce_reuse_recover(sct1.C, sct2.C, m1)
     report.success = result.m2 == m2
     report.log("xor_recovery", recovered=result.m2.hex(), exact=report.success)
@@ -111,9 +128,8 @@ def scenario_invalid_curve(config: SchemeConfig, seed: int) -> AttackReport:
 def scenario_uks(config: SchemeConfig, seed: int) -> AttackReport:
     rng = random.Random(seed)
     alice, bob = _keys(config, rng)
-    return attacks.uks_scenario(
-        config, alice, bob, "Mallory", b"quarterly figures attached",
-        rng_seed=seed, strict_ca=config.mode == hyh.STRICT)
+    return attacks.uks_scenario(config, alice, bob, "Mallory",
+                                b"quarterly figures attached", rng_seed=seed)
 
 
 def scenario_forward_secrecy(config: SchemeConfig, seed: int) -> AttackReport:
@@ -213,9 +229,12 @@ def load_params(path: str | None) -> CurveParams:
     return _load(path, fixtures.params_from_dict)
 
 
-def _load_private(path: str) -> int:
-    return _load(path, lambda obj: int(obj["d"], 16),
-                 'expected a private key file {{"d": hex}}')
+def _load_private(path: str, n: int) -> int:
+    d = _load(path, lambda obj: int(obj["d"], 16),
+              'expected a private key file {{"d": hex}}')
+    if not 1 <= d < n:
+        raise CliError(f"{path}: private key out of range [1, n-1]")
+    return d
 
 
 def _public_key(obj: dict) -> Point:
@@ -281,7 +300,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_signcrypt(args) -> int:
     config = _config(args)
-    d_a = _load_private(args.key)
+    d_a = _load_private(args.key, config.params.n)
     u_b = _load_public(args.peer)
     message = _read_bytes(args.infile)
     forced_r = int(args.force_r, 16) if args.force_r else None
@@ -294,7 +313,7 @@ def cmd_signcrypt(args) -> int:
 
 def cmd_unsigncrypt(args) -> int:
     config = _config(args)
-    d_b = _load_private(args.key)
+    d_b = _load_private(args.key, config.params.n)
     u_a = _load_public(args.peer)
     sct = _load_sct(args.infile)
     message = hyh.unsigncrypt(config, d_b, u_a, sct)
@@ -335,8 +354,7 @@ def cmd_attack(args) -> int:
         report = attack()
     except attacks.EphemeralMismatch as exc:
         raise CliError(str(exc)) from None
-    report.wall_time = time.monotonic() - t0
-    _emit_report(args, report)
+    _emit_report(args, report, time.monotonic() - t0)
     return 0 if report.success else 1
 
 
@@ -350,16 +368,18 @@ def _ephemeral_from_files(args, config: SchemeConfig):
         _load_public(args.recipient_pub), sct, int(args.r, 16))
 
 
-def _emit_report(args, report: AttackReport):
+def _emit_report(args, report: AttackReport, wall_time: float):
+    """The report as JSON, or as text with the wall time, which the JSON
+    leaves out so it stays reproducible."""
     lines = [f"attack:  {report.attack_name}",
              f"success: {report.success}",
              f"oracle queries: {report.oracle_queries}",
-             f"wall time: {report.wall_time:.3f}s"]
+             f"wall time: {wall_time:.3f}s"]
     for k, v in report.recovered_secrets.items():
         lines.append(f"recovered {k} = {v}")
     for event in report.transcript:
         lines.append("  " + json.dumps(event, sort_keys=True))
-    _emit(args, report.to_dict(), lines)
+    _emit(args, dataclasses.asdict(report), lines)
 
 
 def cmd_demo_all(args) -> int:

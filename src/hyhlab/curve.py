@@ -80,19 +80,6 @@ class CurveParams:
             raise ValueError("curve coefficients must be reduced mod q")
 
 
-@dataclass(frozen=True)
-class ValidationVerdict:
-    """Outcome of public-key validation; lists every failed condition."""
-
-    failed: tuple[str, ...] = ()
-    #: condition labels: "a" = not identity, "b" = field-element format,
-    #: "c" = satisfies the curve equation
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-
 def negate(params: CurveParams, P: Point) -> Point:
     if P is None:
         return None
@@ -284,19 +271,21 @@ def is_on_curve(params: CurveParams, P: Point) -> bool:
     return (y * y - (x * x * x + params.a * x + params.b)) % params.q == 0
 
 
-def validate_public_key(params: CurveParams, U: Point) -> ValidationVerdict:
-    """The three-part public key check: U != O, coordinate format, curve
-    equation. All failures are reported, none raises."""
-    failed = []
+def validate_public_key(params: CurveParams, U: Point) -> tuple[str, ...]:
+    """The three-part public key check, as the labels of the conditions U
+    fails, () when it passes: "a" U != O, "b" coordinates that are field
+    elements, "c" the curve equation. All failures are reported, none
+    raises."""
     if U is None:
-        return ValidationVerdict(failed=("a",))
+        return ("a",)
     x, y = U
+    failed = ()
     if not (isinstance(x, int) and isinstance(y, int)
             and 0 <= x < params.q and 0 <= y < params.q):
-        failed.append("b")
+        failed += ("b",)
     if not is_on_curve(params, U):
-        failed.append("c")
-    return ValidationVerdict(failed=tuple(failed))
+        failed += ("c",)
+    return failed
 
 
 def count_points(params: CurveParams, bound: int = DEFAULT_COUNT_BOUND) -> int:

@@ -229,7 +229,7 @@ def _has_order_n(config: SchemeConfig, P: Point) -> bool:
 def _valid_of_order_n(config: SchemeConfig, P: Point) -> bool:
     """Strict mode's check of a peer's point (an ephemeral R, U_A, U_B):
     it passes ``validate_public_key`` and has order n."""
-    return validate_public_key(config.params, P).ok and _has_order_n(config, P)
+    return not validate_public_key(config.params, P) and _has_order_n(config, P)
 
 
 def recipient_shared_point(config: SchemeConfig, d_b: int,
@@ -288,7 +288,7 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
     if not 1 <= d_a < n:
         raise ValueError("sender secret out of range")
     if config.mode == STRICT and not _valid_of_order_n(config, u_b):
-        failed = validate_public_key(params, u_b).failed
+        failed = validate_public_key(params, u_b)
         raise InvalidRecipientKey(
             f"recipient key failed validation ({','.join(failed) or 'order'})"
         )

@@ -8,7 +8,7 @@ q is below the counting bound.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import curve as cv
 from .numtheory import is_prime
@@ -55,10 +55,7 @@ class ParamReport:
     def to_dict(self) -> dict:
         return {
             "overall": self.overall,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

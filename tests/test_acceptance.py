@@ -165,9 +165,9 @@ def test_6_unknown_key_share(paper20):
     bob_view = next(e for e in report.transcript
                     if e["event"] == "bob_unsigncrypted")
     alice_view = next(e for e in report.transcript if e["event"] == "alice_sent")
-    blocked = attacks.uks_scenario(paper20, alice, bob, "Mallory",
-                                   b"the figures", rng_seed=1006,
-                                   strict_ca=True)
+    strict20 = SchemeConfig(params=paper20.params, mode=STRICT)
+    blocked = attacks.uks_scenario(strict20, alice, bob, "Mallory",
+                                   b"the figures", rng_seed=1006)
     verdict(6, "unknown key-share", (
         report.success
         and bob_view["believed_sender"] == "Mallory"

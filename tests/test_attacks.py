@@ -237,61 +237,55 @@ class TestToyCA:
     def test_paper_ca_binds_someone_elses_key(self, paper16, keys16):
         alice, _ = keys16
         registry = attacks.CertRegistry(paper16, rng_seed=1)
-        cert = attacks.ca_issue(registry, "Mallory", alice.U,
-                                check_possession=False)
+        cert = attacks.ca_issue(registry, "Mallory", alice.U)
         assert cert.subject_identity == "Mallory"
         assert cert.public_key == alice.U
         assert attacks.cert_validate(registry, cert)
 
     def test_paper_ca_signs_off_curve_point(self, paper16):
         registry = attacks.CertRegistry(paper16, rng_seed=1)
-        cert = attacks.ca_issue(registry, "Mallory", (5, 6),
-                                check_possession=False)
+        cert = attacks.ca_issue(registry, "Mallory", (5, 6))
         assert attacks.cert_validate(registry, cert)
 
-    def test_strict_ca_rejects_off_curve_point(self, paper16):
-        registry = attacks.CertRegistry(paper16, rng_seed=1)
+    def test_strict_ca_rejects_off_curve_point(self, strict16):
+        registry = attacks.CertRegistry(strict16, rng_seed=1)
         with pytest.raises(attacks.InvalidPublicKey):
-            attacks.ca_issue(registry, "Mallory", (5, 6), check_possession=True)
+            attacks.ca_issue(registry, "Mallory", (5, 6))
 
-    def test_strict_ca_requires_possession_proof(self, paper16, keys16):
+    def test_strict_ca_requires_possession_proof(self, strict16, keys16):
         alice, _ = keys16
-        registry = attacks.CertRegistry(paper16, rng_seed=1)
+        registry = attacks.CertRegistry(strict16, rng_seed=1)
         with pytest.raises(attacks.PossessionProofInvalid):
-            attacks.ca_issue(registry, "Mallory", alice.U, check_possession=True)
+            attacks.ca_issue(registry, "Mallory", alice.U)
         # proof under the wrong identity also fails
-        proof = attacks.make_possession_proof(paper16, alice, "Alice")
+        proof = attacks.make_possession_proof(strict16, alice, "Alice")
         with pytest.raises(attacks.PossessionProofInvalid):
-            attacks.ca_issue(registry, "Mallory", alice.U,
-                             check_possession=True, possession_proof=proof)
+            attacks.ca_issue(registry, "Mallory", alice.U, possession_proof=proof)
 
-    def test_strict_ca_accepts_genuine_applicant(self, paper16, keys16):
+    def test_strict_ca_accepts_genuine_applicant(self, strict16, keys16):
         alice, _ = keys16
-        registry = attacks.CertRegistry(paper16, rng_seed=1)
-        proof = attacks.make_possession_proof(paper16, alice, "Alice")
-        cert = attacks.ca_issue(registry, "Alice", alice.U,
-                                check_possession=True, possession_proof=proof)
+        registry = attacks.CertRegistry(strict16, rng_seed=1)
+        proof = attacks.make_possession_proof(strict16, alice, "Alice")
+        cert = attacks.ca_issue(registry, "Alice", alice.U, possession_proof=proof)
         assert attacks.cert_validate(registry, cert)
 
     def test_forged_signature_detected(self, paper16, keys16):
         alice, _ = keys16
         registry = attacks.CertRegistry(paper16, rng_seed=1)
-        cert = attacks.ca_issue(registry, "Alice", alice.U,
-                                check_possession=False)
+        cert = attacks.ca_issue(registry, "Alice", alice.U)
         forged = attacks.Certificate(
             subject_identity="Eve", public_key=alice.U,
             ca_signature=cert.ca_signature)
         assert not attacks.cert_validate(registry, forged)
 
-    @pytest.mark.parametrize("mode", [PAPER, STRICT])
-    def test_unreduced_proof_point_refused(self, f23_n7, mode):
+    def test_unreduced_proof_point_refused(self, f23_n7):
         # the proof's R = (132, 248) reduces to (17, 18), whose x is that of
         # c*U; point_add compared the unreduced x's and divided by zero
-        config = SchemeConfig(params=f23_n7, mode=mode)
+        config = SchemeConfig(params=f23_n7, mode=STRICT)
         registry = attacks.CertRegistry(config, rng_seed=1)
         key = hyh.keypair_from_secret(config, 3).U
         with pytest.raises(attacks.PossessionProofInvalid):
-            attacks.ca_issue(registry, "Mallory", key, check_possession=True,
+            attacks.ca_issue(registry, "Mallory", key,
                              possession_proof=bytes.fromhex("84f8cf"))
 
 
@@ -330,11 +324,10 @@ class TestUksScenario:
         alice_view = next(e for e in report.transcript if e["event"] == "alice_sent")
         assert alice_view["believed_recipient"] == "Bob"
 
-    def test_strict_ca_blocks(self, paper16, keys16):
+    def test_strict_ca_blocks(self, strict16, keys16):
         alice, bob = keys16
-        report = attacks.uks_scenario(paper16, alice, bob, "Mallory",
-                                      b"board minutes", rng_seed=2,
-                                      strict_ca=True)
+        report = attacks.uks_scenario(strict16, alice, bob, "Mallory",
+                                      b"board minutes", rng_seed=2)
         assert not report.success
         assert any(e["event"] == "certification_blocked" for e in report.transcript)
 

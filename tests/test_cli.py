@@ -371,6 +371,18 @@ class TestWireFileRefusals:
         assert rc == 2 and captured.out == ""
         assert captured.err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("d", [-3, 0, "n"])
+    @pytest.mark.parametrize("command", ["signcrypt", "unsigncrypt"])
+    @pytest.mark.parametrize("mode", ["paper", "strict"])
+    def test_private_key_out_of_range(self, capsys, wire_files, mode, command, d):
+        d = fixtures.load(fixtures.TOY16).n if d == "n" else d
+        Path("d.json").write_text(json.dumps({"d": f"{d:x}"}))
+        rc = cli.main(["--params", "params.json", "--mode", mode, command,
+                       "--key", "d.json", "--peer", "peer.json", "--in", "in.json"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: d.json: private key out of range [1, n-1]\n"
+
 
 class TestAttackCommands:
     @pytest.mark.parametrize("name", cli.ATTACK_NAMES)
@@ -515,6 +527,14 @@ class TestDegenerateBasePoint:
 
 
 class TestDemoAll:
+    @pytest.mark.parametrize("name", [
+        fixtures.GOOD, fixtures.TOY16, fixtures.F23_N7, fixtures.SECP160R1,
+        *fixtures.BAD_FIXTURES])
+    def test_default_seed_exit_code(self, capsys, tmp_path, name):
+        # a composite n is refused; every other bundled set runs its table
+        rc, _ = run(capsys, "--params", params_file(tmp_path, name), "demo", "all")
+        assert rc == (2 if name == fixtures.COMPOSITE_N else 0)
+
     def test_mode_duality(self, capsys, toy_params_file):
         rc, out = run(capsys, "--params", toy_params_file, "--seed", "5",
                       "demo", "all")

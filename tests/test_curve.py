@@ -363,20 +363,19 @@ class TestIsOnCurve:
 
 class TestValidatePublicKey:
     def test_identity_fails_a(self, f23):
-        assert cv.validate_public_key(f23, None).failed == ("a",)
+        assert cv.validate_public_key(f23, None) == ("a",)
 
     def test_out_of_range_fails_b(self, f23):
-        verdict = cv.validate_public_key(f23, (23 + 3, 1))
-        assert "b" in verdict.failed
+        assert "b" in cv.validate_public_key(f23, (23 + 3, 1))
 
     def test_off_curve_fails_c(self, f23):
-        assert cv.validate_public_key(f23, (0, 2)).failed == ("c",)
+        assert cv.validate_public_key(f23, (0, 2)) == ("c",)
 
     def test_honest_keys_pass(self, f23):
         for d in range(1, 28):
             U = cv.scalar_mul(f23, d, (0, 1))
             if U is not None:
-                assert cv.validate_public_key(f23, U).ok
+                assert cv.validate_public_key(f23, U) == ()
 
 
 class TestCountPoints:
@@ -541,7 +540,7 @@ class TestValidatedParams:
     def test_all_multiples_validate(self, f23_n7):
         for d in range(1, f23_n7.n):
             U = cv.scalar_mul(f23_n7, d, f23_n7.G)
-            assert cv.validate_public_key(f23_n7, U).ok
+            assert cv.validate_public_key(f23_n7, U) == ()
 
 
 @settings(max_examples=40)
