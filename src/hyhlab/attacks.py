@@ -7,6 +7,14 @@ mis-generated secret the scenario assumes, and returns an AttackReport whose
 against their public counterparts. Nothing here is simulated by peeking at
 the victim's state: if the report says a private key was recovered, the key
 was recomputed from the attacker's view and verified via d*G == U.
+
+An attack that fails reports it: ``success`` stays False and the transcript
+says where the attack stopped. An attack raises only when the inputs it is
+handed contradict the public data, as a claimed r that does not give R
+(``EphemeralMismatch``) or a leaked key and plaintext that do not give R
+(``ConsistencyFailure``), or when the domain parameters admit no attack at
+all, as a composite n with no inverse where the key formula needs one
+(``NotInvertible``).
 """
 
 import functools
@@ -57,14 +65,6 @@ class QueryBudgetExceeded(RuntimeError):
 
 class OracleRejection(RuntimeError):
     """Confirmation oracle refused the query (strict-mode validation)."""
-
-
-class ResidueNotFound(RuntimeError):
-    """MAC brute force exhausted the coset without a match."""
-
-
-class CandidateNotFound(RuntimeError):
-    """No CRT sign combination reproduced the victim's public key."""
 
 
 class PossessionProofInvalid(ValueError):
@@ -119,33 +119,23 @@ def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
 
 # --- finding 2 / Eq-style XOR linearity -------------------------------------
 
-@dataclass(frozen=True)
-class NonceReuseResult:
-    """Output of the two-ciphertext XOR attack.
-
-    m2 is exact when both messages have the same length; with differing
-    ciphertext lengths only the overlapping prefix is recoverable and
-    length_mismatch is set. tag_xor is the XOR of the two trailing tags and
-    only lines up when the lengths agree.
-    """
-
-    m2: bytes
-    tag_xor: bytes | None
-    length_mismatch: bool
-
-
-def nonce_reuse_recover(c1: bytes, c2: bytes, m1: bytes) -> NonceReuseResult:
-    """Given two ciphertexts produced under the same ephemeral scalar and the
+def nonce_reuse_recover(config: SchemeConfig, sct1: SigncryptedText,
+                        sct2: SigncryptedText, m1: bytes) -> AttackReport:
+    """Given two triples signcrypted under the same ephemeral scalar and the
     first plaintext, strip the shared keystream: C1 XOR C2 = (M1 XOR M2) ||
-    (tag1 XOR tag2), so M2 falls out with no key material at all."""
-    mismatch = len(c1) != len(c2)
-    overlap = min(len(m1), len(c2) - TAG_LEN, len(c1) - TAG_LEN)
-    if overlap < 0:
-        raise ValueError("ciphertext shorter than a tag")
-    xored = xor_bytes(c1, c2)
-    m2 = xor_bytes(xored[:overlap], m1)
-    tag_xor = None if mismatch else xored[-TAG_LEN:]
-    return NonceReuseResult(m2=m2, tag_xor=tag_xor, length_mismatch=mismatch)
+    (tag1 XOR tag2), so M2 falls out with no key material at all. It is
+    confirmed when H(M1 || s1) XOR H(M2 || s2), both s being public, gives
+    the tag XOR."""
+    report = AttackReport("nonce_reuse_recover", success=False)
+    xored = xor_bytes(sct1.C, sct2.C)
+    m2, tag_xor = xor_bytes(xored[:-TAG_LEN], m1), xored[-TAG_LEN:]
+    tag1 = message_tag(config, m1, sct1.s)
+    report.success = (tag1 is not None and
+                      message_tag(config, m2, sct2.s) == xor_bytes(tag1, tag_xor))
+    report.log("xor_recovery", recovered=m2.hex(), tag_matches=report.success)
+    if report.success:
+        report.recovered_secrets = {"M2": m2.hex(), "tag_xor": tag_xor.hex()}
+    return report
 
 
 # --- finding 5: invalid-curve key recovery ----------------------------------
@@ -212,6 +202,12 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     curves with pairwise coprime orders are then recombined: every sign
     assignment is pushed through the CRT until one candidate reproduces the
     victim's public key.
+
+    The report reads failure when the oracle refuses a point or its budget
+    is spent, when its MAC matches no multiple of the point sent
+    (``residue_not_found``), or when
+    no sign vector reproduces U_B (``no_candidate``), which includes more
+    than ``MAX_SIGN_VECTOR_CURVES`` curves, whose vectors are not tried.
     """
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
@@ -228,34 +224,37 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
         try:
             message, z = oracle.query(hit.G, junk_c, 1)
         except OracleRejection as exc:
-            report.oracle_queries = oracle.queries
             report.log("oracle_rejected", order=hit.n, reason=str(exc))
+            report.log("blocked", reason="recipient validates ephemeral points")
             return report
+        except QueryBudgetExceeded as exc:
+            report.log("budget_spent", order=hit.n, reason=str(exc))
+            return report
+        finally:
+            report.oracle_queries = oracle.queries
         values, trials = _brute_force_coset(config, hit, message, z)
         if not values:
-            raise ResidueNotFound(
-                f"no multiple of the order-{hit.n} point matched the MAC"
-            )
+            report.log("residue_not_found", order=hit.n, mac_trials=trials)
+            return report
         residues.append(Residue(values=values, modulus=hit.n))
         trials_per_curve.append(trials)
         details = {"candidates": list(values)} if len(values) > 1 else {}
         report.log("residue_found", order=hit.n, value=values[0],
                    mac_trials=trials, **details)
-    report.oracle_queries = oracle.queries
 
     d_b = _resolve_signs(params, residues, u_b)
+    sign_vectors = math.prod(len(r.signed()) for r in residues)
     if d_b is None:
-        raise CandidateNotFound("no sign assignment reproduced the public key")
-    report.log("crt_recombined", d_b=_hex(d_b),
-               sign_vectors_max=math.prod(len(r.signed()) for r in residues))
-    report.success = fixed_base_mul(params, d_b, params.G) == u_b
-    if report.success:
-        report.recovered_secrets = {"d_B": _hex(d_b)}
-        report.recovered_secrets["residues"] = ",".join(
-            f"{min(d_b % r.modulus, -d_b % r.modulus)}%{r.modulus}"
-            for r in residues)
-        report.log("mac_trials_total", per_curve=trials_per_curve,
-                   bounds=[h.n // 2 + 1 + h.n % 2 for h in hits])
+        report.log("no_candidate", curves=len(residues),
+                   sign_vectors_max=sign_vectors)
+        return report
+    report.log("crt_recombined", d_b=_hex(d_b), sign_vectors_max=sign_vectors)
+    # _resolve_signs returns only a d_b with d_b*G == U_B
+    report.success = True
+    report.recovered_secrets = {"d_B": _hex(d_b), "residues": ",".join(
+        f"{min(d_b % r.modulus, -d_b % r.modulus)}%{r.modulus}" for r in residues)}
+    report.log("mac_trials_total", per_curve=trials_per_curve,
+               bounds=[h.n // 2 + 1 + h.n % 2 for h in hits])
     return report
 
 
@@ -284,9 +283,9 @@ def _coset_x(hit: CurveParams, half: int):
 
 def _resolve_signs(params: CurveParams, residues: list[Residue],
                    u_b: Point) -> int | None:
+    """The d in [1, n-1] with d*G == U_B that a sign vector gives, or None."""
     if len(residues) > MAX_SIGN_VECTOR_CURVES:
-        raise CandidateNotFound(
-            f"{len(residues)} curves exceed the sign-enumeration bound")
+        return None
     # a private key lies in [1, n-1]; d + n would pass the d*G check as well
     bound = min(math.prod(r.modulus for r in residues), params.n)
     # the negation of every candidate is the candidate of the negated signs
@@ -525,6 +524,8 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport
         if report.success:
             report.recovered_secrets["forged_M"] = plaintext.hex()
 
+    if trace.rejected_at == "ephemeral_point":
+        report.log("blocked", reason="identity ephemeral point rejected")
     return report
 
 

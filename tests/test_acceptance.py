@@ -101,7 +101,10 @@ def test_3_shared_nonce_xor_structure(paper20):
         xored = bytes(a ^ b for a, b in zip(sct1.C, sct2.C))
         if xored != expected:
             ok = False
-        if attacks.nonce_reuse_recover(sct1.C, sct2.C, m1).m2 != m2:
+        report = attacks.nonce_reuse_recover(paper20, sct1, sct2, m1)
+        if not (report.success
+                and report.recovered_secrets["M2"] == m2.hex()
+                and report.recovered_secrets["tag_xor"] == expected[size:].hex()):
             ok = False
     verdict(3, "shared nonce XOR structure", ok, "100/100 byte-exact")
 

@@ -67,11 +67,11 @@ class TestNonceReuseRecover:
             m1 = bytes(rng.randrange(256) for _ in range(size))
             m2 = bytes(rng.randrange(256) for _ in range(size))
             r = rng.randrange(1, paper16.params.n)
-            c1 = hyh.signcrypt(paper16, alice.d, bob.U, m1, forced_r=r).C
-            c2 = hyh.signcrypt(paper16, alice.d, bob.U, m2, forced_r=r).C
-            result = attacks.nonce_reuse_recover(c1, c2, m1)
-            assert not result.length_mismatch
-            assert result.m2 == m2
+            sct1 = hyh.signcrypt(paper16, alice.d, bob.U, m1, forced_r=r)
+            sct2 = hyh.signcrypt(paper16, alice.d, bob.U, m2, forced_r=r)
+            report = attacks.nonce_reuse_recover(paper16, sct1, sct2, m1)
+            assert report.success
+            assert bytes.fromhex(report.recovered_secrets["M2"]) == m2
 
     def test_xor_structure(self, paper16, keys16):
         # C1 xor C2 == (M1 xor M2) || (tag1 xor tag2): the keystream cancels
@@ -85,28 +85,47 @@ class TestNonceReuseRecover:
         tag2 = hyh.hash_bytes(paper16, m2 + hyh.encode_scalar(paper16, sct2.s))
         tag_xor = bytes(a ^ b for a, b in zip(tag1, tag2))
         assert xored == m_xor + tag_xor
-        result = attacks.nonce_reuse_recover(sct1.C, sct2.C, m1)
-        assert result.tag_xor == tag_xor
+        report = attacks.nonce_reuse_recover(paper16, sct1, sct2, m1)
+        assert report.recovered_secrets["tag_xor"] == tag_xor.hex()
 
     def test_involution(self, paper16, keys16):
         alice, bob = keys16
         m1, m2 = b"forward direction ok", b"backward direction o"
-        c1 = hyh.signcrypt(paper16, alice.d, bob.U, m1, forced_r=555).C
-        c2 = hyh.signcrypt(paper16, alice.d, bob.U, m2, forced_r=555).C
-        recovered = attacks.nonce_reuse_recover(c1, c2, m1).m2
-        assert attacks.nonce_reuse_recover(c2, c1, recovered).m2 == m1
+        sct1 = hyh.signcrypt(paper16, alice.d, bob.U, m1, forced_r=555)
+        sct2 = hyh.signcrypt(paper16, alice.d, bob.U, m2, forced_r=555)
+        report = attacks.nonce_reuse_recover(paper16, sct1, sct2, m1)
+        recovered = bytes.fromhex(report.recovered_secrets["M2"])
+        back = attacks.nonce_reuse_recover(paper16, sct2, sct1, recovered)
+        assert back.success
+        assert back.recovered_secrets["M2"] == m1.hex()
 
-    def test_length_mismatch_flagged_with_prefix(self, paper16, keys16):
+    @pytest.mark.parametrize("flip", [None, 0, 19])
+    def test_judged_from_public_data(self, paper16, keys16, flip):
+        # the tags under the public s values decide: an exact M1 lands, and
+        # M1 with one byte flipped recovers an M2 whose tag does not fit
         alice, bob = keys16
-        m1 = b"short one"
-        m2 = b"a much longer second message"
-        c1 = hyh.signcrypt(paper16, alice.d, bob.U, m1, forced_r=444).C
-        c2 = hyh.signcrypt(paper16, alice.d, bob.U, m2, forced_r=444).C
-        result = attacks.nonce_reuse_recover(c1, c2, m1)
-        assert result.length_mismatch
-        assert result.tag_xor is None
-        assert result.m2 == m2[: len(result.m2)]
-        assert len(result.m2) == len(m1)
+        m1, m2 = b"known plaintext, 20B", b"secret plaintext 20B"
+        sct1 = hyh.signcrypt(paper16, alice.d, bob.U, m1, forced_r=4321)
+        sct2 = hyh.signcrypt(paper16, alice.d, bob.U, m2, forced_r=4321)
+        known = bytearray(m1)
+        if flip is not None:
+            known[flip] ^= 1
+        report = attacks.nonce_reuse_recover(paper16, sct1, sct2, bytes(known))
+        [event] = report.transcript
+        assert event["event"] == "xor_recovery"
+        assert report.success is event["tag_matches"] is (flip is None)
+        assert (bytes.fromhex(event["recovered"]) == m2) is (flip is None)
+        assert bool(report.recovered_secrets) is (flip is None)
+
+    def test_fresh_ephemerals_fail(self, paper16, keys16):
+        alice, bob = keys16
+        m1, m2 = b"first of two, 18 B.", b"second of two, 18 B"
+        sct1 = hyh.signcrypt(paper16, alice.d, bob.U, m1, forced_r=1001)
+        sct2 = hyh.signcrypt(paper16, alice.d, bob.U, m2, forced_r=1002)
+        report = attacks.nonce_reuse_recover(paper16, sct1, sct2, m1)
+        assert not report.success
+        assert report.transcript[0]["tag_matches"] is False
+        assert report.recovered_secrets == {}
 
 
 class TestConfirmationOracle:
@@ -203,6 +222,19 @@ class TestInvalidCurveAttack:
         assert report.success
         assert int(report.recovered_secrets["d_B"], 16) == bob.d
 
+    def test_spent_budget_reported(self, paper16, keys16):
+        _, bob = keys16
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it",
+                                            query_budget=2)
+        # a low order bound needs more curves than the budget allows
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle,
+                                              rng_seed=3, small_order_bound=64)
+        assert report.success is False and report.oracle_queries == 2
+        events = [e["event"] for e in report.transcript]
+        assert events == ["invalid_curves_found", "residue_found",
+                          "residue_found", "budget_spent"]
+        assert report.transcript[-1]["reason"] == "budget of 2 queries spent"
+
     def test_strict_victim_blocks_at_first_query(self, toy16, keys16):
         strict = SchemeConfig(params=toy16, mode=STRICT)
         bob = hyh.keypair_from_secret(strict, 7777)
@@ -221,16 +253,30 @@ class TestInvalidCurveAttack:
                 return message, bytes(len(z))  # never a real MAC
 
         oracle = BrokenOracle(bob.d, paper16, b"got it", query_budget=64)
-        with pytest.raises(attacks.ResidueNotFound):
-            attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
+        assert report.success is False
+        assert report.oracle_queries == 1
+        last = report.transcript[-1]
+        assert last["event"] == "residue_not_found"
+        curves = report.transcript[0]
+        assert last["order"] == curves["orders"][0]
+        assert last["mac_trials"] == last["order"] // 2 + 1 + last["order"] % 2
+        assert report.recovered_secrets == {}
 
     def test_wrong_victim_oracle_detected(self, paper16, keys16):
         # residues extracted from one key can never recombine into another:
         # the CRT candidates all fail the public-key verification
         alice, bob = keys16
         oracle = attacks.ConfirmationOracle(alice.d, paper16, b"got it")
-        with pytest.raises(attacks.CandidateNotFound):
-            attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
+        assert report.success is False
+        last = report.transcript[-1]
+        assert last["event"] == "no_candidate"
+        curves = report.transcript[0]
+        assert last["curves"] == len(curves["orders"]) == report.oracle_queries
+        assert not any(e["event"] in ("crt_recombined", "blocked")
+                       for e in report.transcript)
+        assert report.recovered_secrets == {}
 
 
 class TestToyCA:

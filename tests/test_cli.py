@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hyhlab import cli, curve, fixtures, hyh
+from hyhlab import attacks, cli, curve, fixtures, hyh
 from hyhlab.hyh import SchemeConfig
 
 
@@ -470,6 +470,59 @@ class TestAttackCommands:
         assert event["event"] == "not_staged"
         bound = curve.DEFAULT_COUNT_BOUND
         assert event["reason"].endswith(f"exceeds counting bound {bound}")
+
+    @staticmethod
+    def _toy16_with_n(tmp_path, n):
+        obj = json.loads(fixtures.fixture_text(fixtures.TOY16))
+        obj["n"] = f"{n:x}"
+        path = tmp_path / "toy16_big_n.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["paper", "strict"])
+    def test_invalid_curve_search_budget_not_staged(self, capsys, tmp_path, mode):
+        # 64 curves of toy16 give small orders whose product stays below
+        # n = 2^1000 + 1, so the search gives up before any query
+        path = self._toy16_with_n(tmp_path, (1 << 1000) + 1)
+        rc = cli.main(["--params", path, "--mode", mode, "attack",
+                       "invalid-curve", "--self-stage"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert rc == 1 and captured.err == ""
+        assert not report["success"] and report["oracle_queries"] == 0
+        [event] = report["transcript"]
+        assert event["event"] == "not_staged"
+        assert event["reason"].startswith("product of small orders only reached")
+
+    def test_invalid_curve_without_candidate_is_not_blocked(self, capsys, tmp_path):
+        # n = 2^340 + 1 takes more curves than the sign vectors are tried
+        # for; the recipient refused nothing, so no blocked event
+        path = self._toy16_with_n(tmp_path, (1 << 340) + 1)
+        rc = cli.main(["--params", path, "attack", "invalid-curve",
+                       "--self-stage"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert rc == 1 and captured.err == ""
+        assert not report["success"] and report["recovered_secrets"] == {}
+        events = [e["event"] for e in report["transcript"]]
+        assert "blocked" not in events and "oracle_rejected" not in events
+        last = report["transcript"][-1]
+        assert last["event"] == "no_candidate"
+        assert last["curves"] == report["oracle_queries"]
+        assert last["curves"] > attacks.MAX_SIGN_VECTOR_CURVES
+
+    @pytest.mark.parametrize("name, seed", [("ephemeral", 9),
+                                            ("forward-secrecy", 3)])
+    def test_strict_leak_staging_reports_blocked(self, capsys, tmp_path, name, seed):
+        # on the 7-point group a guessed r or d_A is right at these seeds;
+        # strict mode stages no leak, so no guess is run and none can land
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
+                      "--mode", "strict", "--seed", str(seed),
+                      "attack", name, "--self-stage")
+        report = json.loads(out)
+        assert rc == 1 and report["success"] is False
+        assert [e["event"] for e in report["transcript"]] == ["staging", "blocked"]
+        assert report["transcript"][1]["reason"].startswith("no misuse staged")
 
     def test_non_staged_without_inputs_is_config_error(self, capsys,
                                                        toy_params_file):
