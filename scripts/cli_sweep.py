@@ -3,13 +3,16 @@
 
 Runs ``hyhlab.cli.main`` in-process on every bundled parameter fixture and
 seeds 0, 1, 2, 3, 5, 11 and 42: ``demo all``, then each attack with
-``--self-stage`` in paper and in strict mode (819 runs). Output is JSON, so
-no wall time is printed. Each run prints one line,
+``--self-stage`` in paper and in strict mode (819 runs), and then
+``params validate`` once per fixture (9 runs). Output is JSON, so no wall
+time is printed. Each run prints one line,
 
     <sha256 of exit code, stdout, stderr> <fixture> <argv>
 
-and the last line is a digest over all runs. An exception that escapes
-``main`` is a result too: its type and message stand in for the exit code.
+and each of the two groups ends in a digest over its runs: ``all runs``
+for the attack corpus, a name older outputs share, and ``params validate
+runs``. An exception that escapes ``main`` is a result too: its type and
+message stand in for the exit code.
 
 hyhlab is imported from PYTHONPATH, and the script takes no options, so
 the same file run against two checkouts compares with diff:
@@ -46,23 +49,29 @@ def run(argv: list[str]) -> str:
 
 def main():
     bundled = resources.files("hyhlab") / "fixtures"
-    total = hashlib.sha256()
+    names = sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json"))
+    attack_runs = []
+    for name in names:
+        for seed in SEEDS:
+            attack_runs.append((name, ["--seed", str(seed), "demo", "all"]))
+            attack_runs += [(name, ["--seed", str(seed), "--mode", mode, "attack",
+                                    attack, "--self-stage"])
+                            for attack in cli.ATTACK_NAMES for mode in ("paper", "strict")]
+    validate_runs = [(name, ["params", "validate"]) for name in names]
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name in sorted(p.name for p in bundled.iterdir() if p.name.endswith(".json")):
+        for name in names:
             # a relative --params path keeps the checkout out of the output
             with open(name, "wb") as fh:
                 fh.write((bundled / name).read_bytes())
-            fixture = name.removesuffix(".json")
-            for seed in SEEDS:
-                runs = [["--seed", str(seed), "demo", "all"]]
-                runs += [["--seed", str(seed), "--mode", mode, "attack", attack,
-                          "--self-stage"]
-                         for attack in cli.ATTACK_NAMES for mode in ("paper", "strict")]
-                for argv in runs:
-                    line = f"{run(['--params', name, *argv])} {fixture} {' '.join(argv)}"
-                    print(line)
-                    total.update(line.encode() + b"\n")
-    print(f"{total.hexdigest()} all runs")
+        for runs, label in ((attack_runs, "all runs"),
+                            (validate_runs, "params validate runs")):
+            total = hashlib.sha256()
+            for name, argv in runs:
+                fixture = name.removesuffix(".json")
+                line = f"{run(['--params', name, *argv])} {fixture} {' '.join(argv)}"
+                print(line)
+                total.update(line.encode() + b"\n")
+            print(f"{total.hexdigest()} {label}")
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ from .hyh import (
 from .numtheory import crt_combine, mod_inverse
 
 MAX_SIGN_VECTOR_CURVES = 24
+QUERY_BUDGET = 64
 
 
 class EphemeralMismatch(ValueError):
@@ -153,20 +154,19 @@ class ConfirmationOracle:
     the shared point from the incoming ephemeral point and, whatever C and s
     hold, returns the confirmation message with its MAC under the session
     key. A strict-mode recipient refuses in that step exactly what
-    ``hyh.unsigncrypt_trace`` refuses there.
+    ``hyh.unsigncrypt_trace`` refuses there. It answers at most
+    ``QUERY_BUDGET`` queries.
     """
 
-    def __init__(self, d_b: int, config: SchemeConfig,
-                 confirmation_message: bytes, query_budget: int = 64):
+    def __init__(self, d_b: int, config: SchemeConfig, confirmation_message: bytes):
         self._d_b = d_b
         self.config = config
         self.confirmation_message = confirmation_message
-        self.query_budget = query_budget
         self.queries = 0
 
     def query(self, W: Point, C: bytes, s: int) -> tuple[bytes, bytes]:
-        if self.queries >= self.query_budget:
-            raise QueryBudgetExceeded(f"budget of {self.query_budget} queries spent")
+        if self.queries >= QUERY_BUDGET:
+            raise QueryBudgetExceeded(f"budget of {QUERY_BUDGET} queries spent")
         self.queries += 1
         K, refused = hyh.recipient_shared_point(self.config, self._d_b, W)
         if refused:
@@ -191,8 +191,7 @@ class Residue:
 
 
 def invalid_curve_attack(config: SchemeConfig, u_b: Point,
-                         oracle: ConfirmationOracle, rng_seed: int,
-                         small_order_bound: int = 1 << 14) -> AttackReport:
+                         oracle: ConfirmationOracle, rng_seed: int) -> AttackReport:
     """Recover the recipient's long-term key via small-order points.
 
     For each curve sharing a with the real one but with a different b, a
@@ -211,8 +210,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     """
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
-    hits = find_invalid_curves(params, rng_seed,
-                               small_order_bound=small_order_bound)
+    hits = find_invalid_curves(params, rng_seed)
     report.log("invalid_curves_found",
                orders=[h.n for h in hits],
                b_values=[_hex(h.b) for h in hits])
@@ -505,9 +503,8 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport
     s = rng.randrange(1, n)
     sct = SigncryptedText(R=None, C=message + message_tag(config, message, s), s=s)
     trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
-    report.success = (trace.decrypt_attempted and trace.session_key_x == 0
-                      and trace.message_region == message)
-    report.log("identity_ephemeral", decrypt_attempted=trace.decrypt_attempted,
+    report.success = trace.session_key_x == 0 and trace.message_region == message
+    report.log("identity_ephemeral", decrypt_attempted=trace.session_key_x is not None,
                rejected_at=trace.rejected_at,
                session_key_x=trace.session_key_x,
                plaintext_read_back_verbatim=report.success,

@@ -44,6 +44,10 @@ _COMB_TABLES = 16
 # before it gives up.
 _COUNT_TRIES = 64
 
+# The largest small order find_invalid_curves takes, and the curves it tries.
+_SMALL_ORDER_BOUND = 1 << 14
+_INVALID_CURVE_CANDIDATES = 64
+
 
 class CurveTooLarge(ValueError):
     """Field at or beyond the point-counting bound."""
@@ -141,10 +145,10 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     The rule for callers: every point that ``hyh`` or ``attacks``
     multiplies goes through here: G, the keys, and each message's R, whose
     table serves both d_B*R and s*R. ``scalar_mul`` is for the one-off
-    multiples inside ``curve`` and ``paramcheck``. ``hyh.keypair_from_secret``
-    builds the table of each key it makes, so a key's first message costs
-    what the later ones do. Every round trip uses the tables of G, U_A and
-    U_B, so a stream of fresh R's through the LRU cache evicts only R's.
+    multiples inside ``curve`` and ``paramcheck``. A table is built on its
+    point's first multiplication. Every round trip uses the tables of G,
+    U_A and U_B, so a stream of fresh R's through the LRU cache evicts
+    only R's.
 
     Lim-Lee comb of width w = 6 (CRYPTO 1994). With d = ceil(bitlen(n)/w),
     a k < 2^(w*d) is cut into w d-bit rows k_0..k_(w-1), k = sum
@@ -288,7 +292,7 @@ def validate_public_key(params: CurveParams, U: Point) -> tuple[str, ...]:
     return failed
 
 
-def count_points(params: CurveParams, bound: int = DEFAULT_COUNT_BOUND) -> int:
+def count_points(params: CurveParams) -> int:
     """#E(F_q) including O, by Shanks-Mestre baby-step giant-step.
 
     Each random point P, on E or on its quadratic twist, contributes its
@@ -300,12 +304,12 @@ def count_points(params: CurveParams, bound: int = DEFAULT_COUNT_BOUND) -> int:
     work it does depend on the curve alone. Fields with q <= 229, where
     that N need not be unique, are enumerated (count_points_exhaustive).
 
-    Raises CurveTooLarge for q >= bound, and ValueError for a composite q or
-    a singular curve, which have no Hasse window to search.
+    Raises CurveTooLarge for q >= DEFAULT_COUNT_BOUND, and ValueError for a
+    composite q or a singular curve, which have no Hasse window to search.
     """
     q, a, b = params.q, params.a, params.b
-    if q >= bound:
-        raise CurveTooLarge(f"q = {q} exceeds counting bound {bound}")
+    if q >= DEFAULT_COUNT_BOUND:
+        raise CurveTooLarge(f"q = {q} exceeds counting bound {DEFAULT_COUNT_BOUND}")
     if not is_prime(q):
         raise ValueError(f"cannot count points: q = {q} is not prime")
     if (4 * a ** 3 + 27 * b * b) % q == 0:
@@ -428,9 +432,7 @@ def find_point_of_order(params: CurveParams, g: int, group_order: int,
     raise SearchBudgetExceeded(f"no point of order {g} found in {_SEARCH_TRIES} tries")
 
 
-def find_invalid_curves(params: CurveParams, rng_seed: int,
-                        small_order_bound: int = 1 << 14,
-                        max_candidates: int = 64) -> list[CurveParams]:
+def find_invalid_curves(params: CurveParams, rng_seed: int) -> list[CurveParams]:
     """Curves differing from params only in b, each with a base point G of
     small prime order n and cofactor h = #E'/n, the orders pairwise coprime
     with product above params.n.
@@ -445,7 +447,7 @@ def find_invalid_curves(params: CurveParams, rng_seed: int,
     rng = random.Random(rng_seed)
     hits: list[CurveParams] = []
     product = 1
-    for step in range(1, max_candidates + 1):
+    for step in range(1, _INVALID_CURVE_CANDIDATES + 1):
         b2 = (params.b + step) % params.q
         if b2 == params.b:
             continue
@@ -455,7 +457,7 @@ def find_invalid_curves(params: CurveParams, rng_seed: int,
         order2 = count_points(candidate)
         usable = [
             g for g in numtheory.factor(order2)
-            if g <= small_order_bound and product % g
+            if g <= _SMALL_ORDER_BOUND and product % g
         ]
         if not usable:
             continue
@@ -466,6 +468,5 @@ def find_invalid_curves(params: CurveParams, rng_seed: int,
         product *= g
         if product > params.n:
             return hits
-    raise SearchBudgetExceeded(
-        f"product of small orders only reached {product} after {max_candidates} curves"
-    )
+    raise SearchBudgetExceeded(f"product of small orders only reached {product} "
+                               f"after {_INVALID_CURVE_CANDIDATES} curves")

@@ -39,7 +39,6 @@ from . import paramcheck
 from .curve import (
     CurveParams,
     Point,
-    _comb_table,
     fixed_base_mul,
     point_add,
     validate_public_key,
@@ -261,16 +260,12 @@ def gen(config: SchemeConfig, rng_seed: int | random.Random | None = None) -> Ke
 
 
 def keypair_from_secret(config: SchemeConfig, d: int) -> KeyPair:
-    """d, U = d*G. Every message to or from the key multiplies U, so its
-    comb table is built here, with the key, and not inside its first
-    message."""
+    """d, U = d*G. U's comb table is built by its first multiplication, in
+    the first message to or from the key."""
     params = config.params
     if not 1 <= d < params.n:
         raise ValueError("secret scalar out of range")
-    U = fixed_base_mul(params, d, params.G)
-    if U is not None:
-        _comb_table(params, U)
-    return KeyPair(d=d, U=U)
+    return KeyPair(d=d, U=fixed_base_mul(params, d, params.G))
 
 
 def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
@@ -319,12 +314,13 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
 class UnsigncryptTrace:
     """Step-by-step record of one unsigncryption. Lab instrument only: the
     protocol-facing result is collapsed to message-or-nothing by
-    ``unsigncrypt`` so rejection reasons never leak to a peer."""
+    ``unsigncrypt`` so rejection reasons never leak to a peer.
 
-    accepted: bool
+    The triple was accepted when ``message`` is not None, and decrypted at
+    all when ``session_key_x`` is not None."""
+
     message: bytes | None
     rejected_at: str | None
-    decrypt_attempted: bool
     message_region: bytes | None = None
     session_key_x: int | None = None
     tag_ok: bool | None = None
@@ -335,10 +331,10 @@ def unsigncrypt_trace(config: SchemeConfig, d_b: int, u_a: Point,
                       sct: SigncryptedText) -> UnsigncryptTrace:
     R, C, s = sct.R, sct.C, sct.s
     if len(C) < TAG_LEN + 1:
-        return UnsigncryptTrace(False, None, "length", decrypt_attempted=False)
+        return UnsigncryptTrace(None, "length")
     K, refused = recipient_shared_point(config, d_b, R)
     if refused:
-        return UnsigncryptTrace(False, None, refused, decrypt_attempted=False)
+        return UnsigncryptTrace(None, refused)
     x_k = x_coord(K)
     message, tag = open_ciphertext(config, x_k, C)
     e, state = _hash_message(config, message)
@@ -346,10 +342,8 @@ def unsigncrypt_trace(config: SchemeConfig, d_b: int, u_a: Point,
     sig_ok = _verify_equation(config, u_a, e, R, s)
     accepted = tag_ok and sig_ok
     return UnsigncryptTrace(
-        accepted=accepted,
         message=message if accepted else None,
         rejected_at=None if accepted else ("tag" if not tag_ok else "signature"),
-        decrypt_attempted=True,
         message_region=message,
         session_key_x=x_k,
         tag_ok=tag_ok,

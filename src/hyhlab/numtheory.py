@@ -193,7 +193,7 @@ def _pollard_rho(n: int, budget: int, rng: random.Random) -> int:
         return g
 
 
-def factor(n: int, budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
+def factor(n: int) -> dict[int, int]:
     """Full prime factorization as {prime: exponent}. factor(1) == {}."""
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -214,7 +214,7 @@ def factor(n: int, budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, budget, rng)
+        d = _pollard_rho(m, DEFAULT_RHO_BUDGET, rng)
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(factors.items()))

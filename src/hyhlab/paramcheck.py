@@ -59,12 +59,12 @@ class ParamReport:
         }
 
 
-def mov_embedding_degree(q: int, n: int, f: int = DEFAULT_MOV_ROUNDS) -> int | None:
-    """Smallest i <= f with q^i = 1 (mod n), or None if there is none."""
+def mov_embedding_degree(q: int, n: int) -> int | None:
+    """Smallest i <= DEFAULT_MOV_ROUNDS with q^i = 1 (mod n), or None."""
     if n < 2:
         raise ValueError("n must be >= 2")
     acc = 1
-    for i in range(1, f + 1):
+    for i in range(1, DEFAULT_MOV_ROUNDS + 1):
         acc = acc * q % n
         if acc == 1:
             return i
@@ -77,13 +77,11 @@ def _hasse_holds(q: int, group_order: int) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def validate_domain_params(params: cv.CurveParams,
-                           count_budget: int = cv.DEFAULT_COUNT_BOUND) -> ParamReport:
+def validate_domain_params(params: cv.CurveParams) -> ParamReport:
     """Run the full nine-check battery against a parameter set.
 
-    count_budget is the bound on q below which the point count cross-checks
-    the claimed h*n; pass 0 to skip the cross-check entirely. Reports are
-    cached, as the validator is pure.
+    Below q = ``curve.DEFAULT_COUNT_BOUND`` a point count cross-checks the
+    claimed h*n. Reports are cached, as the validator is pure.
     """
     q, a, b, G, n, h = params.q, params.a, params.b, params.G, params.n, params.h
     results = []
@@ -130,8 +128,8 @@ def validate_domain_params(params: cv.CurveParams,
         t = q + 1 - group_order
         if not _hasse_holds(q, group_order):
             return False, f"h*n = {group_order} outside the Hasse interval"
-        if count_budget and q < count_budget:
-            counted = cv.count_points(params, bound=count_budget)
+        if q < cv.DEFAULT_COUNT_BOUND:
+            counted = cv.count_points(params)
             if counted != group_order:
                 return False, f"h*n = {group_order} but #E = {counted}"
         if t % q == 0:

@@ -147,12 +147,14 @@ class TestConfirmationOracle:
 
     def test_query_budget(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"x",
-                                            query_budget=5)
-        for _ in range(5):
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"x")
+        assert attacks.QUERY_BUDGET == 64
+        for _ in range(64):
             oracle.query(None, bytes(33), 1)
-        with pytest.raises(attacks.QueryBudgetExceeded):
+        with pytest.raises(attacks.QueryBudgetExceeded,
+                           match="^budget of 64 queries spent$"):
             oracle.query(None, bytes(33), 1)
+        assert oracle.queries == 64
 
     def test_strict_oracle_rejects_invalid_points(self, strict16):
         bob = hyh.keypair_from_secret(strict16, 1234)
@@ -179,7 +181,7 @@ class TestConfirmationOracle:
             trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
             oracle = attacks.ConfirmationOracle(bob.d, config, b"x")
             if mode == PAPER:
-                assert trace.decrypt_attempted
+                assert trace.session_key_x is not None
                 oracle.query(W, sct.C, sct.s)
             else:
                 assert trace.rejected_at == "ephemeral_point"
@@ -203,37 +205,37 @@ class TestInvalidCurveAttack:
                       if e["event"] == "invalid_curves_found")
         assert report.oracle_queries == len(curves["orders"])
 
-    def test_residues_and_trial_bounds(self, paper16, keys16):
-        _, bob = keys16
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it",
-                                            query_budget=128)
-        # a low order bound forces several curves through the CRT
-        report = attacks.invalid_curve_attack(paper16, bob.U, oracle,
-                                              rng_seed=3, small_order_bound=64)
+    def test_residues_and_trial_bounds(self, good_params):
+        config = SchemeConfig(params=good_params)
+        bob = hyh.keypair_from_secret(config, 5678)
+        oracle = attacks.ConfirmationOracle(bob.d, config, b"got it")
+        # params_good's search at seed 7 sends three curves through the CRT
+        report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=7)
         found = [e for e in report.transcript if e["event"] == "residue_found"]
-        assert len(found) >= 3
+        assert [e["order"] for e in found] == [3, 631, 197]
         product = 1
         for entry in found:
             g, j, trials = entry["order"], entry["value"], entry["mac_trials"]
             assert trials <= g // 2 + 1 + g % 2
             assert (j * j - bob.d * bob.d) % g == 0
             product *= g
-        assert product > paper16.params.n
+        assert product > good_params.n
         assert report.success
         assert int(report.recovered_secrets["d_B"], 16) == bob.d
 
     def test_spent_budget_reported(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it",
-                                            query_budget=2)
-        # a low order bound needs more curves than the budget allows
-        report = attacks.invalid_curve_attack(paper16, bob.U, oracle,
-                                              rng_seed=3, small_order_bound=64)
-        assert report.success is False and report.oracle_queries == 2
+        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it")
+        # two queries are left, and toy16's search needs three curves
+        for _ in range(attacks.QUERY_BUDGET - 2):
+            oracle.query(None, bytes(33), 1)
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=3)
+        assert report.transcript[0]["orders"] == [2, 911, 10847]
+        assert report.success is False and report.oracle_queries == 64
         events = [e["event"] for e in report.transcript]
         assert events == ["invalid_curves_found", "residue_found",
                           "residue_found", "budget_spent"]
-        assert report.transcript[-1]["reason"] == "budget of 2 queries spent"
+        assert report.transcript[-1]["reason"] == "budget of 64 queries spent"
 
     def test_strict_victim_blocks_at_first_query(self, toy16, keys16):
         strict = SchemeConfig(params=toy16, mode=STRICT)
@@ -252,7 +254,7 @@ class TestInvalidCurveAttack:
                 message, z = super().query(W, C, s)
                 return message, bytes(len(z))  # never a real MAC
 
-        oracle = BrokenOracle(bob.d, paper16, b"got it", query_budget=64)
+        oracle = BrokenOracle(bob.d, paper16, b"got it")
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
         assert report.success is False
         assert report.oracle_queries == 1
@@ -466,4 +468,4 @@ class TestDegenerateKeyDemo:
         alice = hyh.keypair_from_secret(paper16, 3)
         sct = SigncryptedText(R=W, C=bytes(40), s=1)
         trace = hyh.unsigncrypt_trace(paper16, bob.d, alice.U, sct)
-        assert trace.decrypt_attempted and trace.session_key_x == 0
+        assert trace.session_key_x == 0

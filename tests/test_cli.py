@@ -405,7 +405,10 @@ class TestAttackCommands:
         assert rc == 0
         assert "d_A" in json.loads(out)["recovered_secrets"]
 
-    def test_ephemeral_from_files(self, capsys, tmp_path, toy_params_file):
+    @staticmethod
+    def _ephemeral_from_files(capsys, tmp_path, toy_params_file, r):
+        """Exit code, stdout and stderr of ``attack ephemeral`` with the
+        leaked scalar r on a triple signcrypted under r = abc."""
         alice_priv = tmp_path / "alice.key"
         rc, out = run(capsys, "--params", toy_params_file, "--seed", "1",
                       "--out", str(alice_priv), "keygen")
@@ -419,12 +422,24 @@ class TestAttackCommands:
                     "--peer", str(tmp_path / "bob.key.pub"),
                     "--in", str(message), "--force-r", "abc")
         assert rc == 0
-        rc, out = run(capsys, "--params", toy_params_file, "attack", "ephemeral",
-                      "--sct", str(sct), "--r", "abc",
-                      "--sender-pub", str(alice_priv) + ".pub",
-                      "--recipient-pub", str(tmp_path / "bob.key.pub"))
+        rc = cli.main(["--params", toy_params_file, "attack", "ephemeral",
+                       "--sct", str(sct), "--r", r,
+                       "--sender-pub", str(alice_priv) + ".pub",
+                       "--recipient-pub", str(tmp_path / "bob.key.pub")])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_ephemeral_from_files(self, capsys, tmp_path, toy_params_file):
+        rc, out, _ = self._ephemeral_from_files(capsys, tmp_path, toy_params_file,
+                                                "abc")
         assert rc == 0
         assert json.loads(out)["success"] is True
+
+    def test_ephemeral_from_files_wrong_r(self, capsys, tmp_path, toy_params_file):
+        rc, out, err = self._ephemeral_from_files(capsys, tmp_path,
+                                                  toy_params_file, "abd")
+        assert (rc, out) == (2, "")
+        assert err == "error: r*G does not match the transmitted R\n"
 
     def test_invalid_curve_strict_notes_blocking(self, capsys, toy_params_file):
         rc, out = run(capsys, "--params", toy_params_file, "--mode", "strict",

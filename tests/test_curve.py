@@ -528,8 +528,10 @@ class TestFindInvalidCurves:
             cv.find_invalid_curves(dataclasses.replace(toy16, n=1), rng_seed=1)
 
     def test_candidate_budget(self, toy16):
-        with pytest.raises(cv.SearchBudgetExceeded):
-            cv.find_invalid_curves(toy16, rng_seed=1, max_candidates=1)
+        # the small orders of 64 toy16 curves stay below n = 2^1000 + 1
+        huge_n = dataclasses.replace(toy16, n=(1 << 1000) + 1)
+        with pytest.raises(cv.SearchBudgetExceeded, match="after 64 curves$"):
+            cv.find_invalid_curves(huge_n, rng_seed=1)
 
 
 class TestValidatedParams:

@@ -364,7 +364,7 @@ class TestUnsigncrypt:
         alice, bob = keys16
         sct = SigncryptedText(R=None, C=bytes(40), s=1)
         trace = hyh.unsigncrypt_trace(strict16, bob.d, alice.U, sct)
-        assert not trace.accepted and not trace.decrypt_attempted
+        assert trace.message is None and trace.session_key_x is None
         assert trace.rejected_at == "ephemeral_point"
 
     def test_strict_rejects_off_curve_ephemeral(self, strict16, keys16):
@@ -392,12 +392,12 @@ class TestUnsigncrypt:
         alice, bob = keys16
         sct = hyh.signcrypt(config, alice.d, bob.U, b"payload", rng_seed=8)
         trace = hyh.unsigncrypt_trace(config, toy16.n, alice.U, sct)
-        assert not trace.accepted
+        assert trace.message is None
         if mode == STRICT:
             assert trace.rejected_at == "shared_point_identity"
-            assert not trace.decrypt_attempted
+            assert trace.session_key_x is None
         else:
-            assert trace.decrypt_attempted and trace.session_key_x == 0
+            assert trace.session_key_x == 0
             assert trace.rejected_at == "tag"
 
     def test_paper_mode_decrypts_identity_ephemeral(self, paper16, keys16):
@@ -405,7 +405,6 @@ class TestUnsigncrypt:
         body = b"visible through the zero keystream"
         sct = SigncryptedText(R=None, C=body + bytes(32), s=1)
         trace = hyh.unsigncrypt_trace(paper16, bob.d, alice.U, sct)
-        assert trace.decrypt_attempted
         assert trace.session_key_x == 0
         assert trace.message_region == body
 
@@ -419,7 +418,7 @@ class TestUnsigncrypt:
         honest = hyh.signcrypt(config, alice.d, bob.U, b"payload", rng_seed=8)
         sct = SigncryptedText(R=honest.R, C=honest.C, s=s)
         trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
-        assert not trace.accepted and trace.rejected_at == "tag"
+        assert trace.message is None and trace.rejected_at == "tag"
         assert hyh.unsigncrypt(config, bob.d, alice.U, sct) is None
 
 
@@ -562,20 +561,22 @@ class TestOrderCheck:
 
 
 class TestCombTables:
-    """The comb tables a round trip needs: a key pair brings its own, each
-    message builds one for its R, and the tables of G and of the keys stay
-    cached however many peer keys and ephemerals come and go."""
+    """The comb tables a round trip needs: a key's table is built by its
+    first message, each message builds one for its R, and the tables of G
+    and of the keys stay cached however many peer keys and ephemerals come
+    and go."""
 
-    def test_key_pairs_bring_their_tables(self, good_params):
+    def test_key_tables_built_on_first_use(self, good_params):
         config = SchemeConfig(params=good_params)
         cv._comb_table.cache_clear()
         alice = hyh.keypair_from_secret(config, 1234)
         bob = hyh.keypair_from_secret(config, 5678)
-        assert cv._comb_table.cache_info().misses == 3   # G, U_A, U_B
+        assert cv._comb_table.cache_info().misses == 1   # G
         for seed in (1, 2):
             sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=seed)
             assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
-            # d_B*R builds R's table and s*R finds it
+            # the first message builds U_B's and U_A's tables; d_B*R builds
+            # R's and s*R finds it
             assert cv._comb_table.cache_info().misses == 3 + seed
 
     def test_peer_keys_do_not_evict_g(self, good_params):
@@ -587,7 +588,7 @@ class TestCombTables:
         for d in range(2, 42):
             U = cv.scalar_mul(good_params, d, good_params.G)
             hyh.signcrypt(config, alice.d, U, b"m", rng_seed=d)
-        assert cv._comb_table.cache_info().misses == 2 + 40
+        assert cv._comb_table.cache_info().misses == 1 + 40
 
     @pytest.mark.parametrize("mode", [PAPER, STRICT])
     def test_fresh_ephemerals_do_not_evict_keys(self, good_params, mode):
@@ -626,7 +627,7 @@ class TestSenderKeyCheck:
         assert trace.tag_ok
         if mode == PAPER:
             assert hyh.public_verify(config, u_a, m, sct.R, sct.s)
-            assert trace.accepted and trace.message == m
+            assert trace.message == m
         else:
             assert not hyh.public_verify(config, u_a, m, sct.R, sct.s)
             assert trace.rejected_at == "signature"
@@ -662,7 +663,7 @@ class TestHostileEphemeral:
                                           SigncryptedText(R=R, C=C, s=s))
             assert trace.session_key_x == x_k and trace.tag_ok
             assert trace.signature_ok is signature_ok
-            assert trace.accepted is signature_ok
+            assert (trace.message == m) is signature_ok
 
 
 class TestWireFormat:

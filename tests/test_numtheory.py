@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -143,4 +144,4 @@ class TestFactor:
         # a 120-bit semiprime cannot fall to a starved rho budget
         p, q = 2**61 - 1, 2**61 + 15  # both prime
         with pytest.raises(nt.FactoringBudgetExceeded):
-            nt.factor(p * q, budget=4)
+            nt._pollard_rho(p * q, 4, random.Random(0xFAC70))

@@ -5,6 +5,7 @@ from hyhlab import fixtures
 from hyhlab import numtheory as nt
 from hyhlab.paramcheck import (
     CHECK_NAMES,
+    DEFAULT_MOV_ROUNDS,
     mov_embedding_degree,
     validate_domain_params,
 )
@@ -12,19 +13,22 @@ from hyhlab.paramcheck import (
 
 class TestMovEmbeddingDegree:
     def test_examples(self):
-        assert mov_embedding_degree(23, 3, 20) == 2   # 23 = 2, 23^2 = 529 = 1 mod 3
-        assert mov_embedding_degree(23, 2, 20) == 1   # odd q is 1 mod 2
-        assert mov_embedding_degree(23, 7, 2) is None  # 2, 4: no unit yet
+        assert mov_embedding_degree(23, 3) == 2   # 23 = 2, 23^2 = 529 = 1 mod 3
+        assert mov_embedding_degree(23, 2) == 1   # odd q is 1 mod 2
+        # 2 has order 23 mod 47, beyond the 20 rounds
+        assert DEFAULT_MOV_ROUNDS == 20
+        assert mov_embedding_degree(2, 47) is None
+        assert (2 ** 23 - 1) % 47 == 0
 
     def test_result_divides(self):
         for q, n in [(23, 7), (131, 13), (1048573, 10909)]:
-            i = mov_embedding_degree(q, n, 40)
+            i = mov_embedding_degree(q, n)
             if i is not None:
                 assert (q**i - 1) % n == 0
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
-            mov_embedding_degree(23, 1, 20)
+            mov_embedding_degree(23, 1)
 
 
 class TestReportShape:
@@ -91,16 +95,22 @@ class TestSingleCheckCorruptions:
                                    b=good_params.b, G=good_params.G,
                                    n=good_params.n, h=good_params.h)
         assert not nt.is_prime(corrupted.q)
-        report = validate_domain_params(corrupted, count_budget=0)
+        report = validate_domain_params(corrupted)
         assert "q_prime" in report.failed_names()
+        assert not report["not_supersingular"].passed
+        assert report["not_supersingular"].detail == (
+            f"check aborted: cannot count points: q = {corrupted.q} is not prime")
 
     def test_singular_curve(self, toy16):
         # the cusp y^2 = x^3: smooth points form the additive group F_q^+
         cusp = cv.CurveParams(q=toy16.q, a=0, b=0, G=(1, 1), n=toy16.q, h=1)
-        report = validate_domain_params(cusp, count_budget=0)
+        report = validate_domain_params(cusp)
         assert "nonsingular" in report.failed_names()
         # the additive structure still annihilates G at the field order
         assert report["n_annihilates_g"].passed
+        assert not report["not_supersingular"].passed
+        assert report["not_supersingular"].detail == (
+            "check aborted: cannot count points: the curve is singular")
 
     def test_base_point_missing_flips_only_that(self, good_params):
         corrupted = cv.CurveParams(q=good_params.q, a=good_params.a,
@@ -115,19 +125,19 @@ class TestSingleCheckCorruptions:
         report = validate_domain_params(fixture)
         assert report.failed_names() == ["n_prime"]
 
-    def test_wrong_n_flips_only_annihilation(self, good_params):
+    def test_wrong_n_flips_annihilation_and_count(self, good_params):
+        # n - 6 is prime and h*(n - 6) lies in the Hasse window, so only
+        # n*G and the point count refute it
         q, n, h = good_params.q, good_params.n, good_params.h
-        for delta in range(-40, 41):
-            n2 = n + delta
-            t = q + 1 - h * n2
-            if n2 == n or not nt.is_prime(n2) or t * t > 4 * q:
-                continue
-            corrupted = cv.CurveParams(q=q, a=good_params.a, b=good_params.b,
-                                       G=good_params.G, n=n2, h=h)
-            report = validate_domain_params(corrupted, count_budget=0)
-            if report.failed_names() == ["n_annihilates_g"]:
-                return
-        pytest.fail("no nearby prime n' produced the single-check flip")
+        n2 = n - 6
+        t = q + 1 - h * n2
+        assert nt.is_prime(n2) and t * t <= 4 * q
+        corrupted = cv.CurveParams(q=q, a=good_params.a, b=good_params.b,
+                                   G=good_params.G, n=n2, h=h)
+        report = validate_domain_params(corrupted)
+        assert report.failed_names() == ["n_annihilates_g", "not_supersingular"]
+        assert report["not_supersingular"].detail == \
+            f"h*n = {h * n2} but #E = {h * n}"
 
     def test_small_order_flips_only_bound(self):
         report = validate_domain_params(fixtures.load(fixtures.SMALL_N))
