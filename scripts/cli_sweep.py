@@ -21,7 +21,8 @@ the same file run against two checkouts compares with diff:
     PYTHONPATH=../parent/src python scripts/cli_sweep.py > before.txt
     diff before.txt after.txt
 
-It takes a few seconds.
+It takes a few seconds. tests/test_cli_sweep.py runs it in-process and
+compares its output with tests/golden/cli_sweep.txt.
 """
 
 import contextlib

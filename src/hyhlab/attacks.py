@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 from . import hyh
 from .curve import (
     CurveParams,
+    CurveTooLarge,
     Point,
+    SearchBudgetExceeded,
     find_invalid_curves,
     fixed_base_mul,
     point_add,
-    validate_public_key,
 )
 from .hyh import (
     KeyPair,
@@ -144,7 +145,7 @@ def nonce_reuse_recover(config: SchemeConfig, sct1: SigncryptedText,
 def confirmation_mac(config: SchemeConfig, x_k: int, message: bytes) -> bytes:
     """Delivery-confirmation tag: HMAC keyed with the session key's
     x-coordinate in fixed-width encoding."""
-    return hmac.new(encode_field(config, x_k), message, config.hash_name).digest()
+    return hmac.new(encode_field(config, x_k), message, "sha256").digest()
 
 
 class ConfirmationOracle:
@@ -202,15 +203,21 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     assignment is pushed through the CRT until one candidate reproduces the
     victim's public key.
 
-    The report reads failure when the oracle refuses a point or its budget
-    is spent, when its MAC matches no multiple of the point sent
-    (``residue_not_found``), or when
-    no sign vector reproduces U_B (``no_candidate``), which includes more
-    than ``MAX_SIGN_VECTOR_CURVES`` curves, whose vectors are not tried.
+    The report reads failure when no invalid curve can be counted at this
+    size, or too few have small orders whose product passes n, so that
+    nothing is sent (``not_staged``); when the oracle refuses a point or its
+    budget is spent; when its MAC matches no multiple of the point sent
+    (``residue_not_found``); or when no sign vector reproduces U_B
+    (``no_candidate``), which includes more than ``MAX_SIGN_VECTOR_CURVES``
+    curves, whose vectors are not tried.
     """
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
-    hits = find_invalid_curves(params, rng_seed)
+    try:
+        hits = find_invalid_curves(params, rng_seed)
+    except (CurveTooLarge, SearchBudgetExceeded) as exc:
+        report.log("not_staged", reason=str(exc))
+        return report
     report.log("invalid_curves_found",
                orders=[h.n for h in hits],
                b_values=[_hex(h.b) for h in hits])
@@ -381,12 +388,13 @@ def ca_issue(registry: CertRegistry, identity: str, public_key: Point,
 
     A paper-mode CA -- the scheme's own operating model -- signs whatever it
     is handed: another party's key, an off-curve point, anything. A
-    strict-mode CA requires the key to validate and the applicant to present
-    a valid signature of possession under that key.
+    strict-mode CA requires the key to pass the check strict mode applies to
+    every peer's point (``hyh.peer_point_failures``) and the applicant to
+    present a valid signature of possession under that key.
     """
     config = registry.config
     if config.mode == hyh.STRICT:
-        failed = validate_public_key(config.params, public_key)
+        failed = hyh.peer_point_failures(config, public_key)
         if failed:
             raise InvalidPublicKey(
                 f"public key failed validation ({','.join(failed)})")
@@ -426,7 +434,7 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
 
     try:
         mallory_cert = ca_issue(registry, mallory_identity, alice.U)
-    except PossessionProofInvalid as exc:
+    except (InvalidPublicKey, PossessionProofInvalid) as exc:
         report.log("certification_blocked", identity=mallory_identity,
                    reason=str(exc))
         return report
@@ -512,7 +520,7 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport
 
     if n <= 1 << 21:  # the forgery needs ~n hash trials
         # R = O and H(M) = 0 mod n zero both sides of the verification equation
-        plaintext = _zero_hash_message(config.hash_name, n, rng_seed)
+        plaintext = _zero_hash_message(n, rng_seed)
         forged = SigncryptedText(R=None, s=1,
                                  C=plaintext + message_tag(config, plaintext, 1))
         accepted = hyh.unsigncrypt(config, bob.d, alice.U, forged) == plaintext
@@ -527,12 +535,12 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport
 
 
 @functools.lru_cache(maxsize=8)
-def _zero_hash_message(hash_name: str, n: int, rng_seed: int) -> bytes:
+def _zero_hash_message(n: int, rng_seed: int) -> bytes:
     """The first b"forged-<seed>-<counter>" with H(M) = 0 mod n. Needs ~n
     hash trials, so it is found once and shared by both modes of a demo;
     each trial copies the hash state of the common prefix."""
     prefix = b"forged-%d-" % rng_seed
-    base = hashlib.new(hash_name, prefix)
+    base = hashlib.sha256(prefix)
     for counter in itertools.count():
         trial = base.copy()
         suffix = b"%d" % counter

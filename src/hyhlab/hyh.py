@@ -18,7 +18,8 @@ only if the tag matches and the public verification equation
 
     s*R == H(M)*G + (x_R mod n)*U_A
 
-holds.
+holds. H is SHA-256 throughout: it gives H(M), the tag and, in the attacks,
+the Schnorr challenges and the confirmation MAC.
 
 Each side hashes M once and XORs it once. One hash state over M gives H(M)
 and, copied and fed the encoding of s, the tag H(M || s). ``xor_keystream``
@@ -69,13 +70,10 @@ class RngFailure(RuntimeError):
 class SchemeConfig:
     params: CurveParams
     mode: str = PAPER
-    hash_name: str = "sha256"
 
     def __post_init__(self):
         if self.mode not in (PAPER, STRICT):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if hashlib.new(self.hash_name).digest_size < TAG_LEN:
-            raise ValueError(f"hash {self.hash_name} is narrower than the tag")
 
     @property
     def scalar_width(self) -> int:
@@ -116,7 +114,8 @@ def x_coord(P: Point) -> int:
 
 
 def hash_bytes(config: SchemeConfig, data: bytes) -> bytes:
-    return hashlib.new(config.hash_name, data).digest()
+    """H(data): SHA-256, for every mode and curve."""
+    return hashlib.sha256(data).digest()
 
 
 def hash_to_scalar(config: SchemeConfig, message: bytes) -> int:
@@ -179,13 +178,13 @@ def message_tag(config: SchemeConfig, message: bytes, s: int) -> bytes | None:
     which case no tag can match it."""
     if not _encodable(config, s):
         return None
-    return hash_bytes(config, message + encode_scalar(config, s))[:TAG_LEN]
+    return hash_bytes(config, message + encode_scalar(config, s))
 
 
 def _hash_message(config: SchemeConfig, message: bytes):
     """H(M) mod n, as ``hash_to_scalar``, with the hash state over M, from
     which ``_tag`` makes H(M || s) without reading M again."""
-    state = hashlib.new(config.hash_name, message)
+    state = hashlib.sha256(message)
     return int.from_bytes(state.digest(), "big") % config.params.n, state
 
 
@@ -195,7 +194,7 @@ def _tag(config: SchemeConfig, state, s: int) -> bytes | None:
         return None
     tagged = state.copy()
     tagged.update(encode_scalar(config, s))
-    return tagged.digest()[:TAG_LEN]
+    return tagged.digest()
 
 
 def open_ciphertext(config: SchemeConfig, x_k: int, C: bytes) -> tuple[bytes, bytes]:
@@ -207,7 +206,7 @@ def open_ciphertext(config: SchemeConfig, x_k: int, C: bytes) -> tuple[bytes, by
 def _has_order_n(config: SchemeConfig, P: Point) -> bool:
     """Whether n*P = O (SEC 1 v2, section 3.2.2.1). Precondition: P has
     passed ``validate_public_key``, so it lies on the curve, as in its one
-    caller ``_valid_of_order_n``; the shortcut below holds only for such
+    caller ``peer_point_failures``; the shortcut below holds only for such
     points.
 
     With h = 1 and domain parameters that pass the validator, the answer is
@@ -225,10 +224,15 @@ def _has_order_n(config: SchemeConfig, P: Point) -> bool:
     return fixed_base_mul(params, params.n, P) is None
 
 
-def _valid_of_order_n(config: SchemeConfig, P: Point) -> bool:
-    """Strict mode's check of a peer's point (an ephemeral R, U_A, U_B):
-    it passes ``validate_public_key`` and has order n."""
-    return not validate_public_key(config.params, P) and _has_order_n(config, P)
+def peer_point_failures(config: SchemeConfig, P: Point) -> tuple[str, ...]:
+    """Strict mode's one check of a peer's point (an ephemeral R, U_A, U_B,
+    a key handed to the CA), as the labels of what P fails, () when it
+    passes: the labels of ``validate_public_key``, or "order" when P passes
+    those but n*P != O."""
+    failed = validate_public_key(config.params, P)
+    if failed or _has_order_n(config, P):
+        return failed
+    return ("order",)
 
 
 def recipient_shared_point(config: SchemeConfig, d_b: int,
@@ -237,7 +241,7 @@ def recipient_shared_point(config: SchemeConfig, d_b: int,
     strict mode refuses. The paper checks nothing here; strict mode refuses
     an R that is not a valid point of order n (``ephemeral_point``) and a K
     that is the identity (``shared_point_identity``)."""
-    if config.mode == STRICT and not _valid_of_order_n(config, R):
+    if config.mode == STRICT and peer_point_failures(config, R):
         return None, "ephemeral_point"
     K = fixed_base_mul(config.params, d_b, R)
     if config.mode == STRICT and K is None:
@@ -282,11 +286,10 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
         raise ValueError("message must be non-empty")
     if not 1 <= d_a < n:
         raise ValueError("sender secret out of range")
-    if config.mode == STRICT and not _valid_of_order_n(config, u_b):
-        failed = validate_public_key(params, u_b)
+    failed = peer_point_failures(config, u_b) if config.mode == STRICT else ()
+    if failed:
         raise InvalidRecipientKey(
-            f"recipient key failed validation ({','.join(failed) or 'order'})"
-        )
+            f"recipient key failed validation ({','.join(failed)})")
     e, state = _hash_message(config, message)
     rng = _rng(rng_seed)
     for _ in range(_RESAMPLE_LIMIT):
@@ -374,7 +377,7 @@ def _verify_equation(config: SchemeConfig, u_a: Point, e: int, R: Point,
     if not _encodable(config, s):
         return False
     if config.mode == STRICT and not (
-            1 <= s < params.n and _valid_of_order_n(config, u_a)):
+            1 <= s < params.n and not peer_point_failures(config, u_a)):
         return False
     lhs = fixed_base_mul(params, s, R)
     rhs = point_add(

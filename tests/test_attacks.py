@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hyhlab import attacks, curve as cv, hyh
+from hyhlab import attacks, curve as cv, fixtures, hyh
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig, SigncryptedText
 
 
@@ -280,6 +280,18 @@ class TestInvalidCurveAttack:
                        for e in report.transcript)
         assert report.recovered_secrets == {}
 
+    def test_not_staged_at_secp160r1(self):
+        # no invalid curve can be counted at q ~ 2^160: the attack reports
+        # that and sends nothing, instead of raising CurveTooLarge
+        config = SchemeConfig(params=fixtures.load(fixtures.SECP160R1))
+        bob = hyh.keypair_from_secret(config, 5678)
+        oracle = attacks.ConfirmationOracle(bob.d, config, b"got it")
+        report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=5)
+        assert report.success is False and report.oracle_queries == 0
+        [event] = report.transcript
+        assert event["event"] == "not_staged"
+        assert event["reason"].endswith(f"exceeds counting bound {cv.DEFAULT_COUNT_BOUND}")
+
 
 class TestToyCA:
     def test_paper_ca_binds_someone_elses_key(self, paper16, keys16):
@@ -299,6 +311,21 @@ class TestToyCA:
         registry = attacks.CertRegistry(strict16, rng_seed=1)
         with pytest.raises(attacks.InvalidPublicKey):
             attacks.ca_issue(registry, "Mallory", (5, 6))
+
+    def test_strict_ca_refuses_small_order_key(self, toy16, strict16):
+        # W has order 2 (toy16 has h = 4) and passes validate_public_key. The
+        # proof R = 1*G, z = 1 verifies, as c = H(R || body) is even here and
+        # c*W = O; strict signcrypt refuses the same W for its order
+        W = cv.find_point_of_order(toy16, 2, toy16.h * toy16.n, rng_seed=0)
+        assert cv.validate_public_key(toy16, W) == ()
+        proof = attacks._point_bytes(strict16, toy16.G) + hyh.encode_scalar(strict16, 1)
+        assert attacks.schnorr_verify(
+            strict16, W, attacks._possession_body(strict16, "mallory", W), proof)
+        registry = attacks.CertRegistry(strict16, rng_seed=1)
+        with pytest.raises(attacks.InvalidPublicKey, match=r"\(order\)"):
+            attacks.ca_issue(registry, "mallory", W, possession_proof=proof)
+        with pytest.raises(hyh.InvalidRecipientKey, match=r"\(order\)"):
+            hyh.signcrypt(strict16, 1, W, b"to mallory")
 
     def test_strict_ca_requires_possession_proof(self, strict16, keys16):
         alice, _ = keys16
@@ -378,6 +405,18 @@ class TestUksScenario:
                                       b"board minutes", rng_seed=2)
         assert not report.success
         assert any(e["event"] == "certification_blocked" for e in report.transcript)
+
+    def test_strict_ca_blocks_invalid_key(self, strict16, keys16):
+        # a key that fails validation is blocked at the CA like a missing
+        # proof, and reported, not raised
+        _, bob = keys16
+        off_curve = hyh.KeyPair(d=1, U=(5, 6))
+        report = attacks.uks_scenario(strict16, off_curve, bob, "Mallory",
+                                      b"board minutes", rng_seed=2)
+        assert not report.success
+        assert report.transcript == [{
+            "event": "certification_blocked", "identity": "Mallory",
+            "reason": "public key failed validation (c)"}]
 
 
 class TestBreakForwardSecrecy:

@@ -634,12 +634,6 @@ class TestDemoAll:
         assert "paper-mode attacks landed: 6/6" in out
         assert "strict-mode attacks landed: 0/6" in out
 
-    @pytest.mark.parametrize("hash_name", ["md5", "nosuch"])
-    def test_bad_hash_refused(self, capsys, toy_params_file, hash_name):
-        rc, out = run(capsys, "--params", toy_params_file, "--hash", hash_name,
-                      "demo", "all")
-        assert (rc, out) == (2, "")
-
     def test_x_zero_collision_seed_runs_to_a_table(self, capsys, tmp_path):
         rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
                       "--seed", "11", "demo", "all")
@@ -671,13 +665,6 @@ class TestDemoAll:
         assert "invalid-curve      n/a      n/a\n" in out
         assert "paper-mode attacks landed: 5/6" in out
         assert rc == 0
-
-    def test_hash_choice_reaches_every_scenario(self, capsys, toy_params_file):
-        rc, out = run(capsys, "--params", toy_params_file, "--hash", "sha512",
-                      "demo", "all")
-        summary = json.loads(out)
-        assert rc == 0
-        assert (summary["paper_successes"], summary["strict_successes"]) == (6, 0)
 
 
 GOLDEN = json.loads(
