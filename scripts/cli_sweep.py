@@ -2,10 +2,10 @@
 """Fingerprint the CLI's attack corpus, so two trees can be compared.
 
 Runs ``hyhlab.cli.main`` in-process on every bundled parameter fixture and
-seeds 0, 1, 2, 3, 5, 11 and 42: ``demo all``, then each attack with
-``--self-stage`` in paper and in strict mode (819 runs), and then
-``params validate`` once per fixture (9 runs). Output is JSON, so no wall
-time is printed. Each run prints one line,
+seeds 0, 1, 2, 3, 5, 11 and 42: ``demo all``, then each attack on the
+victims it stages from the seed, in paper and in strict mode (819 runs),
+and then ``params validate`` once per fixture (9 runs). Output is JSON, so
+no wall time is printed. Each run prints one line,
 
     <sha256 of exit code, stdout, stderr> <fixture> <argv>
 
@@ -56,7 +56,7 @@ def main():
         for seed in SEEDS:
             attack_runs.append((name, ["--seed", str(seed), "demo", "all"]))
             attack_runs += [(name, ["--seed", str(seed), "--mode", mode, "attack",
-                                    attack, "--self-stage"])
+                                    attack])
                             for attack in cli.ATTACK_NAMES for mode in ("paper", "strict")]
     validate_runs = [(name, ["params", "validate"]) for name in names]
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):

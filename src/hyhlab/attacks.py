@@ -51,6 +51,9 @@ from .numtheory import crt_combine, mod_inverse
 
 MAX_SIGN_VECTOR_CURVES = 24
 QUERY_BUDGET = 64
+CONFIRMATION_MESSAGE = b"delivery confirmed"
+MALLORY = "Mallory"
+UKS_MESSAGE = b"quarterly figures attached"
 
 
 class EphemeralMismatch(ValueError):
@@ -152,28 +155,28 @@ class ConfirmationOracle:
     """A simulated recipient that acknowledges every delivery with a MAC.
 
     On each query the recipient takes the unsigncryption step that derives
-    the shared point from the incoming ephemeral point and, whatever C and s
-    hold, returns the confirmation message with its MAC under the session
-    key. A strict-mode recipient refuses in that step exactly what
+    the shared point from the incoming ephemeral point W, the only part of a
+    delivery that step reads, and returns ``CONFIRMATION_MESSAGE`` with its
+    MAC under the session key: what an attacker sees of the reply. A
+    strict-mode recipient refuses in that step exactly what
     ``hyh.unsigncrypt_trace`` refuses there. It answers at most
     ``QUERY_BUDGET`` queries.
     """
 
-    def __init__(self, d_b: int, config: SchemeConfig, confirmation_message: bytes):
+    def __init__(self, d_b: int, config: SchemeConfig):
         self._d_b = d_b
         self.config = config
-        self.confirmation_message = confirmation_message
         self.queries = 0
 
-    def query(self, W: Point, C: bytes, s: int) -> tuple[bytes, bytes]:
+    def query(self, W: Point) -> tuple[bytes, bytes]:
         if self.queries >= QUERY_BUDGET:
             raise QueryBudgetExceeded(f"budget of {QUERY_BUDGET} queries spent")
         self.queries += 1
         K, refused = hyh.recipient_shared_point(self.config, self._d_b, W)
         if refused:
             raise OracleRejection("incoming ephemeral point failed validation")
-        z = confirmation_mac(self.config, x_coord(K), self.confirmation_message)
-        return self.confirmation_message, z
+        z = confirmation_mac(self.config, x_coord(K), CONFIRMATION_MESSAGE)
+        return CONFIRMATION_MESSAGE, z
 
 
 @dataclass(frozen=True)
@@ -224,10 +227,9 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
 
     residues: list[Residue] = []
     trials_per_curve: list[int] = []
-    junk_c = bytes(TAG_LEN + 1)
     for hit in hits:
         try:
-            message, z = oracle.query(hit.G, junk_c, 1)
+            message, z = oracle.query(hit.G)
         except OracleRejection as exc:
             report.log("oracle_rejected", order=hit.n, reason=str(exc))
             report.log("blocked", reason="recipient validates ephemeral points")
@@ -422,43 +424,40 @@ def cert_validate(registry: CertRegistry, cert: Certificate) -> bool:
 # --- finding 6: unknown key-share -------------------------------------------
 
 def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
-                 mallory_identity: str, message: bytes,
                  rng_seed: int = 0) -> AttackReport:
-    """Mallory certifies Alice's public key under his own name and replays
-    her traffic: Bob accepts the message as coming from Mallory while Alice
-    believes she wrote to Bob. Works because the paper-mode CA never asks
-    Mallory to prove he holds the private key for the key he registered;
-    the strict-mode CA does, and refuses him."""
+    """``MALLORY`` certifies Alice's public key under his own name and
+    replays her traffic: Bob accepts ``UKS_MESSAGE`` as coming from Mallory
+    while Alice believes she wrote to Bob. Works because the paper-mode CA
+    never asks Mallory to prove he holds the private key for the key he
+    registered; the strict-mode CA does, and refuses him."""
     report = AttackReport("uks_scenario", success=False)
     registry = CertRegistry(config, rng_seed=rng_seed)
 
     try:
-        mallory_cert = ca_issue(registry, mallory_identity, alice.U)
+        mallory_cert = ca_issue(registry, MALLORY, alice.U)
     except (InvalidPublicKey, PossessionProofInvalid) as exc:
-        report.log("certification_blocked", identity=mallory_identity,
-                   reason=str(exc))
+        report.log("certification_blocked", identity=MALLORY, reason=str(exc))
         return report
-    report.log("certificate_issued", identity=mallory_identity,
+    report.log("certificate_issued", identity=MALLORY,
                bound_key="alice_public_key")
 
-    sct = hyh.signcrypt(config, alice.d, bob.U, message,
+    sct = hyh.signcrypt(config, alice.d, bob.U, UKS_MESSAGE,
                         rng_seed=random.Random(rng_seed ^ 0x5C))
     report.log("alice_sent", sender="Alice", believed_recipient="Bob",
                ciphertext_len=len(sct.C))
-    report.log("mallory_forwarded", claimed_sender=mallory_identity)
+    report.log("mallory_forwarded", claimed_sender=MALLORY)
 
     if not cert_validate(registry, mallory_cert):
         report.log("bob_rejected_certificate")
         return report
     recovered = hyh.unsigncrypt(config, bob.d, mallory_cert.public_key, sct)
-    report.log("bob_unsigncrypted", believed_sender=mallory_identity,
+    report.log("bob_unsigncrypted", believed_sender=MALLORY,
                accepted=recovered is not None)
 
-    report.success = recovered == message
+    report.success = recovered == UKS_MESSAGE
     if report.success:
         report.recovered_secrets = {"M_as_seen_by_bob": recovered.hex()}
-        report.log("views_diverged", alice_thinks="Bob",
-                   bob_thinks=mallory_identity)
+        report.log("views_diverged", alice_thinks="Bob", bob_thinks=MALLORY)
     return report
 
 

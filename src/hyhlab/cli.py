@@ -108,15 +108,14 @@ def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
 def scenario_invalid_curve(config: SchemeConfig, seed: int) -> AttackReport:
     rng = random.Random(seed)
     _, bob = _keys(config, rng)
-    oracle = attacks.ConfirmationOracle(bob.d, config, b"delivery confirmed")
+    oracle = attacks.ConfirmationOracle(bob.d, config)
     return attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=seed)
 
 
 def scenario_uks(config: SchemeConfig, seed: int) -> AttackReport:
     rng = random.Random(seed)
     alice, bob = _keys(config, rng)
-    return attacks.uks_scenario(config, alice, bob, "Mallory",
-                                b"quarterly figures attached", rng_seed=seed)
+    return attacks.uks_scenario(config, alice, bob, rng_seed=seed)
 
 
 def scenario_forward_secrecy(config: SchemeConfig, seed: int) -> AttackReport:
@@ -146,6 +145,7 @@ SCENARIOS = {
     "degenerate-key": scenario_degenerate_key,
 }
 ATTACK_NAMES = tuple(SCENARIOS)
+INTERCEPTED_FLAGS = "--sct/--r/--sender-pub/--recipient-pub"
 
 
 def run_demo_all(params: CurveParams, seed: int) -> dict:
@@ -318,27 +318,24 @@ def cmd_verify(args) -> int:
 
 def cmd_attack(args) -> int:
     config = _config(args)
-    if args.self_stage:
+    intercepted = (args.sct, args.r, args.sender_pub, args.recipient_pub)
+    if intercepted == (None,) * 4:
         attack = functools.partial(SCENARIOS[args.name], config, args.seed)
-    elif args.name == "ephemeral":
-        attack = _ephemeral_from_files(args, config)
+    elif args.name != "ephemeral":
+        raise CliError(f"attack {args.name} takes no intercepted files; "
+                       "it stages its own victims")
+    elif None in intercepted:
+        raise CliError(f"attack ephemeral takes all of {INTERCEPTED_FLAGS} "
+                       "or none")
     else:
-        raise CliError(f"attack {args.name} requires --self-stage "
-                       "(in-process victim staging)")
+        sct = _load_sct(args.sct)
+        attack = functools.partial(
+            attacks.recover_sender_key, config, _load_public(args.sender_pub),
+            _load_public(args.recipient_pub), sct, int(args.r, 16))
     t0 = time.monotonic()
     report = attack()
     _emit_report(args, report, time.monotonic() - t0)
     return 0 if report.success else 1
-
-
-def _ephemeral_from_files(args, config: SchemeConfig):
-    if not (args.sct and args.r and args.sender_pub and args.recipient_pub):
-        raise CliError("attack ephemeral needs --self-stage, or all of "
-                       "--sct/--r/--sender-pub/--recipient-pub")
-    sct = _load_sct(args.sct)
-    return functools.partial(
-        attacks.recover_sender_key, config, _load_public(args.sender_pub),
-        _load_public(args.recipient_pub), sct, int(args.r, 16))
 
 
 def _emit_report(args, report: AttackReport, wall_time: float):
@@ -385,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyhlab",
         description="HYH signcryption lab: run the scheme, validate "
-                    "parameters, and reproduce the attacks.",
+                    "parameters, and reproduce the attacks. The global "
+                    "options --params, --mode, --seed, --out and --format go "
+                    "before the subcommand, as in "
+                    "hyhlab --seed 1 --mode strict attack uks.",
     )
     parser.add_argument("--params", metavar="PATH",
                         help="curve parameter file (default: bundled good set)")
@@ -429,10 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--message", required=True, help="claimed plaintext file")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_atk = sub.add_parser("attack", help="run one attack scenario")
+    p_atk = sub.add_parser(
+        "attack", help="run one attack scenario",
+        description="Run one attack on victims and traffic staged in-process "
+                    "from --seed. attack ephemeral runs on intercepted files "
+                    f"instead when given all of {INTERCEPTED_FLAGS}.")
     p_atk.add_argument("name", choices=ATTACK_NAMES)
-    p_atk.add_argument("--self-stage", action="store_true",
-                       help="generate victims and honest traffic in-process")
     p_atk.add_argument("--sct", help="intercepted signcrypted text file")
     p_atk.add_argument("--r", metavar="HEX", help="leaked ephemeral scalar")
     p_atk.add_argument("--sender-pub", help="sender public key file")

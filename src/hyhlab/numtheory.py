@@ -94,8 +94,9 @@ def legendre(a: int, p: int) -> int:
 def sqrt_mod(a: int, p: int) -> int | None:
     """Smaller square root of a modulo an odd prime p, or None.
 
-    Tonelli-Shanks, with the p % 4 == 3 shortcut. The smaller of the two
-    roots is returned so results are deterministic.
+    Tonelli-Shanks; for p % 4 == 3 its first guess a^((p+1)/4) is the
+    root. The smaller of the two roots is returned so results are
+    deterministic.
     """
     if p < 3 or not is_prime(p):
         raise InvalidModulus(f"{p} is not an odd prime")
@@ -104,10 +105,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
         return 0
     if legendre(a, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-
     # p - 1 = s * 2^e with s odd
     s, e = p - 1, 0
     while s % 2 == 0:

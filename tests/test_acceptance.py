@@ -115,7 +115,7 @@ def test_4_invalid_curve_key_recovery(paper20):
     assert (1 << 16) <= q <= (1 << 20)
     bob = hyh.keypair_from_secret(paper20, random.Random(1004).randrange(
         1, paper20.params.n))
-    oracle = attacks.ConfirmationOracle(bob.d, paper20, b"received")
+    oracle = attacks.ConfirmationOracle(bob.d, paper20)
     report = attacks.invalid_curve_attack(paper20, bob.U, oracle, rng_seed=1004)
     elapsed = time.monotonic() - t0
 
@@ -162,14 +162,12 @@ def test_6_unknown_key_share(paper20):
     n = paper20.params.n
     alice = hyh.keypair_from_secret(paper20, rng.randrange(1, n))
     bob = hyh.keypair_from_secret(paper20, rng.randrange(1, n))
-    report = attacks.uks_scenario(paper20, alice, bob, "Mallory",
-                                  b"the figures", rng_seed=1006)
+    report = attacks.uks_scenario(paper20, alice, bob, rng_seed=1006)
     bob_view = next(e for e in report.transcript
                     if e["event"] == "bob_unsigncrypted")
     alice_view = next(e for e in report.transcript if e["event"] == "alice_sent")
     strict20 = SchemeConfig(params=paper20.params, mode=STRICT)
-    blocked = attacks.uks_scenario(strict20, alice, bob, "Mallory",
-                                   b"the figures", rng_seed=1006)
+    blocked = attacks.uks_scenario(strict20, alice, bob, rng_seed=1006)
     verdict(6, "unknown key-share", (
         report.success
         and bob_view["believed_sender"] == "Mallory"

@@ -133,34 +133,35 @@ class TestConfirmationOracle:
         alice, bob = keys16
         r = 1000
         sct = hyh.signcrypt(paper16, alice.d, bob.U, b"ping", forced_r=r)
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"pong")
-        message, z = oracle.query(sct.R, sct.C, sct.s)
+        oracle = attacks.ConfirmationOracle(bob.d, paper16)
+        message, z = oracle.query(sct.R)
+        assert message == attacks.CONFIRMATION_MESSAGE
         # the legitimate sender derives the same MAC key from r * U_B
         x_k = hyh.x_coord(cv.scalar_mul(paper16.params, r, bob.U))
         assert z == attacks.confirmation_mac(paper16, x_k, message)
 
     def test_identity_point_keys_mac_with_zero(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"pong")
-        message, z = oracle.query(None, bytes(33), 1)
+        oracle = attacks.ConfirmationOracle(bob.d, paper16)
+        message, z = oracle.query(None)
         assert z == attacks.confirmation_mac(paper16, 0, message)
 
     def test_query_budget(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"x")
+        oracle = attacks.ConfirmationOracle(bob.d, paper16)
         assert attacks.QUERY_BUDGET == 64
         for _ in range(64):
-            oracle.query(None, bytes(33), 1)
+            oracle.query(None)
         with pytest.raises(attacks.QueryBudgetExceeded,
                            match="^budget of 64 queries spent$"):
-            oracle.query(None, bytes(33), 1)
+            oracle.query(None)
         assert oracle.queries == 64
 
     def test_strict_oracle_rejects_invalid_points(self, strict16):
         bob = hyh.keypair_from_secret(strict16, 1234)
-        oracle = attacks.ConfirmationOracle(bob.d, strict16, b"x")
+        oracle = attacks.ConfirmationOracle(bob.d, strict16)
         with pytest.raises(attacks.OracleRejection):
-            oracle.query((5, 6), bytes(33), 1)
+            oracle.query((5, 6))
 
     @pytest.mark.parametrize("kind", ["identity", "off_curve", "order_2"])
     def test_refuses_what_strict_unsigncrypt_refuses(self, f23_n7, kind):
@@ -179,27 +180,27 @@ class TestConfirmationOracle:
             alice = hyh.keypair_from_secret(config, 5)
             bob = hyh.keypair_from_secret(config, 3)
             trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
-            oracle = attacks.ConfirmationOracle(bob.d, config, b"x")
+            oracle = attacks.ConfirmationOracle(bob.d, config)
             if mode == PAPER:
                 assert trace.session_key_x is not None
-                oracle.query(W, sct.C, sct.s)
+                oracle.query(W)
             else:
                 assert trace.rejected_at == "ephemeral_point"
                 with pytest.raises(attacks.OracleRejection):
-                    oracle.query(W, sct.C, sct.s)
+                    oracle.query(W)
 
 
 class TestInvalidCurveAttack:
     def test_full_key_recovery(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, paper16)
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
         assert report.success
         assert int(report.recovered_secrets["d_B"], 16) == bob.d
 
     def test_query_count_equals_curve_count(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, paper16)
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
         curves = next(e for e in report.transcript
                       if e["event"] == "invalid_curves_found")
@@ -208,7 +209,7 @@ class TestInvalidCurveAttack:
     def test_residues_and_trial_bounds(self, good_params):
         config = SchemeConfig(params=good_params)
         bob = hyh.keypair_from_secret(config, 5678)
-        oracle = attacks.ConfirmationOracle(bob.d, config, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, config)
         # params_good's search at seed 7 sends three curves through the CRT
         report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=7)
         found = [e for e in report.transcript if e["event"] == "residue_found"]
@@ -225,10 +226,10 @@ class TestInvalidCurveAttack:
 
     def test_spent_budget_reported(self, paper16, keys16):
         _, bob = keys16
-        oracle = attacks.ConfirmationOracle(bob.d, paper16, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, paper16)
         # two queries are left, and toy16's search needs three curves
         for _ in range(attacks.QUERY_BUDGET - 2):
-            oracle.query(None, bytes(33), 1)
+            oracle.query(None)
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=3)
         assert report.transcript[0]["orders"] == [2, 911, 10847]
         assert report.success is False and report.oracle_queries == 64
@@ -240,7 +241,7 @@ class TestInvalidCurveAttack:
     def test_strict_victim_blocks_at_first_query(self, toy16, keys16):
         strict = SchemeConfig(params=toy16, mode=STRICT)
         bob = hyh.keypair_from_secret(strict, 7777)
-        oracle = attacks.ConfirmationOracle(bob.d, strict, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, strict)
         report = attacks.invalid_curve_attack(strict, bob.U, oracle, rng_seed=1)
         assert not report.success
         assert report.oracle_queries == 1
@@ -250,11 +251,11 @@ class TestInvalidCurveAttack:
         _, bob = keys16
 
         class BrokenOracle(attacks.ConfirmationOracle):
-            def query(self, W, C, s):
-                message, z = super().query(W, C, s)
+            def query(self, W):
+                message, z = super().query(W)
                 return message, bytes(len(z))  # never a real MAC
 
-        oracle = BrokenOracle(bob.d, paper16, b"got it")
+        oracle = BrokenOracle(bob.d, paper16)
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
         assert report.success is False
         assert report.oracle_queries == 1
@@ -269,7 +270,7 @@ class TestInvalidCurveAttack:
         # residues extracted from one key can never recombine into another:
         # the CRT candidates all fail the public-key verification
         alice, bob = keys16
-        oracle = attacks.ConfirmationOracle(alice.d, paper16, b"got it")
+        oracle = attacks.ConfirmationOracle(alice.d, paper16)
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
         assert report.success is False
         last = report.transcript[-1]
@@ -285,7 +286,7 @@ class TestInvalidCurveAttack:
         # that and sends nothing, instead of raising CurveTooLarge
         config = SchemeConfig(params=fixtures.load(fixtures.SECP160R1))
         bob = hyh.keypair_from_secret(config, 5678)
-        oracle = attacks.ConfirmationOracle(bob.d, config, b"got it")
+        oracle = attacks.ConfirmationOracle(bob.d, config)
         report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=5)
         assert report.success is False and report.oracle_queries == 0
         [event] = report.transcript
@@ -364,6 +365,22 @@ class TestToyCA:
                              possession_proof=bytes.fromhex("84f8cf"))
 
 
+    def test_proof_point_with_x_equal_to_q_refused(self, f23):
+        # x = q is the first x outside [0, q). G = (0, 1), so R = 1*G has
+        # the twin (q, 1), and z = 1 + c*d satisfies z*G == R + c*U: the
+        # twin would verify if its x were reduced
+        config = SchemeConfig(params=f23)
+        d = 5
+        twin = hyh.encode_field(config, f23.q) + hyh.encode_field(config, 1)
+        c = hyh.hash_to_scalar(config, twin + b"body")
+        z = (1 + c * d) % f23.n
+        U = cv.scalar_mul(f23, d, f23.G)
+        rhs = cv.point_add(f23, f23.G, cv.scalar_mul(f23, c, U))
+        assert rhs == cv.scalar_mul(f23, z, f23.G)
+        signature = twin + hyh.encode_scalar(config, z)
+        assert not attacks.schnorr_verify(config, U, b"body", signature)
+
+
 class _DrawLimit(random.Random):
     """A Random that fails the test past hyh._RESAMPLE_LIMIT draws, where an
     unbounded sampling loop would run forever."""
@@ -390,9 +407,10 @@ def test_schnorr_sign_gives_up_on_a_degenerate_base_point():
 class TestUksScenario:
     def test_views_diverge(self, paper16, keys16):
         alice, bob = keys16
-        report = attacks.uks_scenario(paper16, alice, bob, "Mallory",
-                                      b"board minutes", rng_seed=2)
+        report = attacks.uks_scenario(paper16, alice, bob, rng_seed=2)
         assert report.success
+        assert report.recovered_secrets == {
+            "M_as_seen_by_bob": attacks.UKS_MESSAGE.hex()}
         bob_view = next(e for e in report.transcript
                         if e["event"] == "bob_unsigncrypted")
         assert bob_view["believed_sender"] == "Mallory"
@@ -401,8 +419,7 @@ class TestUksScenario:
 
     def test_strict_ca_blocks(self, strict16, keys16):
         alice, bob = keys16
-        report = attacks.uks_scenario(strict16, alice, bob, "Mallory",
-                                      b"board minutes", rng_seed=2)
+        report = attacks.uks_scenario(strict16, alice, bob, rng_seed=2)
         assert not report.success
         assert any(e["event"] == "certification_blocked" for e in report.transcript)
 
@@ -411,8 +428,7 @@ class TestUksScenario:
         # proof, and reported, not raised
         _, bob = keys16
         off_curve = hyh.KeyPair(d=1, U=(5, 6))
-        report = attacks.uks_scenario(strict16, off_curve, bob, "Mallory",
-                                      b"board minutes", rng_seed=2)
+        report = attacks.uks_scenario(strict16, off_curve, bob, rng_seed=2)
         assert not report.success
         assert report.transcript == [{
             "event": "certification_blocked", "identity": "Mallory",

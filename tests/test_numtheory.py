@@ -62,7 +62,7 @@ class TestSqrtMod:
                 assert got is None
 
     def test_tonelli_branch(self):
-        # p = 1 mod 4 exercises the full algorithm, not the shortcut
+        # p = 1 mod 4 runs Tonelli-Shanks past its first guess
         p = 1000033
         assert p % 4 == 1 and nt.is_prime(p)
         for a in range(2, 60):
