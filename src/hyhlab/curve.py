@@ -7,8 +7,10 @@ coordinates and inverts once, at the end; it agrees with repeated
 ``point_add`` on every input, off-curve points included. ``fixed_base_mul``
 gives the same results from a width-6 Lim-Lee comb; it is the one path by
 which ``hyh`` and ``attacks`` multiply (G, the keys, each message's R). Its
-tables cost two batched inversions each and are kept in a 16-entry cache
-keyed on (params, base mod q). None of them ever checks whether its inputs
+one-block tables cost two batched inversions each and are kept in a
+16-entry cache keyed on (params, base mod q); a base that keeps recurring,
+as G and the long-lived keys do, also earns a table of nine blocks, four of
+which are kept. None of them ever checks whether its inputs
 satisfy the curve equation: the formulas do not involve the coefficient
 ``b``, so they act identically on every curve ``y^2 = x^3 + a*x + b'`` over
 the same field. Validation is a separate, explicit step
@@ -39,6 +41,22 @@ _MESTRE_BOUND = 229
 # Rows of the fixed-base comb, and how many (params, base) tables to keep.
 _COMB_WIDTH = 6
 _COMB_TABLES = 16
+
+# Each b = 1 .. 2^w - 1 as (b less its top bit, the top bit's index), so a
+# comb's T[b] is T[low] plus the row of that bit.
+_COMB_SPLITS = tuple((b ^ 1 << b.bit_length() - 1, b.bit_length() - 1)
+                     for b in range(1, 1 << _COMB_WIDTH))
+
+# A cached base that has served _PROMOTE_AFTER multiplications also gets a
+# comb of up to _PROMOTED_BLOCKS blocks, and the _PROMOTED_TABLES most
+# recently used of those are kept. At secp160r1 the nine-block table (about
+# 125 KiB) takes about 4 ms to build and saves 24 doublings, about 80 us, on
+# each multiplication, so it pays for itself after about 50 more. A base
+# that has served 32 is one that recurs: G and the keys serve one or two
+# multiplications per message, a message's R two or three in all.
+_PROMOTE_AFTER = 32
+_PROMOTED_BLOCKS = 9
+_PROMOTED_TABLES = 4
 
 # Random points count_points may sample, alternately on E and on its twist,
 # before it gives up.
@@ -155,9 +173,20 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     k_j*2^(j*d). Column i of the rows selects T[b] = sum b_j*2^(j*d)*P,
     b_j = bit i of k_j, so k*P costs d Jacobian doublings, at most d mixed
     additions and one inversion. The 2^w - 1 = 63 points T[1..63] are
-    built once per (params, P mod q) and kept in a bounded cache. A larger
-    k, such as an attacker's Schnorr response or a paper-mode s near
-    256^scalar_width, goes to ``scalar_mul``.
+    built on P's first multiplication and kept in a bounded cache.
+
+    Lim and Lee also cut each row into v blocks of e = ceil(d/v) bits, with
+    one such table per block, shifted by 2^(t*e): k*P then costs e
+    doublings and at most v*e additions, from v times the table. So the
+    cache entry counts the multiplications it serves, and a base that
+    reaches ``_PROMOTE_AFTER`` of them also gets v = min(9, d) blocks, if
+    d > 1: at secp160r1, 3 doublings instead of 27. Only the four most
+    recently used promoted tables are kept; a base that loses its own earns
+    it again from a count of zero, and a base evicted from the cache loses
+    its count with its table.
+
+    A larger k, such as an attacker's Schnorr response or a paper-mode s
+    near 256^scalar_width, goes to ``scalar_mul``.
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")
@@ -168,15 +197,31 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
         return scalar_mul(params, k, P)
     q, a = params.q, params.a
     # cached under the residues of P, so unreduced forms share one table
-    table = _comb_table(params, (P[0] % q, P[1] % q))
-    # rows k_(w-1)..k_0 side by side, so column i is every d-th bit from i
-    bits = format(k, f"0{_COMB_WIDTH * d}b")
+    P = (P[0] % q, P[1] % q)
+    comb = _comb_table(params, P)
+    comb.uses += 1
+    if comb.uses == _PROMOTE_AFTER and d > 1:
+        comb.promoted = _comb_blocks(params, P, min(_PROMOTED_BLOCKS, d))
+        _promoted.append(comb)
+        if len(_promoted) > _PROMOTED_TABLES:
+            evicted = _promoted.pop(0)
+            evicted.promoted, evicted.uses = None, 0
+    elif comb.promoted and _promoted[-1] is not comb:
+        _promoted.remove(comb)
+        _promoted.append(comb)
+    blocks = comb.promoted or comb.table
+    e = -(-d // len(blocks))
+    width = len(blocks) * e
+    # rows k_(w-1)..k_0 side by side, so column c of block t is every
+    # width-th bit from i = t*e + c
+    bits = format(k, f"0{_COMB_WIDTH * width}b")
     X, Y, Z = 1, 1, 0
-    for i in range(d):
+    for c in range(e):
         X, Y, Z = _jacobian_double(q, a, X, Y, Z)
-        b = int(bits[i::d], 2)
-        if b:
-            X, Y, Z = _mixed_add(q, a, X, Y, Z, table[b])
+        for i in range(c, width, e):
+            b = int(bits[i::width], 2)
+            if b:
+                X, Y, Z = _mixed_add(q, a, X, Y, Z, blocks[i // e][b])
     return _batch_to_affine(q, [(X, Y, Z)])[0]
 
 
@@ -185,30 +230,61 @@ def _comb_row_bits(params: CurveParams) -> int:
     return -(-params.n.bit_length() // _COMB_WIDTH)
 
 
+_Blocks = tuple[tuple[Point, ...], ...]
+
+
+class _Comb:
+    """A cached base's one-block comb, the multiplications it has served,
+    and its promoted comb while it holds one."""
+
+    __slots__ = ("table", "uses", "promoted")
+
+    def __init__(self, table: _Blocks):
+        self.table = table
+        self.uses = 0
+        self.promoted: _Blocks | None = None
+
+
+# The combs that hold a promoted table, least recently used first.
+_promoted: list[_Comb] = []
+
+
 @functools.lru_cache(maxsize=_COMB_TABLES)
-def _comb_table(params: CurveParams, P: Point) -> tuple[Point, ...]:
-    """T[b] = sum of the 2^(j*d)*P with bit j set in b, for b = 0 .. 2^w - 1.
+def _comb_table(params: CurveParams, P: Point) -> _Comb:
+    """The cache entry of a base P, with its one-block comb."""
+    return _Comb(_comb_blocks(params, P, 1))
+
+
+def _comb_blocks(params: CurveParams, P: Point, v: int) -> _Blocks:
+    """P's comb in v blocks, the highest first. With e = ceil(d/v), block t
+    is T[b] = sum of the 2^(j*v*e + (v-1-t)*e)*P with bit j set in b, for
+    b = 0 .. 2^w - 1; v = 1 gives the rows 2^(j*d)*P.
 
     All of them are multiples of P, so they lie on P's own curve, where the
-    law is a group even when P is off params' curve. The rows 2^(j*d)*P come
-    from Jacobian doublings and the sums from mixed additions; each set goes
-    to affine with one batched inversion, so a table costs two inversions.
-    Every step is taken mod q, so an unreduced P gives the table of its
-    residues."""
+    law is a group even when P is off params' curve. The w*v powers
+    2^(m*e)*P come from Jacobian doublings and the sums from mixed
+    additions; each set goes to affine with one batched inversion, so a
+    table costs two inversions. Every step is taken mod q, so an unreduced
+    P gives the table of its residues."""
     q, a = params.q, params.a
-    d = _comb_row_bits(params)
+    e = -(-_comb_row_bits(params) // v)
     X, Y, Z = P[0], P[1], 1
     doubled = []
-    for _ in range(_COMB_WIDTH - 1):
-        for _ in range(d):
+    for _ in range(_COMB_WIDTH * v - 1):
+        for _ in range(e):
             X, Y, Z = _jacobian_double(q, a, X, Y, Z)
         doubled.append((X, Y, Z))
-    rows = [P, *_batch_to_affine(q, doubled)]
-    sums = [(1, 1, 0)]
-    for b in range(1, 1 << _COMB_WIDTH):
-        top = b.bit_length() - 1
-        sums.append(_mixed_add(q, a, *sums[b ^ (1 << top)], rows[top]))
-    return (None, *_batch_to_affine(q, sums[1:]))
+    powers = [P, *_batch_to_affine(q, doubled)]
+    sums = []
+    for shift in reversed(range(v)):
+        rows = powers[shift::v]
+        block = [(1, 1, 0)]
+        for low, top in _COMB_SPLITS:
+            block.append(_mixed_add(q, a, *block[low], rows[top]))
+        sums += block[1:]
+    flat = _batch_to_affine(q, sums)
+    size = (1 << _COMB_WIDTH) - 1
+    return tuple((None, *flat[i:i + size]) for i in range(0, len(flat), size))
 
 
 def _mixed_add(q: int, a: int, X: int, Y: int, Z: int,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -241,31 +242,111 @@ class TestFixedBaseMul:
         info = cv._comb_table.cache_info()
         assert info.maxsize == 16 and info.currsize == 16
 
+    @pytest.mark.parametrize("base", ["G", "off_curve"])
+    @pytest.mark.parametrize("name", [fixtures.GOOD, fixtures.TOY16, fixtures.SECP160R1])
+    def test_across_the_promotion(self, name, base):
+        # the base serves _PROMOTE_AFTER multiplications from its one-block
+        # table, the last of which builds its promoted one; the count is
+        # shared by the unreduced form, which every other call uses
+        params = fixtures.load(name)
+        q = params.q
+        P = params.G if base == "G" else (q // 3, q // 5)
+        assert base == "G" or not cv.is_on_curve(params, P)
+        cv._comb_table.cache_clear()
+        cv._promoted.clear()
+        rng = random.Random(name)
+        span = comb_span(params)
+        for i in range(1, cv._PROMOTE_AFTER + 8):
+            k = rng.randrange(span) if i % 3 else span - i
+            form = (P[0] + q, P[1]) if i % 2 else P
+            assert cv.fixed_base_mul(params, k, form) == cv.scalar_mul(params, k, P)
+            comb = cv._comb_table(params, P)
+            assert comb.uses == i
+            assert (comb.promoted is not None) == (i >= cv._PROMOTE_AFTER)
+        v = min(cv._PROMOTED_BLOCKS, cv._comb_row_bits(params))
+        assert len(comb.promoted) == v and cv._promoted == [comb]
 
-def reference_comb_table(params, P):
-    """The comb table from the affine law alone: each row is the one before
-    it doubled d times with point_add, and T[b] adds the rows of b's bits
-    in the order _comb_table does."""
-    d = cv._comb_row_bits(params)
-    rows = [P]
-    for _ in range(cv._COMB_WIDTH - 1):
-        R = rows[-1]
-        for _ in range(d):
+    def test_promoted_tables_are_bounded(self, good_params):
+        # six bases each earn a promoted table; the least recently used
+        # ones lose theirs and count again from zero
+        params = good_params
+        cv._comb_table.cache_clear()
+        cv._promoted.clear()
+
+        def serve(P, times):
+            for k in range(1, times + 1):
+                assert cv.fixed_base_mul(params, k, P) == cv.scalar_mul(params, k, P)
+
+        bases = [cv.scalar_mul(params, i, params.G) for i in range(2, 8)]
+        for P in bases:
+            serve(P, cv._PROMOTE_AFTER)
+        combs = [cv._comb_table(params, P) for P in bases]
+        assert cv._promoted == combs[2:]
+        assert [c.promoted is None for c in combs] == [True] * 2 + [False] * 4
+        assert [c.uses for c in combs] == [0] * 2 + [cv._PROMOTE_AFTER] * 4
+        # a multiplication by the oldest promoted base makes it the newest
+        serve(bases[2], 1)
+        assert cv._promoted == [*combs[3:], combs[2]]
+        # and a base that lost its table earns it again
+        serve(bases[0], cv._PROMOTE_AFTER)
+        assert cv._promoted == [*combs[4:], combs[2], combs[0]]
+        assert combs[3].promoted is None
+
+
+def reference_comb_blocks(params, P, v):
+    """The comb in v blocks from the affine law alone. With e = ceil(d/v),
+    each power 2^(m*e)*P is the one before it doubled e times with
+    point_add; block t takes the powers 2^(j*v*e + (v-1-t)*e)*P as its rows,
+    and T[b] adds the rows of b's bits in the order _comb_blocks does."""
+    e = -(-cv._comb_row_bits(params) // v)
+    powers = [P]
+    for _ in range(cv._COMB_WIDTH * v - 1):
+        R = powers[-1]
+        for _ in range(e):
             R = cv.point_add(params, R, R)
-        rows.append(R)
-    table = [None]
-    for b in range(1, 1 << cv._COMB_WIDTH):
-        top = b.bit_length() - 1
-        table.append(cv.point_add(params, table[b ^ (1 << top)], rows[top]))
-    return tuple(table)
+        powers.append(R)
+    blocks = []
+    for shift in reversed(range(v)):
+        rows = powers[shift::v]
+        table = [None]
+        for b in range(1, 1 << cv._COMB_WIDTH):
+            top = b.bit_length() - 1
+            table.append(cv.point_add(params, table[b ^ (1 << top)], rows[top]))
+        blocks.append(tuple(table))
+    return tuple(blocks)
+
+
+@functools.cache
+def comb_coefficients(v, e):
+    """The multiplier of P in each entry of a comb in v blocks of e-bit
+    columns: block t's T[b] is the sum of the 2^(j*v*e + (v-1-t)*e) with
+    bit j set in b."""
+    w = cv._COMB_WIDTH
+    return tuple(tuple(sum(1 << (j * v + v - 1 - t) * e for j in range(w) if b >> j & 1)
+                       for b in range(1 << w))
+                 for t in range(v))
+
+
+def comb_by_definition(params, P, v):
+    """The comb in v blocks entry by entry as c*P, with c from
+    comb_coefficients, read off the multiples of P that repeated point_add
+    gives. It walks the whole group of P, so it is for F_23 only."""
+    multiples, R = [None], P
+    while R is not None:
+        multiples.append(R)
+        R = cv.point_add(params, R, P)
+    e = -(-cv._comb_row_bits(params) // v)
+    return tuple(tuple(multiples[c % len(multiples)] for c in block)
+                 for block in comb_coefficients(v, e))
 
 
 class TestCombTable:
-    """_comb_table, built with Jacobian doublings and mixed additions and
-    two batched inversions, against the affine reference entry by entry.
-    The build is called uncached, so every case builds its own table."""
+    """_comb_blocks, built with Jacobian doublings and mixed additions and
+    two batched inversions, against the affine law entry by entry, in one
+    block and in the blocks of a promoted table. The build is called
+    uncached, so every case builds its own table."""
 
-    build = staticmethod(cv._comb_table.__wrapped__)
+    build = staticmethod(cv._comb_blocks)
 
     @pytest.mark.parametrize("n", [5, 7, 29])
     @pytest.mark.parametrize("a", [0, 1, 22])
@@ -276,10 +357,23 @@ class TestCombTable:
         hit_identity = False
         for x in range(23):
             for y in range(23):
-                table = self.build(params, (x, y))
-                assert table == reference_comb_table(params, (x, y))
-                hit_identity |= None in table[1:]
+                blocks = self.build(params, (x, y), 1)
+                assert blocks == comb_by_definition(params, (x, y), 1)
+                hit_identity |= None in blocks[0][1:]
         assert hit_identity
+
+    @pytest.mark.parametrize("a", [0, 1, 22])
+    def test_every_point_of_f23_promoted(self, a):
+        # nine blocks of e = 1 bit: each base doubled 53 times, and most
+        # chains reach O early. A claimed n of 5, 7 or 29 gives d = 1, so
+        # e = 1 and the same table for all three; n = 29 stands for them
+        params = cv.CurveParams(q=23, a=a, b=1, G=None, n=29, h=1)
+        v = cv._PROMOTED_BLOCKS
+        for x in range(23):
+            for y in range(23):
+                blocks = self.build(params, (x, y), v)
+                assert len(blocks) == v
+                assert blocks == comb_by_definition(params, (x, y), v)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), name=st.sampled_from(ALL_FIXTURES))
@@ -295,7 +389,10 @@ class TestCombTable:
         shift = data.draw(st.tuples(st.sampled_from([0, q, 2 * q]),
                                     st.sampled_from([0, q, 2 * q])))
         unreduced = (P[0] + shift[0], P[1] + shift[1])
-        assert self.build(params, unreduced) == reference_comb_table(params, P)
+        # one block, as built on first use, or as many as promotion builds
+        v = data.draw(st.sampled_from(
+            [1, min(cv._PROMOTED_BLOCKS, cv._comb_row_bits(params))]), label="v")
+        assert self.build(params, unreduced, v) == reference_comb_blocks(params, P, v)
 
 
 def _affine_of(q, X, Y, Z):

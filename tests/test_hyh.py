@@ -592,6 +592,7 @@ class TestCombTables:
         # through 16 entries build 40 tables and never rebuild the keys'
         config = SchemeConfig(params=good_params, mode=mode)
         cv._comb_table.cache_clear()
+        cv._promoted.clear()
         alice = hyh.keypair_from_secret(config, 1234)
         bob = hyh.keypair_from_secret(config, 5678)
         ephemerals = set()
@@ -602,6 +603,57 @@ class TestCombTables:
         assert len(ephemerals) == 40
         info = cv._comb_table.cache_info()
         assert (info.misses, info.currsize) == (3 + 40, 16)
+        # G, U_A and U_B each serve a multiplication or two per round trip
+        # and earn promoted tables; an R serves two or three and none does
+        promoted = [comb.table[0][1] for comb in cv._promoted]
+        assert sorted(promoted) == sorted([good_params.G, alice.U, bob.U])
+        assert len(cv._promoted) <= cv._PROMOTED_TABLES
+
+    def test_promoted_multiplication_makes_three_doublings(self, monkeypatch):
+        # at secp160r1 (d = 27, nine blocks of e = 3 bits) a multiplication
+        # of G makes 27 doublings from its first table and 3 once promoted
+        params = fixtures.load(fixtures.SECP160R1)
+        config = SchemeConfig(params=params)
+        cv._comb_table.cache_clear()
+        cv._promoted.clear()
+        double = cv._jacobian_double
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return double(*args)
+
+        monkeypatch.setattr(cv, "_jacobian_double", counted)
+
+        def doublings(d):
+            calls.clear()
+            hyh.keypair_from_secret(config, d)
+            return len(calls)
+
+        rng = random.Random(3)
+        scalars = [rng.randrange(1, params.n) for _ in range(cv._PROMOTE_AFTER)]
+        doublings(scalars[0])   # builds G's table
+        assert [doublings(d) for d in scalars[1:-1]] == [27] * (cv._PROMOTE_AFTER - 2)
+        doublings(scalars[-1])   # builds the promoted one
+        assert cv._comb_table(params, params.G).promoted is not None
+        assert doublings(scalars[1]) == 3
+
+    def test_replayed_ephemerals_are_not_promoted(self, good_params):
+        # 16 messages replayed until each R has served _PROMOTE_AFTER
+        # multiplications, two per round trip (d_B*R and s*R). The 16 R's
+        # and the three keys do not fit in the 16 entries, so each R's
+        # table, and its count with it, is evicted before R comes round again
+        config = SchemeConfig(params=good_params)
+        cv._comb_table.cache_clear()
+        cv._promoted.clear()
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        for _ in range(cv._PROMOTE_AFTER // 2):
+            for seed in range(16):
+                sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=seed)
+                assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
+        promoted = [comb.table[0][1] for comb in cv._promoted]
+        assert sorted(promoted) == sorted([good_params.G, alice.U, bob.U])
 
 
 class TestSenderKeyCheck:
