@@ -207,7 +207,7 @@ def load_params(path: str | None) -> CurveParams:
 
 
 def _load_private(path: str, n: int) -> int:
-    d = _load(path, lambda obj: int(obj["d"], 16),
+    d = _load(path, lambda obj: hyh.int_from_hex(obj["d"]),
               'expected a private key file {{"d": hex}}')
     if not 1 <= d < n:
         raise CliError(f"{path}: private key out of range [1, n-1]")
@@ -279,7 +279,7 @@ def cmd_signcrypt(args) -> int:
     d_a = _load_private(args.key, config.params.n)
     u_b = _load_public(args.peer)
     message = _read_bytes(args.infile)
-    forced_r = int(args.force_r, 16) if args.force_r else None
+    forced_r = hyh.int_from_hex(args.force_r) if args.force_r else None
     sct = hyh.signcrypt(config, d_a, u_b, message,
                         rng_seed=args.seed, forced_r=forced_r)
     payload = hyh.sct_to_dict(sct)
@@ -331,7 +331,7 @@ def cmd_attack(args) -> int:
         sct = _load_sct(args.sct)
         attack = functools.partial(
             attacks.recover_sender_key, config, _load_public(args.sender_pub),
-            _load_public(args.recipient_pub), sct, int(args.r, 16))
+            _load_public(args.recipient_pub), sct, hyh.int_from_hex(args.r))
     t0 = time.monotonic()
     report = attack()
     _emit_report(args, report, time.monotonic() - t0)

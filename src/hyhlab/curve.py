@@ -9,14 +9,13 @@ gives the same results from a width-6 Lim-Lee comb; it is the one path by
 which ``hyh`` and ``attacks`` multiply (G, the keys, each message's R). Its
 one-block tables cost two batched inversions each and are kept in a
 16-entry cache keyed on (params, base mod q); a base that keeps recurring,
-as G and the long-lived keys do, also earns a table of nine blocks, four of
-which are kept. None of them ever checks whether its inputs
-satisfy the curve equation: the formulas do not involve the coefficient
-``b``, so they act identically on every curve ``y^2 = x^3 + a*x + b'`` over
-the same field. Validation is a separate, explicit step
-(``validate_public_key``). That separation is the whole point of this
-module: it lets the rest of the lab feed carefully crafted invalid points to
-code that forgot to check.
+as G and the long-lived keys do, earns a table of nine blocks in the same
+entry. None of them ever checks whether its inputs satisfy the curve
+equation: the formulas do not involve the coefficient ``b``, so they act
+identically on every curve ``y^2 = x^3 + a*x + b'`` over the same field.
+Validation is a separate, explicit step (``validate_public_key``). That
+separation is the whole point of this module: it lets the rest of the lab
+feed carefully crafted invalid points to code that forgot to check.
 """
 
 import functools
@@ -47,16 +46,15 @@ _COMB_TABLES = 16
 _COMB_SPLITS = tuple((b ^ 1 << b.bit_length() - 1, b.bit_length() - 1)
                      for b in range(1, 1 << _COMB_WIDTH))
 
-# A cached base that has served _PROMOTE_AFTER multiplications also gets a
-# comb of up to _PROMOTED_BLOCKS blocks, and the _PROMOTED_TABLES most
-# recently used of those are kept. At secp160r1 the nine-block table (about
-# 125 KiB) takes about 4 ms to build and saves 24 doublings, about 80 us, on
-# each multiplication, so it pays for itself after about 50 more. A base
-# that has served 32 is one that recurs: G and the keys serve one or two
-# multiplications per message, a message's R two or three in all.
+# A cached base that has served _PROMOTE_AFTER multiplications swaps its
+# comb for one of up to _PROMOTED_BLOCKS blocks, held in the same cache
+# entry. At secp160r1 the nine-block table (about 125 KiB) takes about 4 ms
+# to build and saves 24 doublings, about 80 us, on each multiplication, so
+# it pays for itself after about 50 more. A base that has served 32 is one
+# that recurs: G and the keys serve one or two multiplications per message,
+# a message's R two or three in all.
 _PROMOTE_AFTER = 32
 _PROMOTED_BLOCKS = 9
-_PROMOTED_TABLES = 4
 
 # Random points count_points may sample, alternately on E and on its twist,
 # before it gives up.
@@ -179,11 +177,10 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     one such table per block, shifted by 2^(t*e): k*P then costs e
     doublings and at most v*e additions, from v times the table. So the
     cache entry counts the multiplications it serves, and a base that
-    reaches ``_PROMOTE_AFTER`` of them also gets v = min(9, d) blocks, if
-    d > 1: at secp160r1, 3 doublings instead of 27. Only the four most
-    recently used promoted tables are kept; a base that loses its own earns
-    it again from a count of zero, and a base evicted from the cache loses
-    its count with its table.
+    reaches ``_PROMOTE_AFTER`` of them has its table replaced by one of
+    v = min(9, d) blocks, if d > 1: at secp160r1, 3 doublings instead of
+    27. The cache entry is the table's only home, so a base evicted from
+    the cache loses its count with its table and earns it again from zero.
 
     A larger k, such as an attacker's Schnorr response or a paper-mode s
     near 256^scalar_width, goes to ``scalar_mul``.
@@ -201,15 +198,8 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     comb = _comb_table(params, P)
     comb.uses += 1
     if comb.uses == _PROMOTE_AFTER and d > 1:
-        comb.promoted = _comb_blocks(params, P, min(_PROMOTED_BLOCKS, d))
-        _promoted.append(comb)
-        if len(_promoted) > _PROMOTED_TABLES:
-            evicted = _promoted.pop(0)
-            evicted.promoted, evicted.uses = None, 0
-    elif comb.promoted and _promoted[-1] is not comb:
-        _promoted.remove(comb)
-        _promoted.append(comb)
-    blocks = comb.promoted or comb.table
+        comb.table = _comb_blocks(params, P, min(_PROMOTED_BLOCKS, d))
+    blocks = comb.table
     e = -(-d // len(blocks))
     width = len(blocks) * e
     # rows k_(w-1)..k_0 side by side, so column c of block t is every
@@ -234,19 +224,14 @@ _Blocks = tuple[tuple[Point, ...], ...]
 
 
 class _Comb:
-    """A cached base's one-block comb, the multiplications it has served,
-    and its promoted comb while it holds one."""
+    """A cached base's comb, one block until the base is promoted, and the
+    multiplications it has served."""
 
-    __slots__ = ("table", "uses", "promoted")
+    __slots__ = ("table", "uses")
 
     def __init__(self, table: _Blocks):
         self.table = table
         self.uses = 0
-        self.promoted: _Blocks | None = None
-
-
-# The combs that hold a promoted table, least recently used first.
-_promoted: list[_Comb] = []
 
 
 @functools.lru_cache(maxsize=_COMB_TABLES)

@@ -9,6 +9,7 @@ import json
 from importlib import resources
 
 from .curve import CurveParams
+from .hyh import int_from_hex
 
 GOOD = "params_good"            # q near 2^20, passes every check
 TOY16 = "params_toy16"          # q near 2^16, passes every check
@@ -31,10 +32,11 @@ BAD_FIXTURES = {
 
 def params_from_dict(obj: dict) -> CurveParams:
     try:
-        fields = {k: int(obj[k], 16) for k in ("q", "a", "b", "Gx", "Gy", "n", "h")}
+        fields = {k: int_from_hex(obj[k])
+                  for k in ("q", "a", "b", "Gx", "Gy", "n", "h")}
     except KeyError as exc:
         raise ValueError(f"params file missing field {exc}") from None
-    except (ValueError, TypeError):
+    except ValueError:
         raise ValueError("params fields must be lowercase hex strings") from None
     return CurveParams(q=fields["q"], a=fields["a"], b=fields["b"],
                        G=(fields["Gx"], fields["Gy"]),

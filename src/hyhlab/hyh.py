@@ -34,6 +34,7 @@ whose strings are a few dozen bytes.
 import functools
 import hashlib
 import random
+import re
 from dataclasses import dataclass
 
 from . import paramcheck
@@ -401,7 +402,16 @@ def point_from_hex(obj: dict, name: str) -> Point:
     "inf" is O, whatever ``<name>x`` holds."""
     if obj[name + "y"] == "inf":
         return None
-    return (int(obj[name + "x"], 16), int(obj[name + "y"], 16))
+    return (int_from_hex(obj[name + "x"]), int_from_hex(obj[name + "y"]))
+
+
+def int_from_hex(text: str) -> int:
+    """The integer in a field of lowercase hex digits, the one spelling of
+    every integer in a params, key or wire file; a sign, "0x", a space, "_"
+    or a capital, which ``int(text, 16)`` takes, is a ValueError."""
+    if not (isinstance(text, str) and re.fullmatch("[0-9a-f]+", text)):
+        raise ValueError(f"{text!r} is not a lowercase hex number")
+    return int(text, 16)
 
 
 def sct_to_dict(sct: SigncryptedText) -> dict:
@@ -410,4 +420,4 @@ def sct_to_dict(sct: SigncryptedText) -> dict:
 
 def sct_from_dict(obj: dict) -> SigncryptedText:
     return SigncryptedText(R=point_from_hex(obj, "R"), C=bytes.fromhex(obj["C"]),
-                           s=int(obj["s"], 16))
+                           s=int_from_hex(obj["s"]))

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -7,6 +8,20 @@ from hyhlab import fixtures, hyh
 from hyhlab.curve import CurveParams
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig
 from hyhlab.numtheory import mod_inverse
+
+
+@pytest.fixture(scope="session")
+def promoted_bases():
+    """() -> the base of every live ``_Comb`` that holds a table of more
+    than one block, whether the comb cache holds it or anything else does.
+    The last block's T[1] is the base itself."""
+
+    def bases():
+        gc.collect()
+        return [obj.table[-1][1] for obj in gc.get_objects()
+                if isinstance(obj, cv._Comb) and len(obj.table) > 1]
+
+    return bases
 
 
 @pytest.fixture(scope="session")

@@ -296,8 +296,8 @@ class TestProtocolCommands:
     @pytest.mark.parametrize("mode", ["paper", "strict"])
     @pytest.mark.parametrize("command, field, value, code", [
         (command, *case) for command in ("unsigncrypt", "verify") for case in [
-            ("s", "-1", 1),      # no tag or encoding exists for it: rejected
-            ("s", "f" * 61, 1),
+            ("s", "-1", 2),      # not lowercase hex: bad input
+            ("s", "f" * 61, 1),  # no tag or encoding exists for it: rejected
             ("s", 5, 2),         # not a hex string: bad input
             ("Ry", 7, 2),
         ]
@@ -323,6 +323,20 @@ class TestProtocolCommands:
         rc, _ = run(capsys, "--params", toy_params_file, "--mode", mode,
                     command, *command_args, "--peer", alice_pub, "--in", str(sct))
         assert rc == code
+
+
+def assert_refused(capsys, wire_files, flag, name, edit, error):
+    """unsigncrypt with the file of flag edited and saved as name ends in
+    exit 2 and the one line ``error: <error>``."""
+    Path(name).write_text(json.dumps(edit(wire_files[flag])))
+    paths = {f: f"{f[2:]}.json" for f in wire_files}
+    paths[flag] = name
+    rc = cli.main(["--params", paths["--params"], "unsigncrypt",
+                   "--key", paths["--key"], "--peer", paths["--peer"],
+                   "--in", paths["--in"]])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 class TestWireFileRefusals:
@@ -363,15 +377,18 @@ class TestWireFileRefusals:
     ], ids=["array", "key_without_d", "public_key_at_infinity", "params_bad_q",
             "params_g_at_infinity", "sct_without_s"])
     def test_refusal_line(self, capsys, wire_files, flag, name, edit, error):
-        Path(name).write_text(json.dumps(edit(wire_files[flag])))
-        paths = {f: f"{f[2:]}.json" for f in wire_files}
-        paths[flag] = name
-        rc = cli.main(["--params", paths["--params"], "unsigncrypt",
-                       "--key", paths["--key"], "--peer", paths["--peer"],
-                       "--in", paths["--in"]])
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        assert captured.err == f"error: {error}\n"
+        assert_refused(capsys, wire_files, flag, name, edit, error)
+
+    # the spellings int(text, 16) takes besides lowercase hex
+    @pytest.mark.parametrize("spelling", ["0x7", "-7", " 7", "1_7", "7F"])
+    @pytest.mark.parametrize("flag, field, error", [
+        ("--params", "n", "params fields must be lowercase hex strings"),
+        ("--key", "d", 'expected a private key file {"d": hex}'),
+    ], ids=["params", "key"])
+    def test_hex_field_not_lowercase_hex(self, capsys, wire_files, flag, field,
+                                         error, spelling):
+        assert_refused(capsys, wire_files, flag, "x.json",
+                       lambda obj: {**obj, field: spelling}, f"x.json: {error}")
 
     @pytest.mark.parametrize("d", [-3, 0, "n"])
     @pytest.mark.parametrize("command", ["signcrypt", "unsigncrypt"])
@@ -383,7 +400,10 @@ class TestWireFileRefusals:
                        "--key", "d.json", "--peer", "peer.json", "--in", "in.json"])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err == "error: d.json: private key out of range [1, n-1]\n"
+        # "-3" is no lowercase hex, so it is refused before the range check
+        error = ('expected a private key file {"d": hex}' if d < 0
+                 else "private key out of range [1, n-1]")
+        assert captured.err == f"error: d.json: {error}\n"
 
 
 class TestAttackCommands:
@@ -436,6 +456,19 @@ class TestAttackCommands:
                                                 "abc")
         assert rc == 0
         assert json.loads(out)["success"] is True
+
+    def test_hex_options_not_lowercase_hex(self, capsys, tmp_path, toy_params_file):
+        rc, out, err = self._ephemeral_from_files(capsys, tmp_path,
+                                                  toy_params_file, "0xabc")
+        assert (rc, out) == (2, "")
+        assert err == "error: '0xabc' is not a lowercase hex number\n"
+        rc = cli.main(["--params", toy_params_file, "signcrypt",
+                       "--key", str(tmp_path / "alice.key"),
+                       "--peer", str(tmp_path / "bob.key.pub"),
+                       "--in", str(tmp_path / "m"), "--force-r", "ABC"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == "error: 'ABC' is not a lowercase hex number\n"
 
     def test_ephemeral_from_files_wrong_r(self, capsys, tmp_path, toy_params_file):
         rc, out, err = self._ephemeral_from_files(capsys, tmp_path,

@@ -246,51 +246,48 @@ class TestFixedBaseMul:
     @pytest.mark.parametrize("name", [fixtures.GOOD, fixtures.TOY16, fixtures.SECP160R1])
     def test_across_the_promotion(self, name, base):
         # the base serves _PROMOTE_AFTER multiplications from its one-block
-        # table, the last of which builds its promoted one; the count is
-        # shared by the unreduced form, which every other call uses
+        # table, the last of which replaces it with the promoted one; the
+        # count is shared by the unreduced form, which every other call uses
         params = fixtures.load(name)
         q = params.q
         P = params.G if base == "G" else (q // 3, q // 5)
         assert base == "G" or not cv.is_on_curve(params, P)
         cv._comb_table.cache_clear()
-        cv._promoted.clear()
         rng = random.Random(name)
         span = comb_span(params)
+        v = min(cv._PROMOTED_BLOCKS, cv._comb_row_bits(params))
         for i in range(1, cv._PROMOTE_AFTER + 8):
             k = rng.randrange(span) if i % 3 else span - i
             form = (P[0] + q, P[1]) if i % 2 else P
             assert cv.fixed_base_mul(params, k, form) == cv.scalar_mul(params, k, P)
             comb = cv._comb_table(params, P)
             assert comb.uses == i
-            assert (comb.promoted is not None) == (i >= cv._PROMOTE_AFTER)
-        v = min(cv._PROMOTED_BLOCKS, cv._comb_row_bits(params))
-        assert len(comb.promoted) == v and cv._promoted == [comb]
+            assert len(comb.table) == (v if i >= cv._PROMOTE_AFTER else 1)
 
-    def test_promoted_tables_are_bounded(self, good_params):
-        # six bases each earn a promoted table; the least recently used
-        # ones lose theirs and count again from zero
+    def test_evicted_base_earns_its_table_again(self, good_params, promoted_bases):
+        # 16 fresh bases push a promoted base out of the cache; it comes
+        # back with a count of one and a one-block table, and once it has
+        # earned its table again no other copy of that table is alive
         params = good_params
         cv._comb_table.cache_clear()
-        cv._promoted.clear()
 
         def serve(P, times):
             for k in range(1, times + 1):
                 assert cv.fixed_base_mul(params, k, P) == cv.scalar_mul(params, k, P)
 
-        bases = [cv.scalar_mul(params, i, params.G) for i in range(2, 8)]
-        for P in bases:
-            serve(P, cv._PROMOTE_AFTER)
-        combs = [cv._comb_table(params, P) for P in bases]
-        assert cv._promoted == combs[2:]
-        assert [c.promoted is None for c in combs] == [True] * 2 + [False] * 4
-        assert [c.uses for c in combs] == [0] * 2 + [cv._PROMOTE_AFTER] * 4
-        # a multiplication by the oldest promoted base makes it the newest
-        serve(bases[2], 1)
-        assert cv._promoted == [*combs[3:], combs[2]]
-        # and a base that lost its table earns it again
-        serve(bases[0], cv._PROMOTE_AFTER)
-        assert cv._promoted == [*combs[4:], combs[2], combs[0]]
-        assert combs[3].promoted is None
+        P = cv.scalar_mul(params, 2, params.G)
+        serve(P, cv._PROMOTE_AFTER)
+        v = min(cv._PROMOTED_BLOCKS, cv._comb_row_bits(params))
+        assert len(cv._comb_table(params, P).table) == v
+        for i in range(3, 3 + cv._COMB_TABLES):
+            serve(cv.scalar_mul(params, i, params.G), 1)
+        assert promoted_bases() == []
+        serve(P, 1)
+        comb = cv._comb_table(params, P)
+        assert comb.uses == 1 and len(comb.table) == 1
+        serve(P, cv._PROMOTE_AFTER - 1)
+        assert comb.uses == cv._PROMOTE_AFTER and len(comb.table) == v
+        assert promoted_bases() == [P]
 
 
 def reference_comb_blocks(params, P, v):

@@ -587,12 +587,12 @@ class TestCombTables:
         assert cv._comb_table.cache_info().misses == 1 + 40
 
     @pytest.mark.parametrize("mode", [PAPER, STRICT])
-    def test_fresh_ephemerals_do_not_evict_keys(self, good_params, mode):
+    def test_fresh_ephemerals_do_not_evict_keys(self, good_params, mode,
+                                                promoted_bases):
         # every round trip multiplies G, U_A and U_B, so 40 fresh R's
         # through 16 entries build 40 tables and never rebuild the keys'
         config = SchemeConfig(params=good_params, mode=mode)
         cv._comb_table.cache_clear()
-        cv._promoted.clear()
         alice = hyh.keypair_from_secret(config, 1234)
         bob = hyh.keypair_from_secret(config, 5678)
         ephemerals = set()
@@ -604,10 +604,9 @@ class TestCombTables:
         info = cv._comb_table.cache_info()
         assert (info.misses, info.currsize) == (3 + 40, 16)
         # G, U_A and U_B each serve a multiplication or two per round trip
-        # and earn promoted tables; an R serves two or three and none does
-        promoted = [comb.table[0][1] for comb in cv._promoted]
-        assert sorted(promoted) == sorted([good_params.G, alice.U, bob.U])
-        assert len(cv._promoted) <= cv._PROMOTED_TABLES
+        # and earn promoted tables; an R serves two or three and none does.
+        # These three are the only tables the cache's bound has to hold
+        assert sorted(promoted_bases()) == sorted([good_params.G, alice.U, bob.U])
 
     def test_promoted_multiplication_makes_three_doublings(self, monkeypatch):
         # at secp160r1 (d = 27, nine blocks of e = 3 bits) a multiplication
@@ -615,7 +614,6 @@ class TestCombTables:
         params = fixtures.load(fixtures.SECP160R1)
         config = SchemeConfig(params=params)
         cv._comb_table.cache_clear()
-        cv._promoted.clear()
         double = cv._jacobian_double
         calls = []
 
@@ -635,25 +633,24 @@ class TestCombTables:
         doublings(scalars[0])   # builds G's table
         assert [doublings(d) for d in scalars[1:-1]] == [27] * (cv._PROMOTE_AFTER - 2)
         doublings(scalars[-1])   # builds the promoted one
-        assert cv._comb_table(params, params.G).promoted is not None
+        assert len(cv._comb_table(params, params.G).table) == cv._PROMOTED_BLOCKS
         assert doublings(scalars[1]) == 3
 
-    def test_replayed_ephemerals_are_not_promoted(self, good_params):
+    def test_replayed_ephemerals_are_not_promoted(self, good_params,
+                                                  promoted_bases):
         # 16 messages replayed until each R has served _PROMOTE_AFTER
         # multiplications, two per round trip (d_B*R and s*R). The 16 R's
         # and the three keys do not fit in the 16 entries, so each R's
         # table, and its count with it, is evicted before R comes round again
         config = SchemeConfig(params=good_params)
         cv._comb_table.cache_clear()
-        cv._promoted.clear()
         alice = hyh.keypair_from_secret(config, 1234)
         bob = hyh.keypair_from_secret(config, 5678)
         for _ in range(cv._PROMOTE_AFTER // 2):
             for seed in range(16):
                 sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=seed)
                 assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
-        promoted = [comb.table[0][1] for comb in cv._promoted]
-        assert sorted(promoted) == sorted([good_params.G, alice.U, bob.U])
+        assert sorted(promoted_bases()) == sorted([good_params.G, alice.U, bob.U])
 
 
 class TestSenderKeyCheck:
