@@ -29,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from importlib import resources
 
@@ -59,20 +60,26 @@ def main():
                                     attack])
                             for attack in cli.ATTACK_NAMES for mode in ("paper", "strict")]
     validate_runs = [(name, ["params", "validate"]) for name in names]
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name in names:
-            # a relative --params path keeps the checkout out of the output
-            with open(name, "wb") as fh:
-                fh.write((bundled / name).read_bytes())
-        for runs, label in ((attack_runs, "all runs"),
-                            (validate_runs, "params validate runs")):
-            total = hashlib.sha256()
-            for name, argv in runs:
-                fixture = name.removesuffix(".json")
-                line = f"{run(['--params', name, *argv])} {fixture} {' '.join(argv)}"
-                print(line)
-                total.update(line.encode() + b"\n")
-            print(f"{total.hexdigest()} {label}")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # contextlib.chdir would do, but it needs Python 3.11
+        os.chdir(tmp)
+        try:
+            for name in names:
+                # a relative --params path keeps the checkout out of the output
+                with open(name, "wb") as fh:
+                    fh.write((bundled / name).read_bytes())
+            for runs, label in ((attack_runs, "all runs"),
+                                (validate_runs, "params validate runs")):
+                total = hashlib.sha256()
+                for name, argv in runs:
+                    fixture = name.removesuffix(".json")
+                    line = f"{run(['--params', name, *argv])} {fixture} {' '.join(argv)}"
+                    print(line)
+                    total.update(line.encode() + b"\n")
+                print(f"{total.hexdigest()} {label}")
+        finally:
+            os.chdir(cwd)
 
 
 if __name__ == "__main__":

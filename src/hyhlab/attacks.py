@@ -10,11 +10,10 @@ was recomputed from the attacker's view and verified via d*G == U.
 
 An attack that fails reports it: ``success`` stays False and the transcript
 says where the attack stopped. An attack raises only when the inputs it is
-handed contradict the public data, as a claimed r that does not give R
-(``EphemeralMismatch``) or a leaked key and plaintext that do not give R
-(``ConsistencyFailure``), or when the domain parameters admit no attack at
-all, as a composite n with no inverse where the key formula needs one
-(``NotInvertible``).
+handed contradict the public data, as a claimed r that does not give R or a
+leaked key and plaintext that do not give R (a ``ValueError``), or when the
+domain parameters admit no attack at all, as a composite n with no inverse
+where the key formula needs one (``NotInvertible``).
 """
 
 import functools
@@ -56,28 +55,8 @@ MALLORY = "Mallory"
 UKS_MESSAGE = b"quarterly figures attached"
 
 
-class EphemeralMismatch(ValueError):
-    """Claimed ephemeral scalar does not reproduce the transmitted point."""
-
-
-class ConsistencyFailure(ValueError):
-    """Recovered value failed its sanity equation (wrong inputs supplied)."""
-
-
 class QueryBudgetExceeded(RuntimeError):
     """Confirmation oracle refused: query budget spent."""
-
-
-class OracleRejection(RuntimeError):
-    """Confirmation oracle refused the query (strict-mode validation)."""
-
-
-class PossessionProofInvalid(ValueError):
-    """CA refused: applicant could not prove control of the private key."""
-
-
-class InvalidPublicKey(ValueError):
-    """CA refused: submitted public key failed validation."""
 
 
 @dataclass
@@ -106,7 +85,7 @@ def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
     n = params.n
     report = AttackReport("recover_sender_key", success=False)
     if fixed_base_mul(params, r, params.G) != sct.R:
-        raise EphemeralMismatch("r*G does not match the transmitted R")
+        raise ValueError("r*G does not match the transmitted R")
     x_k = x_coord(fixed_base_mul(params, r, u_b))
     message, tag = open_ciphertext(config, x_k, sct.C)
     report.log("decrypted", message=message.hex(),
@@ -159,8 +138,8 @@ class ConfirmationOracle:
     delivery that step reads, and returns ``CONFIRMATION_MESSAGE`` with its
     MAC under the session key: what an attacker sees of the reply. A
     strict-mode recipient refuses in that step exactly what
-    ``hyh.unsigncrypt_trace`` refuses there. It answers at most
-    ``QUERY_BUDGET`` queries.
+    ``hyh.unsigncrypt_trace`` refuses there, and ``query`` raises
+    ``hyh.Refused``. It answers at most ``QUERY_BUDGET`` queries.
     """
 
     def __init__(self, d_b: int, config: SchemeConfig):
@@ -174,7 +153,7 @@ class ConfirmationOracle:
         self.queries += 1
         K, refused = hyh.recipient_shared_point(self.config, self._d_b, W)
         if refused:
-            raise OracleRejection("incoming ephemeral point failed validation")
+            raise hyh.Refused("incoming ephemeral point failed validation")
         z = confirmation_mac(self.config, x_coord(K), CONFIRMATION_MESSAGE)
         return CONFIRMATION_MESSAGE, z
 
@@ -230,7 +209,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     for hit in hits:
         try:
             message, z = oracle.query(hit.G)
-        except OracleRejection as exc:
+        except hyh.Refused as exc:
             report.log("oracle_rejected", order=hit.n, reason=str(exc))
             report.log("blocked", reason="recipient validates ephemeral points")
             return report
@@ -392,19 +371,20 @@ def ca_issue(registry: CertRegistry, identity: str, public_key: Point,
     is handed: another party's key, an off-curve point, anything. A
     strict-mode CA requires the key to pass the check strict mode applies to
     every peer's point (``hyh.peer_point_failures``) and the applicant to
-    present a valid signature of possession under that key.
+    present a valid signature of possession under that key, and raises
+    ``hyh.Refused`` when either fails.
     """
     config = registry.config
     if config.mode == hyh.STRICT:
         failed = hyh.peer_point_failures(config, public_key)
         if failed:
-            raise InvalidPublicKey(
+            raise hyh.Refused(
                 f"public key failed validation ({','.join(failed)})")
         if possession_proof is None or not schnorr_verify(
                 config, public_key,
                 _possession_body(config, identity, public_key),
                 possession_proof):
-            raise PossessionProofInvalid(
+            raise hyh.Refused(
                 f"no valid proof of possession for {identity!r}")
     return Certificate(
         subject_identity=identity,
@@ -435,7 +415,7 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
 
     try:
         mallory_cert = ca_issue(registry, MALLORY, alice.U)
-    except (InvalidPublicKey, PossessionProofInvalid) as exc:
+    except hyh.Refused as exc:
         report.log("certification_blocked", identity=MALLORY, reason=str(exc))
         return report
     report.log("certificate_issued", identity=MALLORY,
@@ -474,7 +454,7 @@ def break_forward_secrecy(config: SchemeConfig, d_a: int, u_b: Point,
     x_r = x_coord(sct.R) % n
     r = mod_inverse(sct.s, n) * (hash_to_scalar(config, message) + x_r * d_a) % n
     if fixed_base_mul(params, r, params.G) != sct.R:
-        raise ConsistencyFailure(
+        raise ValueError(
             "recovered r does not regenerate R; wrong message or sender key")
     report.log("ephemeral_recovered", r=_hex(r))
     x_k = x_coord(fixed_base_mul(params, r, u_b))

@@ -24,10 +24,6 @@ from .hyh import SchemeConfig, SigncryptedText
 from .numtheory import NotInvertible
 
 
-class CliError(Exception):
-    """Input or configuration problem; maps to exit code 2."""
-
-
 # --- attack staging ----------------------------------------------------------
 #
 # Each scenario stages its own victims from the seed and then runs the attack
@@ -179,7 +175,7 @@ def _read_bytes(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliError(str(exc)) from None
+        raise ValueError(str(exc)) from None
 
 
 def _load(path: str, parse, refusal: str = "{}"):
@@ -191,13 +187,13 @@ def _load(path: str, parse, refusal: str = "{}"):
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     if not isinstance(obj, dict):
-        raise CliError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     try:
         return parse(obj)
     except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"{path}: " + refusal.format(exc)) from None
+        raise ValueError(f"{path}: " + refusal.format(exc)) from None
 
 
 def load_params(path: str | None) -> CurveParams:
@@ -210,7 +206,7 @@ def _load_private(path: str, n: int) -> int:
     d = _load(path, lambda obj: hyh.int_from_hex(obj["d"]),
               'expected a private key file {{"d": hex}}')
     if not 1 <= d < n:
-        raise CliError(f"{path}: private key out of range [1, n-1]")
+        raise ValueError(f"{path}: private key out of range [1, n-1]")
     return d
 
 
@@ -258,8 +254,8 @@ def cmd_keygen(args) -> int:
     config = _config(args)
     keypair = hyh.gen(config, rng_seed=args.seed)
     if keypair.U is None:
-        raise CliError(f"secret {keypair.d:x} gives the public key O; "
-                       "G does not have order n")
+        raise ValueError(f"secret {keypair.d:x} gives the public key O; "
+                         "G does not have order n")
     pub = hyh.point_to_hex(keypair.U, "U")
     if args.out:
         with open(args.out, "w") as fh:
@@ -322,11 +318,11 @@ def cmd_attack(args) -> int:
     if intercepted == (None,) * 4:
         attack = functools.partial(SCENARIOS[args.name], config, args.seed)
     elif args.name != "ephemeral":
-        raise CliError(f"attack {args.name} takes no intercepted files; "
-                       "it stages its own victims")
+        raise ValueError(f"attack {args.name} takes no intercepted files; "
+                         "it stages its own victims")
     elif None in intercepted:
-        raise CliError(f"attack ephemeral takes all of {INTERCEPTED_FLAGS} "
-                       "or none")
+        raise ValueError(f"attack ephemeral takes all of {INTERCEPTED_FLAGS} "
+                         "or none")
     else:
         sct = _load_sct(args.sct)
         attack = functools.partial(
@@ -454,7 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, hyh.RngFailure) as exc:
+    except (ValueError, hyh.RngFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -69,10 +69,6 @@ class CurveTooLarge(ValueError):
     """Field at or beyond the point-counting bound."""
 
 
-class OrderMismatch(ValueError):
-    """Supplied group order does not annihilate the point."""
-
-
 class SearchBudgetExceeded(RuntimeError):
     """A randomized point/curve search ran out of retries."""
 
@@ -443,7 +439,7 @@ def _multiple_in_window(params: CurveParams, P: Point, lo: int, hi: int) -> int:
 def point_order(params: CurveParams, P: Point, group_order: int) -> int:
     """Least m >= 1 with m*P = O, given an ambient group order."""
     if scalar_mul(params, group_order, P) is not None:
-        raise OrderMismatch(f"group order {group_order} does not annihilate {P}")
+        raise ValueError(f"group order {group_order} does not annihilate {P}")
     m = group_order
     for p in numtheory.factor(group_order):
         while m % p == 0 and scalar_mul(params, m // p, P) is None:

@@ -55,12 +55,8 @@ TAG_LEN = 32
 _RESAMPLE_LIMIT = 256
 
 
-class InvalidParams(ValueError):
-    """Strict-mode refusal: domain parameters failed validation."""
-
-
-class InvalidRecipientKey(ValueError):
-    """Strict-mode refusal: recipient public key failed validation."""
+class Refused(ValueError):
+    """Strict mode refused an input that paper mode would have used."""
 
 
 class RngFailure(RuntimeError):
@@ -251,12 +247,12 @@ def recipient_shared_point(config: SchemeConfig, d_b: int,
 
 
 def gen(config: SchemeConfig, rng_seed: int | random.Random | None = None) -> KeyPair:
-    """Fresh key pair d, U = d*G. Strict mode insists the domain parameters
-    validate first; paper mode asks no questions."""
+    """Fresh key pair d, U = d*G. Strict mode raises ``Refused`` unless the
+    domain parameters validate; paper mode asks no questions."""
     if config.mode == STRICT:
         report = paramcheck.validate_domain_params(config.params)
         if not report.overall:
-            raise InvalidParams(
+            raise Refused(
                 "domain parameters failed: " + ", ".join(report.failed_names())
             )
     rng = _rng(rng_seed)
@@ -279,7 +275,8 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
     """Signcrypt message from the holder of d_a to the holder of u_b.
 
     forced_r pins the ephemeral scalar; it exists so tests and attack
-    stagings can reproduce nonce misuse on demand.
+    stagings can reproduce nonce misuse on demand. Strict mode raises
+    ``Refused`` for a recipient key that fails ``peer_point_failures``.
     """
     params = config.params
     n = params.n
@@ -289,7 +286,7 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
         raise ValueError("sender secret out of range")
     failed = peer_point_failures(config, u_b) if config.mode == STRICT else ()
     if failed:
-        raise InvalidRecipientKey(
+        raise Refused(
             f"recipient key failed validation ({','.join(failed)})")
     e, state = _hash_message(config, message)
     rng = _rng(rng_seed)
@@ -414,10 +411,18 @@ def int_from_hex(text: str) -> int:
     return int(text, 16)
 
 
+def bytes_from_hex(text: str) -> bytes:
+    """The bytes in lowercase hex digit pairs, the one spelling of a ciphertext;
+    a capital or a space is a ValueError, whose message does not echo text."""
+    if not (isinstance(text, str) and re.fullmatch("(?:[0-9a-f]{2})*", text)):
+        raise ValueError("ciphertext is not lowercase hex bytes")
+    return bytes.fromhex(text)
+
+
 def sct_to_dict(sct: SigncryptedText) -> dict:
     return {**point_to_hex(sct.R, "R"), "C": sct.C.hex(), "s": f"{sct.s:x}"}
 
 
 def sct_from_dict(obj: dict) -> SigncryptedText:
-    return SigncryptedText(R=point_from_hex(obj, "R"), C=bytes.fromhex(obj["C"]),
+    return SigncryptedText(R=point_from_hex(obj, "R"), C=bytes_from_hex(obj["C"]),
                            s=int_from_hex(obj["s"]))

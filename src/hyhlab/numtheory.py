@@ -28,18 +28,6 @@ class NotInvertible(ValueError):
     """Raised when an element has no inverse modulo m (gcd != 1)."""
 
 
-class InvalidModulus(ValueError):
-    """Raised when a square-root modulus is not an odd prime."""
-
-
-class NonCoprimeModuli(ValueError):
-    """Raised when CRT moduli share a common factor."""
-
-
-class FactoringBudgetExceeded(RuntimeError):
-    """Raised when Pollard rho runs out of its iteration budget."""
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Return b with a*b = 1 (mod m)."""
     if m < 2:
@@ -99,7 +87,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     deterministic.
     """
     if p < 3 or not is_prime(p):
-        raise InvalidModulus(f"{p} is not an odd prime")
+        raise ValueError(f"{p} is not an odd prime")
     a %= p
     if a == 0:
         return 0
@@ -146,7 +134,7 @@ def crt_combine(residues: list[tuple[int, int]]) -> int:
             raise ValueError(f"residue {value} out of range for modulus {m}")
         g = math.gcd(modulus, m)
         if g != 1:
-            raise NonCoprimeModuli(f"moduli share factor {g}")
+            raise ValueError(f"moduli share factor {g}")
         # x' = x + modulus * ((value - x) / modulus mod m)
         x = x + modulus * ((value - x) * mod_inverse(modulus, m) % m)
         modulus *= m
@@ -177,7 +165,7 @@ def _pollard_rho(n: int, budget: int, rng: random.Random) -> int:
             r *= 2
             count += r
             if count > budget:
-                raise FactoringBudgetExceeded(
+                raise RuntimeError(
                     f"pollard rho exceeded {budget} iterations on {n}"
                 )
         if g == n:

@@ -374,8 +374,15 @@ class TestWireFileRefusals:
          "g.json: params fields must be lowercase hex strings"),
         ("--in", "nos.json", lambda obj: {k: v for k, v in obj.items() if k != "s"},
          "nos.json: bad signcrypted text: 's'"),
+        # the spellings bytes.fromhex takes besides lowercase hex pairs
+        ("--in", "c.json", lambda obj: {**obj, "C": obj["C"].upper()},
+         "c.json: bad signcrypted text: ciphertext is not lowercase hex bytes"),
+        ("--in", "c.json", lambda obj: {**obj, "C": " ".join(
+            obj["C"][i:i + 2] for i in range(0, len(obj["C"]), 2))},
+         "c.json: bad signcrypted text: ciphertext is not lowercase hex bytes"),
     ], ids=["array", "key_without_d", "public_key_at_infinity", "params_bad_q",
-            "params_g_at_infinity", "sct_without_s"])
+            "params_g_at_infinity", "sct_without_s", "sct_c_capitals",
+            "sct_c_space_between_bytes"])
     def test_refusal_line(self, capsys, wire_files, flag, name, edit, error):
         assert_refused(capsys, wire_files, flag, name, edit, error)
 

@@ -562,7 +562,7 @@ class TestPointOrder:
         assert acc is None
 
     def test_mismatch(self, f23):
-        with pytest.raises(cv.OrderMismatch):
+        with pytest.raises(ValueError, match="does not annihilate"):
             cv.point_order(f23, (0, 1), 5)
 
 

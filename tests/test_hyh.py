@@ -43,7 +43,7 @@ class TestGen:
     def test_strict_requires_valid_params(self):
         bad = fixtures.load(fixtures.COMPOSITE_N)
         config = SchemeConfig(params=bad, mode=STRICT)
-        with pytest.raises(hyh.InvalidParams):
+        with pytest.raises(hyh.Refused, match="domain parameters failed: "):
             hyh.gen(config, rng_seed=1)
 
     def test_secret_must_be_in_range(self, paper16):
@@ -283,12 +283,12 @@ class TestSigncrypt:
 
     def test_strict_mode_rejects_off_curve_recipient(self, strict16, keys16):
         alice, _ = keys16
-        with pytest.raises(hyh.InvalidRecipientKey):
+        with pytest.raises(hyh.Refused, match="recipient key failed validation"):
             hyh.signcrypt(strict16, alice.d, (5, 6), b"x", rng_seed=3)
 
     def test_strict_mode_rejects_identity_recipient(self, strict16, keys16):
         alice, _ = keys16
-        with pytest.raises(hyh.InvalidRecipientKey):
+        with pytest.raises(hyh.Refused, match="recipient key failed validation"):
             hyh.signcrypt(strict16, alice.d, None, b"x", rng_seed=3)
 
     def test_degenerate_recipient_exhausts_rng(self, paper16, keys16):
@@ -552,7 +552,7 @@ class TestOrderCheck:
         sct = SigncryptedText(R=W, C=bytes(40), s=1)
         trace = hyh.unsigncrypt_trace(config, bob.d, bob.U, sct)
         assert trace.rejected_at == "ephemeral_point"
-        with pytest.raises(hyh.InvalidRecipientKey):
+        with pytest.raises(hyh.Refused, match="recipient key failed validation"):
             hyh.signcrypt(config, 1234, W, b"m", rng_seed=2)
 
 

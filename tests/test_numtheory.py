@@ -45,7 +45,7 @@ class TestSqrtMod:
         assert nt.sqrt_mod(0, 7) == 0
 
     def test_composite_modulus_rejected(self):
-        with pytest.raises(nt.InvalidModulus):
+        with pytest.raises(ValueError, match="is not an odd prime"):
             nt.sqrt_mod(4, 15)
 
     @pytest.mark.parametrize("p", SMALL_ODD_PRIMES)
@@ -99,7 +99,7 @@ class TestCrtCombine:
         assert nt.crt_combine([(4, 9)]) == 4
 
     def test_non_coprime(self):
-        with pytest.raises(nt.NonCoprimeModuli):
+        with pytest.raises(ValueError, match="moduli share factor"):
             nt.crt_combine([(1, 4), (1, 6)])
 
     def test_value_out_of_range(self):
@@ -143,5 +143,5 @@ class TestFactor:
     def test_budget(self):
         # a 120-bit semiprime cannot fall to a starved rho budget
         p, q = 2**61 - 1, 2**61 + 15  # both prime
-        with pytest.raises(nt.FactoringBudgetExceeded):
+        with pytest.raises(RuntimeError, match="pollard rho exceeded"):
             nt._pollard_rho(p * q, 4, random.Random(0xFAC70))
