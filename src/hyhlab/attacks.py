@@ -288,31 +288,12 @@ def _resolve_signs(params: CurveParams, residues: list[Residue],
 class Certificate:
     subject_identity: str
     public_key: Point
-    ca_signature: bytes
-
-
-class CertRegistry:
-    """An in-memory CA: one Schnorr keypair that signs what it is handed."""
-
-    def __init__(self, config: SchemeConfig, rng_seed: int = 0):
-        self.config = config
-        rng = random.Random(rng_seed)
-        self._d = rng.randrange(1, config.params.n)
-        self.public_key = fixed_base_mul(config.params, self._d, config.params.G)
-        self._rng = rng
-
-    def sign(self, message: bytes) -> bytes:
-        return schnorr_sign(self.config, self._d, message, self._rng)
 
 
 def _point_bytes(config: SchemeConfig, P: Point) -> bytes:
     if P is None:
         return b"INF"
     return encode_field(config, P[0]) + encode_field(config, P[1])
-
-
-def _cert_body(config: SchemeConfig, identity: str, public_key: Point) -> bytes:
-    return b"cert\0" + identity.encode() + b"\0" + _point_bytes(config, public_key)
 
 
 def schnorr_sign(config: SchemeConfig, d: int, message: bytes,
@@ -356,25 +337,25 @@ def _possession_body(config: SchemeConfig, identity: str, public_key: Point) -> 
 
 
 def make_possession_proof(config: SchemeConfig, keypair: KeyPair,
-                          identity: str, rng_seed: int = 0) -> bytes:
+                          identity: str) -> bytes:
     """Signature over a fixed-format request, proving control of the key."""
     return schnorr_sign(config, keypair.d,
                         _possession_body(config, identity, keypair.U),
-                        random.Random(rng_seed))
+                        random.Random(0))
 
 
-def ca_issue(registry: CertRegistry, identity: str, public_key: Point,
+def ca_issue(config: SchemeConfig, identity: str, public_key: Point,
              possession_proof: bytes | None = None) -> Certificate:
     """Issue a certificate binding identity to public_key.
 
-    A paper-mode CA -- the scheme's own operating model -- signs whatever it
+    A paper-mode CA -- the scheme's own operating model -- binds whatever it
     is handed: another party's key, an off-curve point, anything. A
     strict-mode CA requires the key to pass the check strict mode applies to
     every peer's point (``hyh.peer_point_failures``) and the applicant to
     present a valid signature of possession under that key, and raises
-    ``hyh.Refused`` when either fails.
+    ``hyh.Refused`` when either fails. The CA lives in memory and is
+    trusted, so a certificate carries no signature of its own.
     """
-    config = registry.config
     if config.mode == hyh.STRICT:
         failed = hyh.peer_point_failures(config, public_key)
         if failed:
@@ -386,19 +367,7 @@ def ca_issue(registry: CertRegistry, identity: str, public_key: Point,
                 possession_proof):
             raise hyh.Refused(
                 f"no valid proof of possession for {identity!r}")
-    return Certificate(
-        subject_identity=identity,
-        public_key=public_key,
-        ca_signature=registry.sign(_cert_body(config, identity, public_key)),
-    )
-
-
-def cert_validate(registry: CertRegistry, cert: Certificate) -> bool:
-    """Whether the CA's signature binds the certificate's identity to its
-    key."""
-    body = _cert_body(registry.config, cert.subject_identity, cert.public_key)
-    return schnorr_verify(registry.config, registry.public_key, body,
-                          cert.ca_signature)
+    return Certificate(subject_identity=identity, public_key=public_key)
 
 
 # --- finding 6: unknown key-share -------------------------------------------
@@ -411,10 +380,8 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
     never asks Mallory to prove he holds the private key for the key he
     registered; the strict-mode CA does, and refuses him."""
     report = AttackReport("uks_scenario", success=False)
-    registry = CertRegistry(config, rng_seed=rng_seed)
-
     try:
-        mallory_cert = ca_issue(registry, MALLORY, alice.U)
+        mallory_cert = ca_issue(config, MALLORY, alice.U)
     except hyh.Refused as exc:
         report.log("certification_blocked", identity=MALLORY, reason=str(exc))
         return report
@@ -427,9 +394,6 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
                ciphertext_len=len(sct.C))
     report.log("mallory_forwarded", claimed_sender=MALLORY)
 
-    if not cert_validate(registry, mallory_cert):
-        report.log("bob_rejected_certificate")
-        return report
     recovered = hyh.unsigncrypt(config, bob.d, mallory_cert.public_key, sct)
     report.log("bob_unsigncrypted", believed_sender=MALLORY,
                accepted=recovered is not None)

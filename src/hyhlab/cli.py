@@ -374,7 +374,9 @@ def _config(args) -> SchemeConfig:
 
 # --- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hyhlab",
         description="HYH signcryption lab: run the scheme, validate "
