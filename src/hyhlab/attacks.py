@@ -174,7 +174,7 @@ class Residue:
 
 
 def invalid_curve_attack(config: SchemeConfig, u_b: Point,
-                         oracle: ConfirmationOracle, rng_seed: int) -> AttackReport:
+                         oracle: ConfirmationOracle) -> AttackReport:
     """Recover the recipient's long-term key via small-order points.
 
     For each curve sharing a with the real one but with a different b, a
@@ -196,7 +196,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
     try:
-        hits = find_invalid_curves(params, rng_seed)
+        hits = find_invalid_curves(params)
     except (CurveTooLarge, SearchBudgetExceeded) as exc:
         report.log("not_staged", reason=str(exc))
         return report
@@ -463,7 +463,7 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport
 
     if n <= 1 << 21:  # the forgery needs ~n hash trials
         # R = O and H(M) = 0 mod n zero both sides of the verification equation
-        plaintext = _zero_hash_message(n, rng_seed)
+        plaintext = _zero_hash_message(n)
         forged = SigncryptedText(R=None, s=1,
                                  C=plaintext + message_tag(config, plaintext, 1))
         accepted = hyh.unsigncrypt(config, bob.d, alice.U, forged) == plaintext
@@ -478,11 +478,11 @@ def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport
 
 
 @functools.lru_cache(maxsize=8)
-def _zero_hash_message(n: int, rng_seed: int) -> bytes:
-    """The first b"forged-<seed>-<counter>" with H(M) = 0 mod n. Needs ~n
-    hash trials, so it is found once and shared by both modes of a demo;
-    each trial copies the hash state of the common prefix."""
-    prefix = b"forged-%d-" % rng_seed
+def _zero_hash_message(n: int) -> bytes:
+    """The first b"forged-<counter>" with H(M) = 0 mod n. Needs ~n hash
+    trials, so it is found once per n and shared by every demo on that
+    group; each trial copies the hash state of the common prefix."""
+    prefix = b"forged-"
     base = hashlib.sha256(prefix)
     for counter in itertools.count():
         trial = base.copy()

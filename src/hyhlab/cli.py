@@ -105,7 +105,7 @@ def scenario_invalid_curve(config: SchemeConfig, seed: int) -> AttackReport:
     rng = random.Random(seed)
     _, bob = _keys(config, rng)
     oracle = attacks.ConfirmationOracle(bob.d, config)
-    return attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=seed)
+    return attacks.invalid_curve_attack(config, bob.U, oracle)
 
 
 def scenario_uks(config: SchemeConfig, seed: int) -> AttackReport:

@@ -461,15 +461,15 @@ def random_point(params: CurveParams, rng: random.Random) -> Point:
     raise SearchBudgetExceeded("could not sample a point on the curve")
 
 
-def find_point_of_order(params: CurveParams, g: int, group_order: int,
-                        rng_seed: int) -> Point:
+def find_point_of_order(params: CurveParams, g: int, group_order: int) -> Point:
     """Point of exact prime order g, via cofactor multiplication.
 
     The cofactor strips every other prime, landing in the g-Sylow subgroup;
     multiplying by g then walks down to order exactly g. The walk matters
     when g divides the order more than once and the Sylow subgroup is not
     cyclic (full torsion), where the naive group_order/g multiplier would
-    annihilate everything.
+    annihilate everything. The random points are seeded from (q, a, b, g),
+    so the point found depends on the curve and g alone.
     """
     if not is_prime(g):
         raise ValueError(f"target order {g} must be prime")
@@ -478,7 +478,7 @@ def find_point_of_order(params: CurveParams, g: int, group_order: int,
     cofactor = group_order
     while cofactor % g == 0:
         cofactor //= g
-    rng = random.Random(rng_seed)
+    rng = random.Random(f"find_point_of_order {params.q} {params.a} {params.b} {g}")
     for _ in range(_SEARCH_TRIES):
         W = scalar_mul(params, cofactor, random_point(params, rng))
         while W is not None:
@@ -489,19 +489,18 @@ def find_point_of_order(params: CurveParams, g: int, group_order: int,
     raise SearchBudgetExceeded(f"no point of order {g} found in {_SEARCH_TRIES} tries")
 
 
-def find_invalid_curves(params: CurveParams, rng_seed: int) -> list[CurveParams]:
+def find_invalid_curves(params: CurveParams) -> list[CurveParams]:
     """Curves differing from params only in b, each with a base point G of
     small prime order n and cofactor h = #E'/n, the orders pairwise coprime
     with product above params.n.
 
-    Candidates are scanned deterministically (b+1, b+2, ...) so a fixed seed
-    reproduces the same list; at most one small-order point is taken per
-    curve, and only a prime that does not divide the product so far. Every
-    returned G fails validation against the original curve.
+    Candidates are scanned in order (b+1, b+2, ...); at most one small-order
+    point is taken per curve, and only a prime that does not divide the
+    product so far. Every returned G fails validation against the original
+    curve.
     """
     if params.n < 2:
         raise ValueError("n must be >= 2")
-    rng = random.Random(rng_seed)
     hits: list[CurveParams] = []
     product = 1
     for step in range(1, _INVALID_CURVE_CANDIDATES + 1):
@@ -519,7 +518,7 @@ def find_invalid_curves(params: CurveParams, rng_seed: int) -> list[CurveParams]
         if not usable:
             continue
         g = max(usable)
-        W = find_point_of_order(candidate, g, order2, rng.getrandbits(64))
+        W = find_point_of_order(candidate, g, order2)
         assert not is_on_curve(params, W)
         hits.append(replace(candidate, G=W, n=g, h=order2 // g))
         product *= g

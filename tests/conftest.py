@@ -42,6 +42,12 @@ def toy16():
 
 
 @pytest.fixture(scope="session")
+def toy16_order_2(toy16):
+    """toy16's points of order 2: the points (x, 0) on the curve."""
+    return [(x, 0) for x in range(toy16.q) if cv.is_on_curve(toy16, (x, 0))]
+
+
+@pytest.fixture(scope="session")
 def good_params():
     return fixtures.load(fixtures.GOOD)
 
@@ -112,6 +118,6 @@ def small_order_sender_keys(toy16):
     (x, 0) off toy16, and an order-2 point of toy16 (h = 4) under a false
     h = 1 claim, which fails validation and so keeps the order check."""
     x = next(x for x in range(toy16.q) if not cv.is_on_curve(toy16, (x, 0)))
-    W = cv.find_point_of_order(toy16, 2, toy16.h * toy16.n, rng_seed=0)
+    W = cv.find_point_of_order(toy16, 2, toy16.h * toy16.n)
     return {"identity": (toy16, None, 1), "off_curve": (toy16, (x, 0), 2),
             "order_2": (dataclasses.replace(toy16, h=1), W, 2)}

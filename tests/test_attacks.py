@@ -171,8 +171,7 @@ class TestConfirmationOracle:
         W = {
             "identity": None,
             "off_curve": (5, 6),
-            "order_2": cv.find_point_of_order(f23_n7, 2, f23_n7.h * f23_n7.n,
-                                              rng_seed=1),
+            "order_2": cv.find_point_of_order(f23_n7, 2, f23_n7.h * f23_n7.n),
         }[kind]
         assert (kind == "order_2") == (W is not None and cv.is_on_curve(f23_n7, W))
         sct = SigncryptedText(R=W, C=bytes(40), s=1)
@@ -196,14 +195,26 @@ class TestInvalidCurveAttack:
     def test_full_key_recovery(self, paper16, keys16):
         _, bob = keys16
         oracle = attacks.ConfirmationOracle(bob.d, paper16)
-        report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
         assert report.success
         assert int(report.recovered_secrets["d_B"], 16) == bob.d
+
+    def test_curves_depend_on_the_params_alone(self, paper16):
+        # victims staged from two seeds are sent the same invalid curves
+        keys, events = [], []
+        for seed in (1, 2):
+            bob = hyh.gen(paper16, rng_seed=seed)
+            oracle = attacks.ConfirmationOracle(bob.d, paper16)
+            report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
+            assert int(report.recovered_secrets["d_B"], 16) == bob.d
+            keys.append(bob.d)
+            events.append(_event(report, "invalid_curves_found"))
+        assert keys[0] != keys[1] and events[0] == events[1]
 
     def test_query_count_equals_curve_count(self, paper16, keys16):
         _, bob = keys16
         oracle = attacks.ConfirmationOracle(bob.d, paper16)
-        report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
         curves = next(e for e in report.transcript
                       if e["event"] == "invalid_curves_found")
         assert report.oracle_queries == len(curves["orders"])
@@ -212,8 +223,8 @@ class TestInvalidCurveAttack:
         config = SchemeConfig(params=good_params)
         bob = hyh.keypair_from_secret(config, 5678)
         oracle = attacks.ConfirmationOracle(bob.d, config)
-        # params_good's search at seed 7 sends three curves through the CRT
-        report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=7)
+        # params_good's search sends three curves through the CRT
+        report = attacks.invalid_curve_attack(config, bob.U, oracle)
         found = [e for e in report.transcript if e["event"] == "residue_found"]
         assert [e["order"] for e in found] == [3, 631, 197]
         product = 1
@@ -232,7 +243,7 @@ class TestInvalidCurveAttack:
         # two queries are left, and toy16's search needs three curves
         for _ in range(attacks.QUERY_BUDGET - 2):
             oracle.query(None)
-        report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=3)
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
         assert report.transcript[0]["orders"] == [2, 911, 10847]
         assert report.success is False and report.oracle_queries == 64
         events = [e["event"] for e in report.transcript]
@@ -244,7 +255,7 @@ class TestInvalidCurveAttack:
         strict = SchemeConfig(params=toy16, mode=STRICT)
         bob = hyh.keypair_from_secret(strict, 7777)
         oracle = attacks.ConfirmationOracle(bob.d, strict)
-        report = attacks.invalid_curve_attack(strict, bob.U, oracle, rng_seed=1)
+        report = attacks.invalid_curve_attack(strict, bob.U, oracle)
         assert not report.success
         assert report.oracle_queries == 1
         assert any(e["event"] == "oracle_rejected" for e in report.transcript)
@@ -258,7 +269,7 @@ class TestInvalidCurveAttack:
                 return message, bytes(len(z))  # never a real MAC
 
         oracle = BrokenOracle(bob.d, paper16)
-        report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
         assert report.success is False
         assert report.oracle_queries == 1
         last = report.transcript[-1]
@@ -273,7 +284,7 @@ class TestInvalidCurveAttack:
         # the CRT candidates all fail the public-key verification
         alice, bob = keys16
         oracle = attacks.ConfirmationOracle(alice.d, paper16)
-        report = attacks.invalid_curve_attack(paper16, bob.U, oracle, rng_seed=1)
+        report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
         assert report.success is False
         last = report.transcript[-1]
         assert last["event"] == "no_candidate"
@@ -289,7 +300,7 @@ class TestInvalidCurveAttack:
         config = SchemeConfig(params=fixtures.load(fixtures.SECP160R1))
         bob = hyh.keypair_from_secret(config, 5678)
         oracle = attacks.ConfirmationOracle(bob.d, config)
-        report = attacks.invalid_curve_attack(config, bob.U, oracle, rng_seed=5)
+        report = attacks.invalid_curve_attack(config, bob.U, oracle)
         assert report.success is False and report.oracle_queries == 0
         [event] = report.transcript
         assert event["event"] == "not_staged"
@@ -316,7 +327,7 @@ class TestToyCA:
         # W has order 2 (toy16 has h = 4) and passes validate_public_key. The
         # proof R = 1*G, z = 1 verifies, as c = H(R || body) is even here and
         # c*W = O; strict signcrypt refuses the same W for its order
-        W = cv.find_point_of_order(toy16, 2, toy16.h * toy16.n, rng_seed=0)
+        W = cv.find_point_of_order(toy16, 2, toy16.h * toy16.n)
         assert cv.validate_public_key(toy16, W) == ()
         proof = attacks._point_bytes(strict16, toy16.G) + hyh.encode_scalar(strict16, 1)
         assert attacks.schnorr_verify(
@@ -480,18 +491,19 @@ class TestDegenerateKeyDemo:
         assert not _event(strict, "keyless_forgery")["accepted"]
 
     def test_forged_message_is_searched_once(self, good_params):
+        # the search depends on n alone, so two seeds in two modes share it
         attacks._zero_hash_message.cache_clear()
-        seed = 11
         configs = [SchemeConfig(params=good_params, mode=m) for m in (PAPER, STRICT)]
-        reports = [attacks.degenerate_key_demo(c, rng_seed=seed) for c in configs]
+        reports = [attacks.degenerate_key_demo(c, rng_seed=seed)
+                   for seed in (5, 11) for c in configs]
         info = attacks._zero_hash_message.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 3)
         counter = 0
-        while hyh.hash_to_scalar(configs[0], b"forged-%d-%d" % (seed, counter)):
+        while hyh.hash_to_scalar(configs[0], b"forged-%d" % counter):
             counter += 1
-        expected = (b"forged-%d-%d" % (seed, counter)).hex()
-        assert [_event(r, "keyless_forgery")["message"] for r in reports] == [expected] * 2
-        assert [r.success for r in reports] == [True, False]
+        expected = (b"forged-%d" % counter).hex()
+        assert [_event(r, "keyless_forgery")["message"] for r in reports] == [expected] * 4
+        assert [r.success for r in reports] == [True, False] * 2
 
     def test_small_order_point_same_collapse(self, paper16):
         # an order-2 ephemeral point and an even recipient key also give K = O
@@ -504,7 +516,7 @@ class TestDegenerateKeyDemo:
             cand = cv.CurveParams(q=params.q, a=params.a, b=b2, G=None, n=1, h=1)
             group_order = cv.count_points(cand)
             if group_order % 2 == 0:
-                W = cv.find_point_of_order(cand, 2, group_order, rng_seed=1)
+                W = cv.find_point_of_order(cand, 2, group_order)
                 break
         assert W is not None and W[1] == 0
         bob = hyh.keypair_from_secret(paper16, 2468)  # even secret

@@ -524,25 +524,25 @@ class TestAttackCommands:
         assert "oracle_rejected" in events
 
     def test_invalid_curve_x_zero_collision(self, capsys, tmp_path):
-        # seed 11 stages d_B = 5 on the 7-point group, and 5*W = (0, 21) for
+        # seed 7 stages d_B = 2 on the 7-point group, and 2*W = (0, 2) for
         # the order-29 point W of b' = 4: the MAC keyed by x = 0 also
         # matches j = 0, as x(O) = 0 in the lab
         rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
-                      "--seed", "11", "attack", "invalid-curve")
+                      "--seed", "7", "attack", "invalid-curve")
         report = json.loads(out)
         config = SchemeConfig(params=fixtures.load(fixtures.F23_N7))
-        _, bob = cli._keys(config, random.Random(11))
+        _, bob = cli._keys(config, random.Random(7))
         assert rc == 0
         d_b = int(report["recovered_secrets"]["d_B"], 16)
-        assert d_b == bob.d == 5
+        assert d_b == bob.d == 2
         assert curve.scalar_mul(config.params, d_b, config.params.G) == bob.U
         residue = next(e for e in report["transcript"]
                        if e["event"] == "residue_found" and e["order"] == 29)
-        assert residue["candidates"] == [0, 5]
+        assert residue["candidates"] == [0, 2]
 
     def test_invalid_curve_x_zero_collision_strict(self, capsys, tmp_path):
         rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
-                      "--mode", "strict", "--seed", "11",
+                      "--mode", "strict", "--seed", "7",
                       "attack", "invalid-curve")
         report = json.loads(out)
         assert rc == 1 and report["oracle_queries"] == 1
@@ -756,11 +756,20 @@ class TestDemoAll:
         assert "strict-mode attacks landed: 0/6" in out
 
     def test_x_zero_collision_seed_runs_to_a_table(self, capsys, tmp_path):
+        # seed 7 is the collision of TestAttackCommands
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
+                      "--seed", "7", "demo", "all")
+        rows = {r["attack"]: (r["paper_success"], r["strict_success"])
+                for r in json.loads(out)["findings"]}
+        assert set(rows.values()) == {(True, False)}
+        assert rc == 0
+
+    def test_shared_keystream_seed_lands_nonce_reuse_in_strict(self, capsys,
+                                                                tmp_path):
         rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.F23_N7),
                       "--seed", "11", "demo", "all")
         rows = {r["attack"]: (r["paper_success"], r["strict_success"])
                 for r in json.loads(out)["findings"]}
-        assert rows.pop("invalid-curve") == (True, False)
         # two fresh ephemerals out of [1, 6] give one keystream here, so the
         # nonce-reuse XOR lands in strict mode too, and the exit code is 1
         assert rows.pop("nonce-reuse") == (True, True)
