@@ -30,8 +30,8 @@ from .curve import (
     CurveTooLarge,
     Point,
     SearchBudgetExceeded,
-    find_invalid_curves,
     fixed_base_mul,
+    invalid_curves,
     point_add,
 )
 from .hyh import (
@@ -185,47 +185,52 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     assignment is pushed through the CRT until one candidate reproduces the
     victim's public key.
 
+    Each point is sent as soon as its curve is found; the next curve is
+    counted only after the reply, and none once the orders multiply past n.
+
     The report reads failure when no invalid curve can be counted at this
-    size, or too few have small orders whose product passes n, so that
-    nothing is sent (``not_staged``); when the oracle refuses a point or its
-    budget is spent; when its MAC matches no multiple of the point sent
-    (``residue_not_found``); or when no sign vector reproduces U_B
+    size (``not_staged``, nothing sent); when the oracle refuses a point or
+    its budget is spent; when its MAC matches no multiple of the point sent
+    (``residue_not_found``); when the curves run out before their orders
+    multiply past n (``not_staged``); or when no sign vector reproduces U_B
     (``no_candidate``), which includes more than ``MAX_SIGN_VECTOR_CURVES``
     curves, whose vectors are not tried.
     """
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
-    try:
-        hits = find_invalid_curves(params)
-    except (CurveTooLarge, SearchBudgetExceeded) as exc:
-        report.log("not_staged", reason=str(exc))
-        return report
-    report.log("invalid_curves_found",
-               orders=[h.n for h in hits],
-               b_values=[_hex(h.b) for h in hits])
-
     residues: list[Residue] = []
-    trials_per_curve: list[int] = []
-    for hit in hits:
+    hits = invalid_curves(params)
+    product = 1
+    while product <= params.n:
+        try:
+            hit = next(hits)
+        except StopIteration:
+            report.log("not_staged", reason=f"product of small orders only reached "
+                                            f"{product} when the curves ran out")
+            return report
+        except (CurveTooLarge, SearchBudgetExceeded) as exc:
+            report.log("not_staged", reason=str(exc))
+            return report
+        curve = {"order": hit.n, "b": _hex(hit.b)}
         try:
             message, z = oracle.query(hit.G)
         except hyh.Refused as exc:
-            report.log("oracle_rejected", order=hit.n, reason=str(exc))
+            report.log("oracle_rejected", **curve, reason=str(exc))
             report.log("blocked", reason="recipient validates ephemeral points")
             return report
         except QueryBudgetExceeded as exc:
-            report.log("budget_spent", order=hit.n, reason=str(exc))
+            report.log("budget_spent", **curve, reason=str(exc))
             return report
         finally:
             report.oracle_queries = oracle.queries
         values, trials = _brute_force_coset(config, hit, message, z)
         if not values:
-            report.log("residue_not_found", order=hit.n, mac_trials=trials)
+            report.log("residue_not_found", **curve, mac_trials=trials)
             return report
         residues.append(Residue(values=values, modulus=hit.n))
-        trials_per_curve.append(trials)
+        product *= hit.n
         details = {"candidates": list(values)} if len(values) > 1 else {}
-        report.log("residue_found", order=hit.n, value=values[0],
+        report.log("residue_found", **curve, value=values[0],
                    mac_trials=trials, **details)
 
     d_b = _resolve_signs(params, residues, u_b)
@@ -239,8 +244,6 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     report.success = True
     report.recovered_secrets = {"d_B": _hex(d_b), "residues": ",".join(
         f"{min(d_b % r.modulus, -d_b % r.modulus)}%{r.modulus}" for r in residues)}
-    report.log("mac_trials_total", per_curve=trials_per_curve,
-               bounds=[h.n // 2 + 1 + h.n % 2 for h in hits])
     return report
 
 

@@ -178,6 +178,14 @@ def _read_bytes(path: str) -> bytes:
         raise ValueError(str(exc)) from None
 
 
+def _write(path: str, data: str | bytes):
+    try:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _load(path: str, parse, refusal: str = "{}"):
     """What ``parse`` makes of the JSON object in the file at path. Bad
     input ends in exit 2: an unreadable file, JSON that is not an object,
@@ -231,10 +239,9 @@ def _emit(args, payload: dict, text_lines: list[str], copy_to_out: bool = True):
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         rendered = "\n".join(text_lines) + "\n"
-    sys.stdout.write(rendered)
     if copy_to_out and args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        _write(args.out, rendered)
+    sys.stdout.write(rendered)
 
 
 # --- commands ----------------------------------------------------------------
@@ -258,10 +265,8 @@ def cmd_keygen(args) -> int:
                          "G does not have order n")
     pub = hyh.point_to_hex(keypair.U, "U")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"d": f"{keypair.d:x}"}, fh, indent=2, sort_keys=True)
-        with open(args.out + ".pub", "w") as fh:
-            json.dump(pub, fh, indent=2, sort_keys=True)
+        _write(args.out, json.dumps({"d": f"{keypair.d:x}"}, indent=2, sort_keys=True))
+        _write(args.out + ".pub", json.dumps(pub, indent=2, sort_keys=True))
     payload = {"d": f"{keypair.d:x}", **pub}
     # --out names the key file here, so the printed copy stays on stdout
     _emit(args, payload,
@@ -292,8 +297,7 @@ def cmd_unsigncrypt(args) -> int:
     if message is None:
         payload, lines = {"accepted": False}, ["rejected"]
     elif args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(message)
+        _write(args.out, message)
         payload, lines = {"accepted": True, "out": args.out}, [f"wrote {args.out}"]
     else:
         payload, lines = {"accepted": True, "message": message.hex()}, [message.hex()]

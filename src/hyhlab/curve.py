@@ -16,11 +16,14 @@ identically on every curve ``y^2 = x^3 + a*x + b'`` over the same field.
 Validation is a separate, explicit step (``validate_public_key``). That
 separation is the whole point of this module: it lets the rest of the lab
 feed carefully crafted invalid points to code that forgot to check.
+``invalid_curves`` finds such points one curve at a time, so the attack
+sends each point as soon as its curve is found.
 """
 
 import functools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from . import numtheory
@@ -60,7 +63,7 @@ _PROMOTED_BLOCKS = 9
 # before it gives up.
 _COUNT_TRIES = 64
 
-# The largest small order find_invalid_curves takes, and the curves it tries.
+# The largest small order invalid_curves takes, and the curves it tries.
 _SMALL_ORDER_BOUND = 1 << 14
 _INVALID_CURVE_CANDIDATES = 64
 
@@ -489,40 +492,29 @@ def find_point_of_order(params: CurveParams, g: int, group_order: int) -> Point:
     raise SearchBudgetExceeded(f"no point of order {g} found in {_SEARCH_TRIES} tries")
 
 
-def find_invalid_curves(params: CurveParams) -> list[CurveParams]:
+def invalid_curves(params: CurveParams) -> Iterator[CurveParams]:
     """Curves differing from params only in b, each with a base point G of
-    small prime order n and cofactor h = #E'/n, the orders pairwise coprime
-    with product above params.n.
+    small prime order n and cofactor h = #E'/n, found one at a time.
 
-    Candidates are scanned in order (b+1, b+2, ...); at most one small-order
-    point is taken per curve, and only a prime that does not divide the
-    product so far. Every returned G fails validation against the original
-    curve.
+    The candidates b+1, ..., b+64 are counted in order, each only when the
+    next hit is asked for. A candidate yields a point of the largest prime
+    order up to 2^14 that no earlier hit has, if its group has one; how many
+    hits to ask for is the caller's decision. Every yielded G fails
+    validation against the original curve.
     """
-    if params.n < 2:
-        raise ValueError("n must be >= 2")
-    hits: list[CurveParams] = []
-    product = 1
+    taken: set[int] = set()
     for step in range(1, _INVALID_CURVE_CANDIDATES + 1):
         b2 = (params.b + step) % params.q
-        if b2 == params.b:
-            continue
-        if (4 * params.a ** 3 + 27 * b2 * b2) % params.q == 0:
+        if b2 == params.b or (4 * params.a ** 3 + 27 * b2 * b2) % params.q == 0:
             continue
         candidate = CurveParams(params.q, params.a, b2, None, 0, 0)
         order2 = count_points(candidate)
-        usable = [
-            g for g in numtheory.factor(order2)
-            if g <= _SMALL_ORDER_BOUND and product % g
-        ]
+        usable = [g for g in numtheory.factor(order2)
+                  if g <= _SMALL_ORDER_BOUND and g not in taken]
         if not usable:
             continue
         g = max(usable)
         W = find_point_of_order(candidate, g, order2)
         assert not is_on_curve(params, W)
-        hits.append(replace(candidate, G=W, n=g, h=order2 // g))
-        product *= g
-        if product > params.n:
-            return hits
-    raise SearchBudgetExceeded(f"product of small orders only reached {product} "
-                               f"after {_INVALID_CURVE_CANDIDATES} curves")
+        taken.add(g)
+        yield replace(candidate, G=W, n=g, h=order2 // g)

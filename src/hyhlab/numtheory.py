@@ -141,7 +141,7 @@ def crt_combine(residues: list[tuple[int, int]]) -> int:
     return x % modulus
 
 
-def _pollard_rho(n: int, budget: int, rng: random.Random) -> int:
+def _pollard_rho(n: int, rng: random.Random) -> int:
     """One non-trivial factor of composite odd n, Brent's cycle variant."""
     while True:
         y = rng.randrange(1, n)
@@ -164,10 +164,9 @@ def _pollard_rho(n: int, budget: int, rng: random.Random) -> int:
                 k += m
             r *= 2
             count += r
-            if count > budget:
+            if count > DEFAULT_RHO_BUDGET:
                 raise RuntimeError(
-                    f"pollard rho exceeded {budget} iterations on {n}"
-                )
+                    f"pollard rho exceeded {DEFAULT_RHO_BUDGET} iterations on {n}")
         if g == n:
             g = 1
             while g == 1:
@@ -199,7 +198,7 @@ def factor(n: int) -> dict[int, int]:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, DEFAULT_RHO_BUDGET, rng)
+        d = _pollard_rho(m, rng)
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(factors.items()))

@@ -24,6 +24,16 @@ def promoted_bases():
     return bases
 
 
+@pytest.fixture()
+def counted_curves(monkeypatch):
+    """The b of each curve that curve.count_points counts during the test."""
+    counted = []
+    count_points = cv.count_points
+    monkeypatch.setattr(cv, "count_points",
+                        lambda params: counted.append(params.b) or count_points(params))
+    return counted
+
+
 @pytest.fixture(scope="session")
 def f23():
     """The 28-point classroom curve y^2 = x^3 + x + 1 over F_23, with the

@@ -208,16 +208,14 @@ class TestInvalidCurveAttack:
             report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
             assert int(report.recovered_secrets["d_B"], 16) == bob.d
             keys.append(bob.d)
-            events.append(_event(report, "invalid_curves_found"))
+            events.append(_curves(report))
         assert keys[0] != keys[1] and events[0] == events[1]
 
     def test_query_count_equals_curve_count(self, paper16, keys16):
         _, bob = keys16
         oracle = attacks.ConfirmationOracle(bob.d, paper16)
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
-        curves = next(e for e in report.transcript
-                      if e["event"] == "invalid_curves_found")
-        assert report.oracle_queries == len(curves["orders"])
+        assert report.oracle_queries == len(_curves(report)) == 3
 
     def test_residues_and_trial_bounds(self, good_params):
         config = SchemeConfig(params=good_params)
@@ -244,12 +242,36 @@ class TestInvalidCurveAttack:
         for _ in range(attacks.QUERY_BUDGET - 2):
             oracle.query(None)
         report = attacks.invalid_curve_attack(paper16, bob.U, oracle)
-        assert report.transcript[0]["orders"] == [2, 911, 10847]
         assert report.success is False and report.oracle_queries == 64
-        events = [e["event"] for e in report.transcript]
-        assert events == ["invalid_curves_found", "residue_found",
-                          "residue_found", "budget_spent"]
+        assert [(e["event"], e["order"], e["b"]) for e in report.transcript] == [
+            ("residue_found", 2, "781f"), ("residue_found", 911, "7820"),
+            ("budget_spent", 10847, "7822")]
         assert report.transcript[-1]["reason"] == "budget of 64 queries spent"
+
+    @pytest.mark.parametrize("name, orders", [
+        (fixtures.GOOD, [3, 631, 197]),
+        (fixtures.TOY16, [2, 911, 10847]),
+    ])
+    def test_one_curve_counted_per_query(self, counted_curves, name, orders):
+        # a curve is counted only when the attack asks for the next point,
+        # so a strict victim, refused at query 1, costs one count
+        params = fixtures.load(name)
+        for mode in (PAPER, STRICT):
+            config = SchemeConfig(params=params, mode=mode)
+            bob = hyh.keypair_from_secret(config, 5678)
+            counted_curves.clear()
+            report = attacks.invalid_curve_attack(
+                config, bob.U, attacks.ConfirmationOracle(bob.d, config))
+            if mode == PAPER:
+                assert report.success
+                assert [order for order, _ in _curves(report)] == orders
+                assert int(_curves(report)[-1][1], 16) == counted_curves[-1]
+            else:
+                assert not report.success and report.oracle_queries == 1
+                assert len(counted_curves) == 1
+                assert [e["event"] for e in report.transcript] == [
+                    "oracle_rejected", "blocked"]
+                assert report.transcript[0]["b"] == f"{counted_curves[0]:x}"
 
     def test_strict_victim_blocks_at_first_query(self, toy16, keys16):
         strict = SchemeConfig(params=toy16, mode=STRICT)
@@ -274,8 +296,7 @@ class TestInvalidCurveAttack:
         assert report.oracle_queries == 1
         last = report.transcript[-1]
         assert last["event"] == "residue_not_found"
-        curves = report.transcript[0]
-        assert last["order"] == curves["orders"][0]
+        assert (last["order"], last["b"]) == (2, "781f")
         assert last["mac_trials"] == last["order"] // 2 + 1 + last["order"] % 2
         assert report.recovered_secrets == {}
 
@@ -288,8 +309,7 @@ class TestInvalidCurveAttack:
         assert report.success is False
         last = report.transcript[-1]
         assert last["event"] == "no_candidate"
-        curves = report.transcript[0]
-        assert last["curves"] == len(curves["orders"]) == report.oracle_queries
+        assert last["curves"] == len(_curves(report)) == report.oracle_queries
         assert not any(e["event"] in ("crt_recombined", "blocked")
                        for e in report.transcript)
         assert report.recovered_secrets == {}
@@ -354,6 +374,13 @@ class TestToyCA:
         cert = attacks.ca_issue(strict16, "Alice", alice.U, possession_proof=proof)
         assert cert.subject_identity == "Alice"
         assert cert.public_key == alice.U
+
+    def test_wrong_length_proof_refused(self, strict16, keys16):
+        alice, _ = keys16
+        proof = attacks.make_possession_proof(strict16, alice, "Alice")
+        for wrong in (proof[:-1], proof + b"\0", b""):
+            with pytest.raises(hyh.Refused, match="no valid proof of possession"):
+                attacks.ca_issue(strict16, "Alice", alice.U, possession_proof=wrong)
 
     def test_unreduced_proof_point_refused(self, f23_n7):
         # the proof's R = (132, 248) reduces to (17, 18), whose x is that of
@@ -468,6 +495,12 @@ class TestBreakForwardSecrecy:
 
 def _event(report: attacks.AttackReport, name: str) -> dict:
     return next(e for e in report.transcript if e["event"] == name)
+
+
+def _curves(report: attacks.AttackReport) -> list[tuple[int, str]]:
+    """(order, b) of each invalid curve whose residue was found."""
+    return [(e["order"], e["b"]) for e in report.transcript
+            if e["event"] == "residue_found"]
 
 
 class TestDegenerateKeyDemo:

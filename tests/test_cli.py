@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -414,6 +415,31 @@ class TestWireFileRefusals:
                  else "private key out of range [1, n-1]")
         assert captured.err == f"error: d.json: {error}\n"
 
+    @pytest.mark.parametrize("command", [
+        ["params", "validate"], ["keygen"], ["demo", "all"],
+        ["signcrypt", "--key", "key.json", "--peer", "peer.json", "--in", "key.json"],
+        ["unsigncrypt", "--key", "key.json", "--peer", "peer.json", "--in", "in.json"],
+    ], ids=["params_validate", "keygen", "demo_all", "signcrypt", "unsigncrypt"])
+    def test_unwritable_out(self, capsys, wire_files, command):
+        rc = cli.main(["--params", "params.json", "--out", "no/such/dir.json",
+                       *command])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "'no/such/dir.json'" in captured.err
+
+    @pytest.mark.parametrize("command, flag", [
+        (["signcrypt", "--key", "key.json", "--peer", "peer.json"], "--in"),
+        (["verify", "--peer", "peer.json", "--in", "in.json"], "--message"),
+    ], ids=["signcrypt_in", "verify_message"])
+    @pytest.mark.parametrize("path", ["missing.bin", "."], ids=["missing", "directory"])
+    def test_unreadable_byte_file(self, capsys, wire_files, command, flag, path):
+        rc = cli.main(["--params", "params.json", *command, flag, path])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"'{path}'" in captured.err
+
 
 # one well-formed object over every key of a params, private-key, public-key
 # and signcrypted-text file; each example deletes and rewrites some keys
@@ -546,7 +572,8 @@ class TestAttackCommands:
                       "attack", "invalid-curve")
         report = json.loads(out)
         assert rc == 1 and report["oracle_queries"] == 1
-        assert report["transcript"][1]["event"] == "oracle_rejected"
+        assert [e["event"] for e in report["transcript"]] == [
+            "oracle_rejected", "blocked"]
 
     @pytest.mark.parametrize("mode", ["paper", "strict"])
     def test_invalid_curve_not_staged_at_secp160r1(self, capsys, tmp_path, mode):
@@ -568,20 +595,34 @@ class TestAttackCommands:
         path.write_text(json.dumps(obj))
         return str(path)
 
-    @pytest.mark.parametrize("mode", ["paper", "strict"])
-    def test_invalid_curve_search_budget_not_staged(self, capsys, tmp_path, mode):
-        # 64 curves of toy16 give small orders whose product stays below
-        # n = 2^1000 + 1, so the search gives up before any query
+    def test_invalid_curve_hits_short_of_n(self, capsys, tmp_path):
+        # the small orders of toy16's 64 curves multiply to less than
+        # n = 2^1000 + 1: paper mode asks for every one, then gives up
         path = self._toy16_with_n(tmp_path, (1 << 1000) + 1)
-        rc = cli.main(["--params", path, "--mode", mode, "attack",
+        rc = cli.main(["--params", path, "attack", "invalid-curve"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert rc == 1 and captured.err == ""
+        assert not report["success"] and report["oracle_queries"] == 57
+        *found, event = report["transcript"]
+        assert [e["event"] for e in found] == ["residue_found"] * 57
+        assert event["event"] == "not_staged"
+        assert event["reason"].startswith("product of small orders only reached")
+        product = math.prod(e["order"] for e in found)
+        assert f" {product} " in event["reason"] and product < 1 << 1000
+
+    def test_invalid_curve_hits_short_of_n_strict(self, capsys, tmp_path):
+        # the strict recipient refuses the first point before the search
+        # could run out
+        path = self._toy16_with_n(tmp_path, (1 << 1000) + 1)
+        rc = cli.main(["--params", path, "--mode", "strict", "attack",
                        "invalid-curve"])
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert rc == 1 and captured.err == ""
-        assert not report["success"] and report["oracle_queries"] == 0
-        [event] = report["transcript"]
-        assert event["event"] == "not_staged"
-        assert event["reason"].startswith("product of small orders only reached")
+        assert not report["success"] and report["oracle_queries"] == 1
+        assert [e["event"] for e in report["transcript"]] == [
+            "oracle_rejected", "blocked"]
 
     def test_invalid_curve_without_candidate_is_not_blocked(self, capsys, tmp_path):
         # n = 2^340 + 1 takes more curves than the sign vectors are tried
@@ -723,6 +764,12 @@ class TestDemoAll:
         # a composite n is refused; every other bundled set runs its table
         rc, _ = run(capsys, "--params", params_file(tmp_path, name), "demo", "all")
         assert rc == (2 if name == fixtures.COMPOSITE_N else 0)
+
+    def test_default_params_are_params_good(self, capsys, tmp_path):
+        default = run(capsys, "--seed", "7", "demo", "all")
+        named = run(capsys, "--params", params_file(tmp_path, fixtures.GOOD),
+                    "--seed", "7", "demo", "all")
+        assert default == named and default[0] == 0
 
     def test_mode_duality(self, capsys, toy_params_file):
         rc, out = run(capsys, "--params", toy_params_file, "--seed", "5",

@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import itertools
 import random
 
 import pytest
@@ -43,6 +43,13 @@ class TestPointAdd:
         assert cv.point_add(f23, (0, 1), (0, 22)) is None
         W2 = (4, 0)  # the unique order-2 point is its own negative
         assert cv.point_add(f23, W2, W2) is None
+
+    def test_shared_x_without_negation(self, f23):
+        # (0, 1) lies on f23 and (0, y2) on y^2 = x^3 + x + y2^2: no curve
+        # of the family holds both, and the total law calls their sum O
+        for y2 in (5, 11, 17):
+            assert cv.point_add(f23, (0, 1), (0, y2)) is None
+            assert cv.point_add(f23, (0, y2), (0, 1)) is None
 
     def test_doubling_example(self, f23):
         # tangent slope at (0,1): (3*0+1)/2 = 12 mod 23, so x3 = 144-0 = 6
@@ -514,7 +521,7 @@ class TestCountPoints:
         assert cv.count_points(params) == cv.count_points_exhaustive(params)
 
     def test_matches_exhaustive_on_invalid_curve_candidates(self, toy16):
-        # the curves find_invalid_curves scans: b+1, ..., b+64
+        # the curves invalid_curves scans: b+1, ..., b+64
         for step in range(1, 65):
             candidate = cv.CurveParams(toy16.q, toy16.a, (toy16.b + step) % toy16.q,
                                        None, 0, 0)
@@ -582,10 +589,8 @@ class TestFindPointOfOrder:
 
 class TestFindInvalidCurves:
     def test_postconditions(self, toy16):
-        hits = cv.find_invalid_curves(toy16)
-        product = 1
         orders = []
-        for hit in hits:
+        for hit in cv.invalid_curves(toy16):
             assert hit.q == toy16.q and hit.a == toy16.a
             assert hit.b != toy16.b
             assert not cv.is_on_curve(toy16, hit.G)
@@ -593,15 +598,12 @@ class TestFindInvalidCurves:
             group_order = cv.count_points(hit)
             assert group_order == hit.h * hit.n
             assert cv.point_order(hit, hit.G, group_order) == hit.n
-            product *= hit.n
+            assert nt.is_prime(hit.n) and hit.n <= 1 << 14
             orders.append(hit.n)
-        assert product > toy16.n
-        assert len(set(orders)) == len(orders)
+        assert len(set(orders)) == len(orders) == 57
 
     def test_same_params_same_curves(self, toy16):
-        a = cv.find_invalid_curves(toy16)
-        b = cv.find_invalid_curves(toy16)
-        assert a == b
+        assert list(cv.invalid_curves(toy16)) == list(cv.invalid_curves(toy16))
 
     @pytest.mark.parametrize("name, expected", [
         (fixtures.GOOD, [
@@ -617,19 +619,17 @@ class TestFindInvalidCurves:
     ])
     def test_golden_curves(self, name, expected):
         # (b', order, point, #E') as found with the exhaustive count
-        params = fixtures.load(name)
-        hits = cv.find_invalid_curves(params)
+        hits = itertools.islice(cv.invalid_curves(fixtures.load(name)), 3)
         assert [(h.b, h.n, h.G, h.h * h.n) for h in hits] == expected
 
-    def test_n_below_two_refused(self, toy16):
-        with pytest.raises(ValueError):
-            cv.find_invalid_curves(dataclasses.replace(toy16, n=1))
-
-    def test_candidate_budget(self, toy16):
-        # the small orders of 64 toy16 curves stay below n = 2^1000 + 1
-        huge_n = dataclasses.replace(toy16, n=(1 << 1000) + 1)
-        with pytest.raises(cv.SearchBudgetExceeded, match="after 64 curves$"):
-            cv.find_invalid_curves(huge_n)
+    def test_candidate_budget(self, toy16, counted_curves):
+        # a curve is counted only when the next hit is asked for, and the
+        # search ends with the candidates b+1, ..., b+64
+        hits = cv.invalid_curves(toy16)
+        assert counted_curves == []
+        assert next(hits).b == toy16.b + 1 and counted_curves == [toy16.b + 1]
+        assert len(list(hits)) == 56
+        assert counted_curves == [toy16.b + step for step in range(1, 65)]
 
 
 class TestValidatedParams:

@@ -140,8 +140,9 @@ class TestFactor:
         assert math.prod(p**e for p, e in fac.items()) == n
         assert all(nt.is_prime(p) for p in fac)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         # a 120-bit semiprime cannot fall to a starved rho budget
+        monkeypatch.setattr(nt, "DEFAULT_RHO_BUDGET", 4)
         p, q = 2**61 - 1, 2**61 + 15  # both prime
         with pytest.raises(RuntimeError, match="pollard rho exceeded"):
-            nt._pollard_rho(p * q, 4, random.Random(0xFAC70))
+            nt._pollard_rho(p * q, random.Random(0xFAC70))
