@@ -4,15 +4,19 @@
 Runs ``hyhlab.cli.main`` in-process on every bundled parameter fixture and
 seeds 0, 1, 2, 3, 5, 11 and 42: ``demo all``, then each attack on the
 victims it stages from the seed, in paper and in strict mode (819 runs),
-and then ``params validate`` once per fixture (9 runs). Output is JSON, so
-no wall time is printed. Each run prints one line,
+then ``params validate`` once per fixture (9 runs), and then the protocol
+commands in each mode (90 runs): two ``keygen``s, a ``signcrypt`` to a
+file, and ``unsigncrypt`` and ``verify`` of that file. The files a
+protocol run writes carry its fixture and mode in their names, so no run
+reads a file that another fixture or mode wrote. Output is JSON, so no
+wall time is printed. Each run prints one line,
 
     <sha256 of exit code, stdout, stderr> <fixture> <argv>
 
-and each of the two groups ends in a digest over its runs: ``all runs``
-for the attack corpus, a name older outputs share, and ``params validate
-runs``. An exception that escapes ``main`` is a result too: its type and
-message stand in for the exit code.
+and each of the three groups ends in a digest over its runs: ``all runs``
+for the attack corpus, a name older outputs share, ``params validate
+runs`` and ``protocol runs``. An exception that escapes ``main`` is a
+result too: its type and message stand in for the exit code.
 
 hyhlab is imported from PYTHONPATH, and the script takes no options, so
 the same file run against two checkouts compares with diff:
@@ -36,6 +40,7 @@ from importlib import resources
 from hyhlab import cli
 
 SEEDS = (0, 1, 2, 3, 5, 11, 42)
+MESSAGE = "message.bin"
 
 
 def run(argv: list[str]) -> str:
@@ -60,6 +65,21 @@ def main():
                                     attack])
                             for attack in cli.ATTACK_NAMES for mode in ("paper", "strict")]
     validate_runs = [(name, ["params", "validate"]) for name in names]
+    protocol_runs = []
+    for name in names:
+        for mode in ("paper", "strict"):
+            stem = f"{name.removesuffix('.json')}.{mode}"
+            alice, bob, sct = f"{stem}.alice.key", f"{stem}.bob.key", f"{stem}.sct"
+            protocol_runs += [(name, ["--mode", mode, *argv]) for argv in (
+                ["--seed", "1", "--out", alice, "keygen"],
+                ["--seed", "2", "--out", bob, "keygen"],
+                ["--seed", "3", "--out", sct, "signcrypt", "--key", alice,
+                 "--peer", f"{bob}.pub", "--in", MESSAGE],
+                ["unsigncrypt", "--key", bob, "--peer", f"{alice}.pub",
+                 "--in", sct],
+                ["verify", "--peer", f"{alice}.pub", "--in", sct,
+                 "--message", MESSAGE],
+            )]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # contextlib.chdir would do, but it needs Python 3.11
@@ -69,8 +89,11 @@ def main():
                 # a relative --params path keeps the checkout out of the output
                 with open(name, "wb") as fh:
                     fh.write((bundled / name).read_bytes())
+            with open(MESSAGE, "wb") as fh:
+                fh.write(b"one message through every fixture and mode")
             for runs, label in ((attack_runs, "all runs"),
-                                (validate_runs, "params validate runs")):
+                                (validate_runs, "params validate runs"),
+                                (protocol_runs, "protocol runs")):
                 total = hashlib.sha256()
                 for name, argv in runs:
                     fixture = name.removesuffix(".json")

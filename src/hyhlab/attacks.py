@@ -353,23 +353,20 @@ def ca_issue(config: SchemeConfig, identity: str, public_key: Point,
 
     A paper-mode CA -- the scheme's own operating model -- binds whatever it
     is handed: another party's key, an off-curve point, anything. A
-    strict-mode CA requires the key to pass the check strict mode applies to
-    every peer's point (``hyh.peer_point_failures``) and the applicant to
-    present a valid signature of possession under that key, and raises
-    ``hyh.Refused`` when either fails. The CA lives in memory and is
-    trusted, so a certificate carries no signature of its own.
-    """
-    if config.mode == hyh.STRICT:
-        failed = hyh.peer_point_failures(config, public_key)
-        if failed:
-            raise hyh.Refused(
-                f"public key failed validation ({','.join(failed)})")
-        if possession_proof is None or not schnorr_verify(
+    strict-mode CA raises ``hyh.Refused`` for a key that fails the check of
+    every peer's point (``hyh.peer_point_failures``, which passes any key in
+    paper mode), then for an applicant with no valid signature of
+    possession under that key. The CA is trusted and in memory, so a
+    certificate carries no signature."""
+    failed = hyh.peer_point_failures(config, public_key)
+    if failed:
+        raise hyh.Refused(f"public key failed validation ({','.join(failed)})")
+    if config.mode == hyh.STRICT and (
+            possession_proof is None or not schnorr_verify(
                 config, public_key,
                 _possession_body(config, identity, public_key),
-                possession_proof):
-            raise hyh.Refused(
-                f"no valid proof of possession for {identity!r}")
+                possession_proof)):
+        raise hyh.Refused(f"no valid proof of possession for {identity!r}")
     return Certificate(subject_identity=identity, public_key=public_key)
 
 

@@ -225,7 +225,9 @@ def peer_point_failures(config: SchemeConfig, P: Point) -> tuple[str, ...]:
     """Strict mode's one check of a peer's point (an ephemeral R, U_A, U_B,
     a key handed to the CA), as the labels of what P fails, () when it
     passes: the labels of ``validate_public_key``, or "order" when P passes
-    those but n*P != O."""
+    those but n*P != O. Paper mode checks no point: every P passes."""
+    if config.mode == PAPER:
+        return ()
     failed = validate_public_key(config.params, P)
     if failed or _has_order_n(config, P):
         return failed
@@ -238,7 +240,7 @@ def recipient_shared_point(config: SchemeConfig, d_b: int,
     strict mode refuses. The paper checks nothing here; strict mode refuses
     an R that is not a valid point of order n (``ephemeral_point``) and a K
     that is the identity (``shared_point_identity``)."""
-    if config.mode == STRICT and peer_point_failures(config, R):
+    if peer_point_failures(config, R):
         return None, "ephemeral_point"
     K = fixed_base_mul(config.params, d_b, R)
     if config.mode == STRICT and K is None:
@@ -284,10 +286,9 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
         raise ValueError("message must be non-empty")
     if not 1 <= d_a < n:
         raise ValueError("sender secret out of range")
-    failed = peer_point_failures(config, u_b) if config.mode == STRICT else ()
+    failed = peer_point_failures(config, u_b)
     if failed:
-        raise Refused(
-            f"recipient key failed validation ({','.join(failed)})")
+        raise Refused(f"recipient key failed validation ({','.join(failed)})")
     e, state = _hash_message(config, message)
     rng = _rng(rng_seed)
     for _ in range(_RESAMPLE_LIMIT):
@@ -363,9 +364,11 @@ def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,
     """Anyone holding the message can check s*R == H(M)*G + (x_R mod n)*U_A.
     An s with no fixed-width encoding fails, as no tag can be made for it.
     Strict mode also refuses an s outside [1, n-1], so that s + n cannot
-    stand in for an honest s, and a U_A that is not a valid point of order
-    n; the paper has neither check."""
-    return _verify_equation(config, u_a, hash_to_scalar(config, message), R, s)
+    stand in for an honest s, and an R (such as the keyless forgery's O) or
+    a U_A that fails ``peer_point_failures``; the paper has none of these
+    checks. Strict unsigncrypt checks R before ``_verify_equation``."""
+    return not peer_point_failures(config, R) and _verify_equation(
+        config, u_a, hash_to_scalar(config, message), R, s)
 
 
 def _verify_equation(config: SchemeConfig, u_a: Point, e: int, R: Point,
@@ -374,8 +377,8 @@ def _verify_equation(config: SchemeConfig, u_a: Point, e: int, R: Point,
     params = config.params
     if not _encodable(config, s):
         return False
-    if config.mode == STRICT and not (
-            1 <= s < params.n and not peer_point_failures(config, u_a)):
+    if (config.mode == STRICT and not 1 <= s < params.n
+            or peer_point_failures(config, u_a)):
         return False
     lhs = fixed_base_mul(params, s, R)
     rhs = point_add(

@@ -135,6 +135,29 @@ class TestProtocolCommands:
         assert outs[0]["Rx"] == outs[1]["Rx"]
         assert outs[0]["Ry"] == outs[1]["Ry"]
 
+    @pytest.mark.parametrize("force_r, peer, error", [
+        ("0", None, "forced ephemeral scalar out of range"),
+        (f"{fixtures.load(fixtures.TOY16).n:x}", None,
+         "forced ephemeral scalar out of range"),
+        # U_B = (24329, 0) lies on toy16 with order 2, so K = 2*U_B = O
+        ("2", {"Ux": f"{24329:x}", "Uy": "0"},
+         "forced ephemeral scalar hits a degenerate case"),
+    ], ids=["zero", "n", "identity_shared_point"])
+    def test_forced_r_refusal(self, capsys, tmp_path, toy_params_file,
+                              force_r, peer, error):
+        alice_priv, bob_pub = self._keygen(capsys, tmp_path, toy_params_file,
+                                           "alice", 1)
+        if peer is not None:
+            bob_pub = tmp_path / "order2.pub"
+            bob_pub.write_text(json.dumps(peer))
+        m = tmp_path / "m"
+        m.write_bytes(b"m")
+        rc = cli.main(["--params", toy_params_file, "signcrypt", "--key",
+                       alice_priv, "--peer", str(bob_pub), "--in", str(m),
+                       "--force-r", force_r])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", f"error: {error}\n")
+
     def test_corrupted_ciphertext_exits_one(self, capsys, tmp_path,
                                             toy_params_file):
         alice_priv, alice_pub = self._keygen(capsys, tmp_path, toy_params_file,
@@ -189,14 +212,15 @@ class TestProtocolCommands:
         honest = json.loads(out)
         n = fixtures.load(fixtures.TOY16).n
         # s + n passes the verification equation wherever s does; so does
-        # s = 0 with R = O and a message hashing to 0 mod n
+        # any s with R = O and a message hashing to 0 mod n
         config = SchemeConfig(params=fixtures.load(fixtures.TOY16))
         zero_hash = next(m for m in (b"zero-%d" % i for i in range(1 << 20))
                          if hyh.hash_to_scalar(config, m) == 0)
         zero_message = tmp_path / "zero"
         zero_message.write_bytes(zero_hash)
         for fields, msg in [({"s": f"{int(honest['s'], 16) + n:x}"}, message),
-                            ({"Rx": "00", "Ry": "inf", "s": "0"}, zero_message)]:
+                            ({"Rx": "00", "Ry": "inf", "s": "0"}, zero_message),
+                            ({"Rx": "00", "Ry": "inf", "s": "1"}, zero_message)]:
             sct = tmp_path / "sct.json"
             sct.write_text(json.dumps({**honest, **fields}))
             rc, out = run(capsys, "--params", toy_params_file, "--mode", mode,
@@ -747,6 +771,18 @@ class TestDegenerateBasePoint:
                        "attack", "forward-secrecy"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: no usable ephemeral scalar")
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("name", ["ephemeral", "nonce-reuse"])
+    def test_shared_r_staging_exits_two(self, capsys, tmp_path, name, seed):
+        # n = 2 leaves r = 1 the one scalar to share, and under it a staged
+        # message signcrypts to s = 0
+        rc = cli.main(["--params", self._params(tmp_path, 11, 3, 2, 2),
+                       "--seed", seed, "attack", name])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == ("error: no ephemeral scalar signcrypts "
+                                "every staged message\n")
 
     def test_keygen_of_identity_key_exits_two(self, capsys, tmp_path):
         rc = cli.main(["--params", self._params(tmp_path, 23, 13, 7, 4),

@@ -1,6 +1,7 @@
 """scripts/cli_sweep.py reproduces tests/golden/cli_sweep.txt: every run of
-the attack corpus and of the validator prints what it printed when the file
-was written, and so do the two digests over them."""
+the attack corpus, of the validator and of the protocol commands prints what
+it printed when the file was written, and so do the three digests over
+them."""
 
 import contextlib
 import importlib.util

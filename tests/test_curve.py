@@ -602,6 +602,15 @@ class TestFindInvalidCurves:
             orders.append(hit.n)
         assert len(set(orders)) == len(orders) == 57
 
+    def test_scan_wraps_past_the_field(self, f23_n7, counted_curves):
+        # q = 23 < 64: step 23 of the scan reaches b' = b, which is skipped
+        hits = list(cv.invalid_curves(f23_n7))
+        assert f23_n7.b not in counted_curves
+        assert all(h.b != f23_n7.b for h in hits)
+        assert [h.n for h in hits] == [3, 29, 11, 7, 2, 5, 13, 19]
+        assert all(nt.is_prime(h.n) for h in hits)
+        assert not any(cv.is_on_curve(f23_n7, h.G) for h in hits)
+
     def test_same_params_same_curves(self, toy16):
         assert list(cv.invalid_curves(toy16)) == list(cv.invalid_curves(toy16))
 

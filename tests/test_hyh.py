@@ -450,12 +450,13 @@ class TestPublicVerify:
 
     @pytest.mark.parametrize("mode, accepted", [(PAPER, True), (STRICT, False)])
     def test_zero_s_accepted_only_by_paper(self, good_params, mode, accepted):
-        # R = O and H(M) = 0 mod n make both sides O, whatever s is
+        # R = O and H(M) = 0 mod n make both sides O, whatever s is; strict
+        # mode refuses R = O before it reaches the equation
         config = SchemeConfig(params=good_params, mode=mode)
         alice = hyh.keypair_from_secret(config, 1234)
         m = next(m for m in (b"zero-%d" % i for i in range(1 << 20))
                  if hyh.hash_to_scalar(config, m) == 0)
-        assert hyh.public_verify(config, alice.U, m, None, 1)
+        assert hyh.public_verify(config, alice.U, m, None, 1) is accepted
         assert hyh.public_verify(config, alice.U, m, None, 0) is accepted
 
 
