@@ -11,9 +11,9 @@ was recomputed from the attacker's view and verified via d*G == U.
 An attack that fails reports it: ``success`` stays False and the transcript
 says where the attack stopped. An attack raises only when the inputs it is
 handed contradict the public data, as a claimed r that does not give R or a
-leaked key and plaintext that do not give R (a ``ValueError``), or when the
-domain parameters admit no attack at all, as a composite n with no inverse
-where the key formula needs one (``NotInvertible``).
+leaked key and plaintext that do not give R, or when the domain parameters
+admit no attack at all, as a composite n with no inverse of x_R or s where
+the key formula needs one; either is a ``ValueError``.
 """
 
 import functools
@@ -158,21 +158,6 @@ class ConfirmationOracle:
         return CONFIRMATION_MESSAGE, z
 
 
-@dataclass(frozen=True)
-class Residue:
-    """The victim's key modulo a small order, known only up to sign: the MAC
-    depends on the shared point's x-coordinate alone, and x(j*W) = x(-j*W).
-    It is one of ``values``; there are two when x(d_B*W) = 0, which the MAC
-    cannot tell from the lab's x(O) = 0."""
-
-    values: tuple[int, ...]
-    modulus: int
-
-    def signed(self) -> tuple[int, ...]:
-        return tuple(v * sign % self.modulus
-                     for v in self.values for sign in (1, -1))
-
-
 def invalid_curve_attack(config: SchemeConfig, u_b: Point,
                          oracle: ConfirmationOracle) -> AttackReport:
     """Recover the recipient's long-term key via small-order points.
@@ -198,7 +183,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     """
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
-    residues: list[Residue] = []
+    residues: list[tuple[tuple[int, ...], int]] = []  # (signed candidates, g)
     hits = invalid_curves(params)
     product = 1
     while product <= params.n:
@@ -227,14 +212,18 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
         if not values:
             report.log("residue_not_found", **curve, mac_trials=trials)
             return report
-        residues.append(Residue(values=values, modulus=hit.n))
+        # d_B mod g is known only up to sign, as x(j*W) = x(-j*W); there are
+        # two values when x(d_B*W) = 0, which the MAC cannot tell from the
+        # lab's x(O) = 0
+        residues.append((tuple(v * sign % hit.n for v in values for sign in (1, -1)),
+                         hit.n))
         product *= hit.n
         details = {"candidates": list(values)} if len(values) > 1 else {}
         report.log("residue_found", **curve, value=values[0],
                    mac_trials=trials, **details)
 
     d_b = _resolve_signs(params, residues, u_b)
-    sign_vectors = math.prod(len(r.signed()) for r in residues)
+    sign_vectors = math.prod(len(signed) for signed, _ in residues)
     if d_b is None:
         report.log("no_candidate", curves=len(residues),
                    sign_vectors_max=sign_vectors)
@@ -243,7 +232,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     # _resolve_signs returns only a d_b with d_b*G == U_B
     report.success = True
     report.recovered_secrets = {"d_B": _hex(d_b), "residues": ",".join(
-        f"{min(d_b % r.modulus, -d_b % r.modulus)}%{r.modulus}" for r in residues)}
+        f"{min(d_b % g, -d_b % g)}%{g}" for _, g in residues)}
     return report
 
 
@@ -270,16 +259,18 @@ def _coset_x(hit: CurveParams, half: int):
         K = point_add(hit, K, hit.G)
 
 
-def _resolve_signs(params: CurveParams, residues: list[Residue],
+def _resolve_signs(params: CurveParams, residues: list[tuple[tuple[int, ...], int]],
                    u_b: Point) -> int | None:
-    """The d in [1, n-1] with d*G == U_B that a sign vector gives, or None."""
+    """The d in [1, n-1] with d*G == U_B that a sign vector over the
+    (signed candidates, g) pairs gives, or None."""
     if len(residues) > MAX_SIGN_VECTOR_CURVES:
         return None
+    moduli = [g for _, g in residues]
     # a private key lies in [1, n-1]; d + n would pass the d*G check as well
-    bound = min(math.prod(r.modulus for r in residues), params.n)
+    bound = min(math.prod(moduli), params.n)
     # the negation of every candidate is the candidate of the negated signs
-    for choice in itertools.product(*(r.signed() for r in residues)):
-        d = crt_combine([(v, r.modulus) for v, r in zip(choice, residues)])
+    for choice in itertools.product(*(signed for signed, _ in residues)):
+        d = crt_combine(list(zip(choice, moduli)))
         if 1 <= d < bound and fixed_base_mul(params, d, params.G) == u_b:
             return d
     return None
@@ -293,79 +284,37 @@ class Certificate:
     public_key: Point
 
 
-def _point_bytes(config: SchemeConfig, P: Point) -> bytes:
-    if P is None:
-        return b"INF"
-    return encode_field(config, P[0]) + encode_field(config, P[1])
-
-
-def schnorr_sign(config: SchemeConfig, d: int, message: bytes,
-                 rng: random.Random) -> bytes:
-    """(R, z) with R = k*G, z = k + H(R || message)*d mod n. Raises
-    ``hyh.RngFailure`` when no k in ``hyh._RESAMPLE_LIMIT`` draws gives
-    R != O and z != 0, as on a curve whose G has order 2."""
-    params = config.params
-    for _ in range(hyh._RESAMPLE_LIMIT):
-        k = rng.randrange(1, params.n)
-        R = fixed_base_mul(params, k, params.G)
-        c = hash_to_scalar(config, _point_bytes(config, R) + message)
-        z = (k + c * d) % params.n
-        if z != 0 and R is not None:
-            return _point_bytes(config, R) + hyh.encode_scalar(config, z)
-    raise hyh.RngFailure("no usable Schnorr nonce found; G degenerate?")
-
-
-def schnorr_verify(config: SchemeConfig, public_key: Point, message: bytes,
-                   signature: bytes) -> bool:
-    """Whether z*G == R + H(R || message)*public_key. An R with a coordinate
-    outside [0, q) fails: ``point_add`` compares coordinates as integers,
-    and an unreduced R beside its reduced twin would divide by zero."""
-    params = config.params
-    w = config.field_width
-    if len(signature) != 2 * w + config.scalar_width:
-        return False
-    R: Point = (int.from_bytes(signature[:w], "big"),
-                int.from_bytes(signature[w:2 * w], "big"))
-    if not (R[0] < params.q and R[1] < params.q):
-        return False
-    z = int.from_bytes(signature[2 * w:], "big")
-    c = hash_to_scalar(config, signature[:2 * w] + message)
-    lhs = fixed_base_mul(params, z, params.G)
-    rhs = point_add(params, R, fixed_base_mul(params, c, public_key))
-    return lhs == rhs
-
-
-def _possession_body(config: SchemeConfig, identity: str, public_key: Point) -> bytes:
-    return b"possess\0" + identity.encode() + b"\0" + _point_bytes(config, public_key)
+def _possession_body(identity: str) -> bytes:
+    return b"possess\0" + identity.encode()
 
 
 def make_possession_proof(config: SchemeConfig, keypair: KeyPair,
-                          identity: str) -> bytes:
-    """Signature over a fixed-format request, proving control of the key."""
-    return schnorr_sign(config, keypair.d,
-                        _possession_body(config, identity, keypair.U),
-                        random.Random(0))
+                          identity: str) -> tuple[Point, int]:
+    """(R, s) of the request signcrypted to the applicant's own key: the
+    scheme's signature on it, which anyone checks with ``hyh.public_verify``
+    under the key, so the request need not carry the key."""
+    sct = hyh.signcrypt(config, keypair.d, keypair.U,
+                        _possession_body(identity), rng_seed=0)
+    return sct.R, sct.s
 
 
 def ca_issue(config: SchemeConfig, identity: str, public_key: Point,
-             possession_proof: bytes | None = None) -> Certificate:
+             possession_proof: tuple[Point, int] | None = None) -> Certificate:
     """Issue a certificate binding identity to public_key.
 
     A paper-mode CA -- the scheme's own operating model -- binds whatever it
     is handed: another party's key, an off-curve point, anything. A
     strict-mode CA raises ``hyh.Refused`` for a key that fails the check of
     every peer's point (``hyh.peer_point_failures``, which passes any key in
-    paper mode), then for an applicant with no valid signature of
-    possession under that key. The CA is trusted and in memory, so a
-    certificate carries no signature."""
+    paper mode), then for an applicant with no proof of possession (R, s)
+    that ``hyh.public_verify`` accepts under that key. The CA is trusted
+    and in memory, so a certificate carries no signature."""
     failed = hyh.peer_point_failures(config, public_key)
     if failed:
         raise hyh.Refused(f"public key failed validation ({','.join(failed)})")
     if config.mode == hyh.STRICT and (
-            possession_proof is None or not schnorr_verify(
-                config, public_key,
-                _possession_body(config, identity, public_key),
-                possession_proof)):
+            possession_proof is None or not hyh.public_verify(
+                config, public_key, _possession_body(identity), *possession_proof)):
         raise hyh.Refused(f"no valid proof of possession for {identity!r}")
     return Certificate(subject_identity=identity, public_key=public_key)
 

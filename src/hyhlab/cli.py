@@ -21,7 +21,6 @@ from . import attacks, fixtures, hyh, paramcheck
 from .attacks import AttackReport
 from .curve import CurveParams, Point
 from .hyh import SchemeConfig, SigncryptedText
-from .numtheory import NotInvertible
 
 
 # --- attack staging ----------------------------------------------------------
@@ -47,15 +46,12 @@ def _signcrypt_under_one_r(config: SchemeConfig, rng: random.Random,
                            ) -> tuple[int, list[SigncryptedText]]:
     """(r, texts): the messages signcrypted from d_a to u_b under the first
     r drawn from rng under which every one of them signcrypts. A degenerate
-    r is drawn again, as ``hyh.signcrypt`` draws its own; a NotInvertible,
-    as from a composite n, is no degenerate r and propagates."""
+    r, one that ``hyh.signcrypt`` would draw again, is drawn again here."""
     for _ in range(hyh._RESAMPLE_LIMIT):
         r = rng.randrange(1, config.params.n)
         try:
             return r, [hyh.signcrypt(config, d_a, u_b, m, forced_r=r)
                        for m in messages]
-        except NotInvertible:
-            raise
         except ValueError:
             continue
     raise hyh.RngFailure("no ephemeral scalar signcrypts every staged message")

@@ -181,8 +181,8 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     27. The cache entry is the table's only home, so a base evicted from
     the cache loses its count with its table and earns it again from zero.
 
-    A larger k, such as an attacker's Schnorr response or a paper-mode s
-    near 256^scalar_width, goes to ``scalar_mul``.
+    A larger k, such as a paper-mode s near 256^scalar_width, goes to
+    ``scalar_mul``.
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")

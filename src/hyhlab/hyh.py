@@ -19,7 +19,7 @@ only if the tag matches and the public verification equation
     s*R == H(M)*G + (x_R mod n)*U_A
 
 holds. H is SHA-256 throughout: it gives H(M), the tag and, in the attacks,
-the Schnorr challenges and the confirmation MAC.
+the confirmation MAC.
 
 Each side hashes M once and XORs it once. One hash state over M gives H(M)
 and, copied and fed the encoding of s, the tag H(M || s). ``xor_keystream``
@@ -33,6 +33,7 @@ whose strings are a few dozen bytes.
 
 import functools
 import hashlib
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -276,9 +277,11 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
               forced_r: int | None = None) -> SigncryptedText:
     """Signcrypt message from the holder of d_a to the holder of u_b.
 
-    forced_r pins the ephemeral scalar; it exists so tests and attack
-    stagings can reproduce nonce misuse on demand. Strict mode raises
-    ``Refused`` for a recipient key that fails ``peer_point_failures``.
+    An r is drawn again when x_R mod n = 0, K = O, r has no inverse mod n
+    or s = 0. forced_r pins the ephemeral scalar; it exists so tests and
+    attack stagings can reproduce nonce misuse on demand, and a degenerate
+    forced r is a ValueError. Strict mode raises ``Refused`` for a recipient
+    key that fails ``peer_point_failures``.
     """
     params = config.params
     n = params.n
@@ -298,14 +301,11 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
         R = fixed_base_mul(params, r, params.G)
         K = fixed_base_mul(params, r, u_b)
         x_r = x_coord(R) % n
-        if x_r == 0 or K is None:
+        # an r with no inverse mod n, as under a composite n, is degenerate
+        s = mod_inverse(r, n) * (e + x_r * d_a) % n if math.gcd(r, n) == 1 else 0
+        if x_r == 0 or K is None or s == 0:
             if forced_r is not None:
                 raise ValueError("forced ephemeral scalar hits a degenerate case")
-            continue
-        s = mod_inverse(r, n) * (e + x_r * d_a) % n
-        if s == 0:
-            if forced_r is not None:
-                raise ValueError("forced ephemeral scalar yields s = 0")
             continue
         C = xor_keystream(config, x_coord(K), message + _tag(config, state, s))
         return SigncryptedText(R=R, C=C, s=s)

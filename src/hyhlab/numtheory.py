@@ -24,18 +24,14 @@ _MR_RANDOM_ROUNDS = 40
 DEFAULT_RHO_BUDGET = 1_000_000
 
 
-class NotInvertible(ValueError):
-    """Raised when an element has no inverse modulo m (gcd != 1)."""
-
-
 def mod_inverse(a: int, m: int) -> int:
-    """Return b with a*b = 1 (mod m)."""
+    """Return b with a*b = 1 (mod m); a ValueError when gcd(a, m) != 1."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     try:
         return pow(a, -1, m)
     except ValueError:
-        raise NotInvertible(f"{a} is not invertible mod {m}") from None
+        raise ValueError(f"{a} is not invertible mod {m}") from None
 
 
 def is_prime(n: int) -> bool:

@@ -344,17 +344,13 @@ class TestToyCA:
             attacks.ca_issue(strict16, "Mallory", (5, 6))
 
     def test_strict_ca_refuses_small_order_key(self, toy16, strict16):
-        # W has order 2 (toy16 has h = 4) and passes validate_public_key. The
-        # proof R = 1*G, z = 1 verifies, as c = H(R || body) is even here and
-        # c*W = O; strict signcrypt refuses the same W for its order
+        # W has order 2 (toy16 has h = 4) and passes validate_public_key;
+        # the CA and strict signcrypt both refuse it for its order
         W = cv.find_point_of_order(toy16, 2, toy16.h * toy16.n)
         assert cv.validate_public_key(toy16, W) == ()
-        proof = attacks._point_bytes(strict16, toy16.G) + hyh.encode_scalar(strict16, 1)
-        assert attacks.schnorr_verify(
-            strict16, W, attacks._possession_body(strict16, "mallory", W), proof)
         with pytest.raises(hyh.Refused,
                            match=r"public key failed validation \(order\)"):
-            attacks.ca_issue(strict16, "mallory", W, possession_proof=proof)
+            attacks.ca_issue(strict16, "mallory", W)
         with pytest.raises(hyh.Refused,
                            match=r"recipient key failed validation \(order\)"):
             hyh.signcrypt(strict16, 1, W, b"to mallory")
@@ -368,67 +364,54 @@ class TestToyCA:
         with pytest.raises(hyh.Refused, match="no valid proof of possession"):
             attacks.ca_issue(strict16, "Mallory", alice.U, possession_proof=proof)
 
+    def test_proof_is_bound_to_the_key(self, strict16, keys16):
+        # the request names no key: public_verify under the key binds it
+        alice, bob = keys16
+        proof = attacks.make_possession_proof(strict16, alice, "Alice")
+        with pytest.raises(hyh.Refused, match="no valid proof of possession"):
+            attacks.ca_issue(strict16, "Alice", bob.U, possession_proof=proof)
+
     def test_strict_ca_accepts_genuine_applicant(self, strict16, keys16):
         alice, _ = keys16
         proof = attacks.make_possession_proof(strict16, alice, "Alice")
+        assert hyh.public_verify(strict16, alice.U, b"possess\0Alice", *proof)
         cert = attacks.ca_issue(strict16, "Alice", alice.U, possession_proof=proof)
         assert cert.subject_identity == "Alice"
         assert cert.public_key == alice.U
 
-    def test_wrong_length_proof_refused(self, strict16, keys16):
+    def test_out_of_range_proof_scalar_refused(self, strict16, keys16):
         alice, _ = keys16
-        proof = attacks.make_possession_proof(strict16, alice, "Alice")
-        for wrong in (proof[:-1], proof + b"\0", b""):
+        R, s = attacks.make_possession_proof(strict16, alice, "Alice")
+        for wrong in (s + strict16.params.n, 0):
             with pytest.raises(hyh.Refused, match="no valid proof of possession"):
-                attacks.ca_issue(strict16, "Alice", alice.U, possession_proof=wrong)
+                attacks.ca_issue(strict16, "Alice", alice.U,
+                                 possession_proof=(R, wrong))
 
     def test_unreduced_proof_point_refused(self, f23_n7):
-        # the proof's R = (132, 248) reduces to (17, 18), whose x is that of
-        # c*U; point_add compared the unreduced x's and divided by zero
-        config = SchemeConfig(params=f23_n7, mode=STRICT)
-        key = hyh.keypair_from_secret(config, 3).U
+        # R = (132, 248) reduces to (17, 18), off the curve, and the paper's
+        # equation holds for it with s = 9; strict refuses R and s alike
+        body = b"possess\0Mallory"
+        proof = ((132, 248), 9)
+        paper = SchemeConfig(params=f23_n7, mode=PAPER)
+        key = hyh.keypair_from_secret(paper, 3).U
+        assert hyh.public_verify(paper, key, body, *proof)
         with pytest.raises(hyh.Refused, match="no valid proof of possession"):
-            attacks.ca_issue(config, "Mallory", key,
-                             possession_proof=bytes.fromhex("84f8cf"))
-
+            attacks.ca_issue(SchemeConfig(params=f23_n7, mode=STRICT), "Mallory", key,
+                             possession_proof=proof)
 
     def test_proof_point_with_x_equal_to_q_refused(self, f23):
-        # x = q is the first x outside [0, q). G = (0, 1), so R = 1*G has
-        # the twin (q, 1), and z = 1 + c*d satisfies z*G == R + c*U: the
-        # twin would verify if its x were reduced
-        config = SchemeConfig(params=f23)
+        # x = q is the first x outside [0, q). G = (0, 1) has the twin (q, 1),
+        # and s = H(body) + (q mod n)*d satisfies s*G == H(body)*G + x_R*U
+        # for x_R = q: the paper's equation accepts the twin
         d = 5
-        twin = hyh.encode_field(config, f23.q) + hyh.encode_field(config, 1)
-        c = hyh.hash_to_scalar(config, twin + b"body")
-        z = (1 + c * d) % f23.n
+        body = b"possess\0Mallory"
+        paper = SchemeConfig(params=f23, mode=PAPER)
         U = cv.scalar_mul(f23, d, f23.G)
-        rhs = cv.point_add(f23, f23.G, cv.scalar_mul(f23, c, U))
-        assert rhs == cv.scalar_mul(f23, z, f23.G)
-        signature = twin + hyh.encode_scalar(config, z)
-        assert not attacks.schnorr_verify(config, U, b"body", signature)
-
-
-class _DrawLimit(random.Random):
-    """A Random that fails the test past hyh._RESAMPLE_LIMIT draws, where an
-    unbounded sampling loop would run forever."""
-
-    draws = 0
-
-    def randrange(self, *args):
-        self.draws += 1
-        assert self.draws <= hyh._RESAMPLE_LIMIT, "sampling loop never gave up"
-        return super().randrange(*args)
-
-
-def test_schnorr_sign_gives_up_on_a_degenerate_base_point():
-    # G = (3, 0) has order 2 and n = 2, so k = 1 and R = G on every draw;
-    # this message hashes to an odd c, so z = 1 + c*1 mod 2 is always 0
-    config = SchemeConfig(params=cv.CurveParams(q=11, a=1, b=1, G=(3, 0), n=2, h=2))
-    message = b"cert\0Alice\0" + attacks._point_bytes(config, config.params.G)
-    assert hyh.hash_to_scalar(
-        config, attacks._point_bytes(config, config.params.G) + message) == 1
-    with pytest.raises(hyh.RngFailure):
-        attacks.schnorr_sign(config, 1, message, _DrawLimit(0))
+        proof = ((f23.q, 1), (hyh.hash_to_scalar(paper, body) + f23.q * d) % f23.n)
+        assert hyh.public_verify(paper, U, body, *proof)
+        with pytest.raises(hyh.Refused, match="no valid proof of possession"):
+            attacks.ca_issue(SchemeConfig(params=f23, mode=STRICT), "Mallory", U,
+                             possession_proof=proof)
 
 
 class TestUksScenario:

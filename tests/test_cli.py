@@ -135,24 +135,44 @@ class TestProtocolCommands:
         assert outs[0]["Rx"] == outs[1]["Rx"]
         assert outs[0]["Ry"] == outs[1]["Ry"]
 
-    @pytest.mark.parametrize("force_r, peer, error", [
-        ("0", None, "forced ephemeral scalar out of range"),
-        (f"{fixtures.load(fixtures.TOY16).n:x}", None,
+    def test_composite_n_signcrypt_draws_again(self, capsys, tmp_path):
+        # n = 2 * 10909: at seed 3 the first r drawn shares a factor with n,
+        # has no inverse, and is drawn again like any degenerate r
+        params = params_file(tmp_path, fixtures.COMPOSITE_N)
+        alice_priv, alice_pub = self._keygen(capsys, tmp_path, params, "alice", 1)
+        bob_priv, bob_pub = self._keygen(capsys, tmp_path, params, "bob", 2)
+        message = tmp_path / "message.bin"
+        message.write_bytes(b"one message through every fixture and mode")
+        sct = tmp_path / "sct.json"
+        rc, _ = run(capsys, "--params", params, "--seed", "3", "--out", str(sct),
+                    "signcrypt", "--key", alice_priv, "--peer", bob_pub,
+                    "--in", str(message))
+        assert rc == 0
+        rc, out = run(capsys, "--params", params, "unsigncrypt", "--key", bob_priv,
+                      "--peer", alice_pub, "--in", str(sct))
+        assert (rc, json.loads(out)) == (0, {"accepted": True,
+                                             "message": message.read_bytes().hex()})
+
+    @pytest.mark.parametrize("name, force_r, peer, error", [
+        (fixtures.TOY16, "0", None, "forced ephemeral scalar out of range"),
+        (fixtures.TOY16, f"{fixtures.load(fixtures.TOY16).n:x}", None,
          "forced ephemeral scalar out of range"),
         # U_B = (24329, 0) lies on toy16 with order 2, so K = 2*U_B = O
-        ("2", {"Ux": f"{24329:x}", "Uy": "0"},
+        (fixtures.TOY16, "2", {"Ux": f"{24329:x}", "Uy": "0"},
          "forced ephemeral scalar hits a degenerate case"),
-    ], ids=["zero", "n", "identity_shared_point"])
-    def test_forced_r_refusal(self, capsys, tmp_path, toy_params_file,
-                              force_r, peer, error):
-        alice_priv, bob_pub = self._keygen(capsys, tmp_path, toy_params_file,
-                                           "alice", 1)
+        # r = 2 has no inverse mod n = 2 * 10909
+        (fixtures.COMPOSITE_N, "2", None,
+         "forced ephemeral scalar hits a degenerate case"),
+    ], ids=["zero", "n", "identity_shared_point", "composite_n_no_inverse"])
+    def test_forced_r_refusal(self, capsys, tmp_path, name, force_r, peer, error):
+        params = params_file(tmp_path, name)
+        alice_priv, bob_pub = self._keygen(capsys, tmp_path, params, "alice", 1)
         if peer is not None:
             bob_pub = tmp_path / "order2.pub"
             bob_pub.write_text(json.dumps(peer))
         m = tmp_path / "m"
         m.write_bytes(b"m")
-        rc = cli.main(["--params", toy_params_file, "signcrypt", "--key",
+        rc = cli.main(["--params", params, "signcrypt", "--key",
                        alice_priv, "--peer", str(bob_pub), "--in", str(m),
                        "--force-r", force_r])
         captured = capsys.readouterr()
@@ -231,7 +251,7 @@ class TestProtocolCommands:
     @pytest.mark.parametrize("mode", ["paper", "strict"])
     def test_verify_unreduced_small_order_ephemeral(self, capsys, tmp_path, mode):
         # the order-3 point of b' = b + 1 with q added to its x once made
-        # public_verify raise NotInvertible, and verify exit 2
+        # public_verify raise a not-invertible ValueError, and verify exit 2
         good = params_file(tmp_path, fixtures.GOOD)
         _, alice_pub = self._keygen(capsys, tmp_path, good, "alice", 1)
         message = tmp_path / "m"
@@ -248,7 +268,7 @@ class TestProtocolCommands:
     @pytest.mark.parametrize("mode", ["paper", "strict"])
     def test_verify_unreduced_small_order_sender_key(self, capsys, tmp_path, mode):
         # the same point as the sender key: its comb table, once built with
-        # the affine law from the raw point, raised NotInvertible
+        # the affine law from the raw point, raised a not-invertible ValueError
         good = params_file(tmp_path, fixtures.GOOD)
         alice_priv, _ = self._keygen(capsys, tmp_path, good, "alice", 1)
         _, bob_pub = self._keygen(capsys, tmp_path, good, "bob", 2)
@@ -753,11 +773,11 @@ class TestDegenerateBasePoint:
         ("paper", 0, ["certificate_issued", "alice_sent", "mallory_forwarded",
                       "bob_unsigncrypted", "views_diverged"]),
         ("strict", 1, ["certification_blocked"])], ids=["paper", "strict"])
-    def test_uks_needs_no_schnorr_nonce(self, capsys, tmp_path, mode, code,
-                                        events):
-        # n = 2 leaves no usable Schnorr nonce, but uks makes no Schnorr
-        # signature: the paper CA binds Alice's key unasked, and the strict
-        # CA refuses that key before it reads any proof
+    def test_uks_needs_no_possession_proof(self, capsys, tmp_path, mode, code,
+                                           events):
+        # n = 2 leaves no usable ephemeral scalar to sign a proof of
+        # possession with, but uks makes none: the paper CA binds Alice's key
+        # unasked, and the strict CA refuses that key before it reads a proof
         rc = cli.main(["--params", self._params(tmp_path, 11, 3, 2, 2),
                        "--mode", mode, "attack", "uks"])
         captured = capsys.readouterr()

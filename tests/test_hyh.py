@@ -464,7 +464,7 @@ class TestPublicVerify:
     def test_unreduced_small_order_ephemeral_rejected(self, good_params, mode):
         # R is the order-3 point W of b' = b + 1 with q added to its x; the
         # affine law compares raw coordinates, so R + 2R once hit a chord
-        # with denominator 0 and raised NotInvertible
+        # with denominator 0 and raised a not-invertible ValueError
         W = (657345, 967893)
         R = (W[0] + good_params.q, W[1])
         config = SchemeConfig(params=good_params, mode=mode)

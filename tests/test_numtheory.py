@@ -20,11 +20,11 @@ class TestModInverse:
         assert 3 * 5 % 7 == 1
 
     def test_zero_not_invertible(self):
-        with pytest.raises(nt.NotInvertible):
+        with pytest.raises(ValueError, match="not invertible"):
             nt.mod_inverse(0, 7)
 
     def test_shared_factor_not_invertible(self):
-        with pytest.raises(nt.NotInvertible):
+        with pytest.raises(ValueError, match="not invertible"):
             nt.mod_inverse(6, 9)
 
     @given(st.integers(min_value=1, max_value=10**12),
@@ -33,7 +33,7 @@ class TestModInverse:
         if math.gcd(a, m) == 1:
             assert a * nt.mod_inverse(a, m) % m == 1
         else:
-            with pytest.raises(nt.NotInvertible):
+            with pytest.raises(ValueError, match="not invertible"):
                 nt.mod_inverse(a, m)
 
 
