@@ -184,43 +184,42 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     params = config.params
     report = AttackReport("invalid_curve_attack", success=False)
     residues: list[tuple[tuple[int, ...], int]] = []  # (signed candidates, g)
-    hits = invalid_curves(params)
     product = 1
-    while product <= params.n:
-        try:
-            hit = next(hits)
-        except StopIteration:
+    try:
+        for hit in invalid_curves(params):
+            curve = {"order": hit.n, "b": _hex(hit.b)}
+            message, z = oracle.query(hit.G)
+            values, trials = _brute_force_coset(config, hit, message, z)
+            if not values:
+                report.log("residue_not_found", **curve, mac_trials=trials)
+                return report
+            # d_B mod g is known only up to sign, as x(j*W) = x(-j*W); there
+            # are two values when x(d_B*W) = 0, which the MAC cannot tell from
+            # the lab's x(O) = 0
+            residues.append((tuple(v * sign % hit.n for v in values
+                                   for sign in (1, -1)), hit.n))
+            product *= hit.n
+            details = {"candidates": list(values)} if len(values) > 1 else {}
+            report.log("residue_found", **curve, value=values[0],
+                       mac_trials=trials, **details)
+            if product > params.n:
+                break
+        else:
             report.log("not_staged", reason=f"product of small orders only reached "
                                             f"{product} when the curves ran out")
             return report
-        except (CurveTooLarge, SearchBudgetExceeded) as exc:
-            report.log("not_staged", reason=str(exc))
-            return report
-        curve = {"order": hit.n, "b": _hex(hit.b)}
-        try:
-            message, z = oracle.query(hit.G)
-        except hyh.Refused as exc:
-            report.log("oracle_rejected", **curve, reason=str(exc))
-            report.log("blocked", reason="recipient validates ephemeral points")
-            return report
-        except QueryBudgetExceeded as exc:
-            report.log("budget_spent", **curve, reason=str(exc))
-            return report
-        finally:
-            report.oracle_queries = oracle.queries
-        values, trials = _brute_force_coset(config, hit, message, z)
-        if not values:
-            report.log("residue_not_found", **curve, mac_trials=trials)
-            return report
-        # d_B mod g is known only up to sign, as x(j*W) = x(-j*W); there are
-        # two values when x(d_B*W) = 0, which the MAC cannot tell from the
-        # lab's x(O) = 0
-        residues.append((tuple(v * sign % hit.n for v in values for sign in (1, -1)),
-                         hit.n))
-        product *= hit.n
-        details = {"candidates": list(values)} if len(values) > 1 else {}
-        report.log("residue_found", **curve, value=values[0],
-                   mac_trials=trials, **details)
+    except (CurveTooLarge, SearchBudgetExceeded) as exc:
+        report.log("not_staged", reason=str(exc))
+        return report
+    except hyh.Refused as exc:
+        report.log("oracle_rejected", **curve, reason=str(exc))
+        report.log("blocked", reason="recipient validates ephemeral points")
+        return report
+    except QueryBudgetExceeded as exc:
+        report.log("budget_spent", **curve, reason=str(exc))
+        return report
+    finally:
+        report.oracle_queries = oracle.queries
 
     d_b = _resolve_signs(params, residues, u_b)
     sign_vectors = math.prod(len(signed) for signed, _ in residues)
@@ -278,12 +277,6 @@ def _resolve_signs(params: CurveParams, residues: list[tuple[tuple[int, ...], in
 
 # --- toy certificate authority ----------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
-    subject_identity: str
-    public_key: Point
-
-
 def _possession_body(identity: str) -> bytes:
     return b"possess\0" + identity.encode()
 
@@ -299,8 +292,8 @@ def make_possession_proof(config: SchemeConfig, keypair: KeyPair,
 
 
 def ca_issue(config: SchemeConfig, identity: str, public_key: Point,
-             possession_proof: tuple[Point, int] | None = None) -> Certificate:
-    """Issue a certificate binding identity to public_key.
+             possession_proof: tuple[Point, int] | None = None) -> None:
+    """Certify that public_key is identity's: return, or raise ``hyh.Refused``.
 
     A paper-mode CA -- the scheme's own operating model -- binds whatever it
     is handed: another party's key, an off-curve point, anything. A
@@ -308,7 +301,7 @@ def ca_issue(config: SchemeConfig, identity: str, public_key: Point,
     every peer's point (``hyh.peer_point_failures``, which passes any key in
     paper mode), then for an applicant with no proof of possession (R, s)
     that ``hyh.public_verify`` accepts under that key. The CA is trusted
-    and in memory, so a certificate carries no signature."""
+    and in memory, so a certificate is the pair its caller already holds."""
     failed = hyh.peer_point_failures(config, public_key)
     if failed:
         raise hyh.Refused(f"public key failed validation ({','.join(failed)})")
@@ -316,13 +309,12 @@ def ca_issue(config: SchemeConfig, identity: str, public_key: Point,
             possession_proof is None or not hyh.public_verify(
                 config, public_key, _possession_body(identity), *possession_proof)):
         raise hyh.Refused(f"no valid proof of possession for {identity!r}")
-    return Certificate(subject_identity=identity, public_key=public_key)
 
 
 # --- finding 6: unknown key-share -------------------------------------------
 
 def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
-                 rng_seed: int = 0) -> AttackReport:
+                 rng: random.Random) -> AttackReport:
     """``MALLORY`` certifies Alice's public key under his own name and
     replays her traffic: Bob accepts ``UKS_MESSAGE`` as coming from Mallory
     while Alice believes she wrote to Bob. Works because the paper-mode CA
@@ -330,20 +322,20 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
     registered; the strict-mode CA does, and refuses him."""
     report = AttackReport("uks_scenario", success=False)
     try:
-        mallory_cert = ca_issue(config, MALLORY, alice.U)
+        ca_issue(config, MALLORY, alice.U)
     except hyh.Refused as exc:
         report.log("certification_blocked", identity=MALLORY, reason=str(exc))
         return report
     report.log("certificate_issued", identity=MALLORY,
                bound_key="alice_public_key")
 
-    sct = hyh.signcrypt(config, alice.d, bob.U, UKS_MESSAGE,
-                        rng_seed=random.Random(rng_seed ^ 0x5C))
+    sct = hyh.signcrypt(config, alice.d, bob.U, UKS_MESSAGE, rng_seed=rng)
     report.log("alice_sent", sender="Alice", believed_recipient="Bob",
                ciphertext_len=len(sct.C))
     report.log("mallory_forwarded", claimed_sender=MALLORY)
 
-    recovered = hyh.unsigncrypt(config, bob.d, mallory_cert.public_key, sct)
+    # Mallory's certified key is Alice's
+    recovered = hyh.unsigncrypt(config, bob.d, alice.U, sct)
     report.log("bob_unsigncrypted", believed_sender=MALLORY,
                accepted=recovered is not None)
 
@@ -382,26 +374,24 @@ def break_forward_secrecy(config: SchemeConfig, d_a: int, u_b: Point,
 
 # --- finding 8: identity point as session key -------------------------------
 
-def degenerate_key_demo(config: SchemeConfig, rng_seed: int = 0) -> AttackReport:
-    """Send R = O so the recipient's shared point is the identity and the
-    keystream collapses to all zero bytes.
+def degenerate_key_demo(config: SchemeConfig, alice: KeyPair,
+                        bob: KeyPair) -> AttackReport:
+    """Send Bob R = O, as from Alice, so his shared point is the identity
+    and the keystream collapses to all zero bytes.
 
     A recipient that does not validate R 'decrypts' the ciphertext with the
     zero keystream; one that does rejects before touching it. If the group
     order is small enough, a message hashing to 0 mod n is also brute forced,
     and the triple built from it without any key at all must be accepted.
     Success means the plaintext read back verbatim and, when the forgery is
-    attempted, that it was accepted.
+    attempted, that it was accepted. Neither the keys nor s = 1 reach the
+    report: R = O gives K = O and x_R*U_A = O, and a strict recipient
+    refuses R before it uses either.
     """
     n = config.params.n
     report = AttackReport("degenerate_key_demo", success=False)
-    rng = random.Random(rng_seed)
-    bob = hyh.keypair_from_secret(config, rng.randrange(1, n))
-    alice = hyh.keypair_from_secret(config, rng.randrange(1, n))
-
     message = b"weak key: the keystream below is all zeros"
-    s = rng.randrange(1, n)
-    sct = SigncryptedText(R=None, C=message + message_tag(config, message, s), s=s)
+    sct = SigncryptedText(R=None, C=message + message_tag(config, message, 1), s=1)
     trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
     report.success = trace.session_key_x == 0 and trace.message_region == message
     report.log("identity_ephemeral", decrypt_attempted=trace.session_key_x is not None,

@@ -25,7 +25,7 @@ from .hyh import SchemeConfig, SigncryptedText
 
 # --- attack staging ----------------------------------------------------------
 #
-# Each scenario stages its own victims from the seed and then runs the attack
+# Each scenario stages its victims with ``_stage`` and then runs the attack
 # against them; the attack's own report says whether it landed. In paper mode
 # the staging includes the enabling misuse (a leaked or reused ephemeral
 # scalar, a leaked long-term key). In strict mode the same traffic is staged
@@ -35,10 +35,13 @@ from .hyh import SchemeConfig, SigncryptedText
 # degenerate-key) is staged the same way in both modes, and the checks of the
 # recipient or the CA, which read the mode from the config, decide it.
 
-def _keys(config: SchemeConfig, rng: random.Random) -> tuple[hyh.KeyPair, hyh.KeyPair]:
-    alice = hyh.keypair_from_secret(config, rng.randrange(1, config.params.n))
-    bob = hyh.keypair_from_secret(config, rng.randrange(1, config.params.n))
-    return alice, bob
+def _stage(config: SchemeConfig, seed: int
+           ) -> tuple[random.Random, hyh.KeyPair, hyh.KeyPair]:
+    """(rng, alice, bob): the seed's rng, after it drew Alice's and then
+    Bob's secret; whatever else a scenario stages is drawn from it next."""
+    rng = random.Random(seed)
+    return rng, *(hyh.keypair_from_secret(config, rng.randrange(1, config.params.n))
+                  for _ in range(2))
 
 
 def _signcrypt_under_one_r(config: SchemeConfig, rng: random.Random,
@@ -54,7 +57,7 @@ def _signcrypt_under_one_r(config: SchemeConfig, rng: random.Random,
                        for m in messages]
         except ValueError:
             continue
-    raise hyh.RngFailure("no ephemeral scalar signcrypts every staged message")
+    raise ValueError("no ephemeral scalar signcrypts every staged message")
 
 
 def _no_misuse(attack_name: str, **staging) -> AttackReport:
@@ -66,8 +69,7 @@ def _no_misuse(attack_name: str, **staging) -> AttackReport:
 
 
 def scenario_ephemeral(config: SchemeConfig, seed: int) -> AttackReport:
-    rng = random.Random(seed)
-    alice, bob = _keys(config, rng)
+    rng, alice, bob = _stage(config, seed)
     message = b"wire transfer: move the usual amount"
     if config.mode == hyh.PAPER:
         # the victim pre-computed (r, R) pairs and the store leaked
@@ -82,8 +84,7 @@ def scenario_ephemeral(config: SchemeConfig, seed: int) -> AttackReport:
 
 
 def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
-    rng = random.Random(seed)
-    alice, bob = _keys(config, rng)
+    rng, alice, bob = _stage(config, seed)
     m1 = b"first message, padded to equal size."
     m2 = b"second message, same size as first!!!"[: len(m1)]
     shared = config.mode == hyh.PAPER
@@ -98,21 +99,18 @@ def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
 
 
 def scenario_invalid_curve(config: SchemeConfig, seed: int) -> AttackReport:
-    rng = random.Random(seed)
-    _, bob = _keys(config, rng)
+    _, _, bob = _stage(config, seed)
     oracle = attacks.ConfirmationOracle(bob.d, config)
     return attacks.invalid_curve_attack(config, bob.U, oracle)
 
 
 def scenario_uks(config: SchemeConfig, seed: int) -> AttackReport:
-    rng = random.Random(seed)
-    alice, bob = _keys(config, rng)
-    return attacks.uks_scenario(config, alice, bob, rng_seed=seed)
+    rng, alice, bob = _stage(config, seed)
+    return attacks.uks_scenario(config, alice, bob, rng)
 
 
 def scenario_forward_secrecy(config: SchemeConfig, seed: int) -> AttackReport:
-    rng = random.Random(seed)
-    alice, bob = _keys(config, rng)
+    rng, alice, bob = _stage(config, seed)
     message = b"old traffic, recorded long ago"
     sct = hyh.signcrypt(config, alice.d, bob.U, message, rng_seed=rng)
     if config.mode == hyh.PAPER:
@@ -125,7 +123,8 @@ def scenario_forward_secrecy(config: SchemeConfig, seed: int) -> AttackReport:
 
 
 def scenario_degenerate_key(config: SchemeConfig, seed: int) -> AttackReport:
-    return attacks.degenerate_key_demo(config, rng_seed=seed)
+    _, alice, bob = _stage(config, seed)
+    return attacks.degenerate_key_demo(config, alice, bob)
 
 
 SCENARIOS = {
@@ -452,7 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, hyh.RngFailure) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,10 +60,6 @@ class Refused(ValueError):
     """Strict mode refused an input that paper mode would have used."""
 
 
-class RngFailure(RuntimeError):
-    """Could not sample a usable ephemeral scalar."""
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     params: CurveParams
@@ -277,11 +273,11 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
               forced_r: int | None = None) -> SigncryptedText:
     """Signcrypt message from the holder of d_a to the holder of u_b.
 
-    An r is drawn again when x_R mod n = 0, K = O, r has no inverse mod n
-    or s = 0. forced_r pins the ephemeral scalar; it exists so tests and
-    attack stagings can reproduce nonce misuse on demand, and a degenerate
-    forced r is a ValueError. Strict mode raises ``Refused`` for a recipient
-    key that fails ``peer_point_failures``.
+    An r is drawn again, ``_RESAMPLE_LIMIT`` times at most, when x_R mod n
+    = 0, K = O, r has no inverse mod n or s = 0. forced_r pins r for tests
+    and attack stagings that reproduce nonce misuse on demand. A degenerate
+    forced r, or no usable r drawn, is a ValueError. Strict mode raises
+    ``Refused`` for a recipient key that fails ``peer_point_failures``.
     """
     params = config.params
     n = params.n
@@ -309,7 +305,7 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
             continue
         C = xor_keystream(config, x_coord(K), message + _tag(config, state, s))
         return SigncryptedText(R=R, C=C, s=s)
-    raise RngFailure("no usable ephemeral scalar found; recipient key degenerate?")
+    raise ValueError("no usable ephemeral scalar found; recipient key degenerate?")
 
 
 @dataclass(frozen=True)

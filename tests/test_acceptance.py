@@ -161,12 +161,12 @@ def test_6_unknown_key_share(paper20):
     n = paper20.params.n
     alice = hyh.keypair_from_secret(paper20, rng.randrange(1, n))
     bob = hyh.keypair_from_secret(paper20, rng.randrange(1, n))
-    report = attacks.uks_scenario(paper20, alice, bob, rng_seed=1006)
+    report = attacks.uks_scenario(paper20, alice, bob, rng)
     bob_view = next(e for e in report.transcript
                     if e["event"] == "bob_unsigncrypted")
     alice_view = next(e for e in report.transcript if e["event"] == "alice_sent")
     strict20 = SchemeConfig(params=paper20.params, mode=STRICT)
-    blocked = attacks.uks_scenario(strict20, alice, bob, rng_seed=1006)
+    blocked = attacks.uks_scenario(strict20, alice, bob, rng)
     verdict(6, "unknown key-share", (
         report.success
         and bob_view["believed_sender"] == "Mallory"
@@ -211,7 +211,7 @@ def test_7_validator_matrix_and_identity_ephemeral(paper20):
     # with a message hashing to 0 mod n, paper mode fully accepts R = O and
     # strict mode refuses it
     for config, accepted in ((paper20, True), (strict20, False)):
-        forged = attacks.degenerate_key_demo(config, rng_seed=1007)
+        forged = attacks.degenerate_key_demo(config, alice, bob)
         forgery = next(e for e in forged.transcript
                        if e["event"] == "keyless_forgery")
         duality_ok = duality_ok and forgery["accepted"] is accepted

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import random
 import re
 import shlex
 import subprocess
@@ -601,7 +600,7 @@ class TestAttackCommands:
                       "--seed", "7", "attack", "invalid-curve")
         report = json.loads(out)
         config = SchemeConfig(params=fixtures.load(fixtures.F23_N7))
-        _, bob = cli._keys(config, random.Random(7))
+        _, _, bob = cli._stage(config, 7)
         assert rc == 0
         d_b = int(report["recovered_secrets"]["d_B"], 16)
         assert d_b == bob.d == 2

@@ -27,7 +27,7 @@ def _defined_exceptions() -> set[str]:
 
 def _handler_names(node) -> set[str]:
     """The names an except clause's type expression catches; for a dotted
-    name such as ``hyh.RngFailure``, its last attribute."""
+    name such as ``hyh.Refused``, its last attribute."""
     if isinstance(node, ast.Tuple):
         return set().union(*map(_handler_names, node.elts))
     if isinstance(node, ast.Attribute):
