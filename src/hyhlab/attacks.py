@@ -11,9 +11,7 @@ was recomputed from the attacker's view and verified via d*G == U.
 An attack that fails reports it: ``success`` stays False and the transcript
 says where the attack stopped. An attack raises only when the inputs it is
 handed contradict the public data, as a claimed r that does not give R or a
-leaked key and plaintext that do not give R, or when the domain parameters
-admit no attack at all, as a composite n with no inverse of x_R or s where
-the key formula needs one; either is a ``ValueError``.
+leaked key and plaintext that do not give R; either is a ``ValueError``.
 """
 
 import functools
@@ -46,7 +44,7 @@ from .hyh import (
     x_coord,
     xor_bytes,
 )
-from .numtheory import crt_combine, mod_inverse
+from .numtheory import crt_combine, solve_linear
 
 MAX_SIGN_VECTOR_CURVES = 24
 QUERY_BUDGET = 64
@@ -80,7 +78,8 @@ def _hex(v: int) -> str:
 def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
                        sct: SigncryptedText, r: int) -> AttackReport:
     """Recover the sender's long-term key from one intercepted triple plus
-    its ephemeral scalar: d_A = x_R^-1 * (r*s - H(M)) mod n."""
+    its ephemeral scalar: the d_A with x_R*d_A = r*s - H(M) mod n and
+    d_A*G == U_A, or failure (``no_candidate``) if no solution passes."""
     params = config.params
     n = params.n
     report = AttackReport("recover_sender_key", success=False)
@@ -91,13 +90,16 @@ def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
     report.log("decrypted", message=message.hex(),
                tag_matches=tag == message_tag(config, message, sct.s))
     x_r = x_coord(sct.R) % n
-    d_a = mod_inverse(x_r, n) * (r * sct.s - hash_to_scalar(config, message)) % n
+    e = hash_to_scalar(config, message)
+    # several solutions when x_R has no inverse mod a composite n
+    d_a = next((d for d in solve_linear(x_r, r * sct.s - e, n)
+                if fixed_base_mul(params, d, params.G) == u_a), None)
+    if d_a is None:
+        report.log("no_candidate", x_r=_hex(x_r))
+        return report
     report.log("key_formula_applied", d_a=_hex(d_a))
-    report.success = fixed_base_mul(params, d_a, params.G) == u_a
-    if report.success:
-        report.recovered_secrets = {
-            "d_A": _hex(d_a), "M": message.hex(), "x_K": _hex(x_k),
-        }
+    report.success = True
+    report.recovered_secrets = {"d_A": _hex(d_a), "M": message.hex(), "x_K": _hex(x_k)}
     return report
 
 
@@ -351,14 +353,17 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
 def break_forward_secrecy(config: SchemeConfig, d_a: int, u_b: Point,
                           sct: SigncryptedText, message: bytes) -> AttackReport:
     """With the sender's long-term key and a known plaintext, the ephemeral
-    scalar of a past session falls out as r = s^-1 (H(M) + x_R d_A) mod n,
-    and with it the session key that protected the ciphertext."""
+    scalar of a past session falls out as the r with s*r = H(M) + x_R*d_A
+    mod n and r*G == R, and with it the session key of the ciphertext."""
     params = config.params
     n = params.n
     report = AttackReport("break_forward_secrecy", success=False)
     x_r = x_coord(sct.R) % n
-    r = mod_inverse(sct.s, n) * (hash_to_scalar(config, message) + x_r * d_a) % n
-    if fixed_base_mul(params, r, params.G) != sct.R:
+    e = hash_to_scalar(config, message)
+    # several solutions when s has no inverse mod a composite n
+    r = next((r for r in solve_linear(sct.s, e + x_r * d_a, n)
+              if fixed_base_mul(params, r, params.G) == sct.R), None)
+    if r is None:
         raise ValueError(
             "recovered r does not regenerate R; wrong message or sender key")
     report.log("ephemeral_recovered", r=_hex(r))
@@ -384,9 +389,8 @@ def degenerate_key_demo(config: SchemeConfig, alice: KeyPair,
     order is small enough, a message hashing to 0 mod n is also brute forced,
     and the triple built from it without any key at all must be accepted.
     Success means the plaintext read back verbatim and, when the forgery is
-    attempted, that it was accepted. Neither the keys nor s = 1 reach the
-    report: R = O gives K = O and x_R*U_A = O, and a strict recipient
-    refuses R before it uses either.
+    attempted, that it was accepted. The keys and s = 1 never reach the
+    report: R = O zeroes K and x_R*U_A, and strict mode refuses R first.
     """
     n = config.params.n
     report = AttackReport("degenerate_key_demo", success=False)

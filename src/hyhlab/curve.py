@@ -471,22 +471,23 @@ def find_point_of_order(params: CurveParams, g: int, group_order: int) -> Point:
     multiplying by g then walks down to order exactly g. The walk matters
     when g divides the order more than once and the Sylow subgroup is not
     cyclic (full torsion), where the naive group_order/g multiplier would
-    annihilate everything. The random points are seeded from (q, a, b, g),
-    so the point found depends on the curve and g alone.
+    annihilate everything. It takes as many steps as g divides group_order,
+    so a wrong group_order cannot stall it. The random points are seeded
+    from (q, a, b, g), so the point found depends on the curve and g alone.
     """
     if not is_prime(g):
         raise ValueError(f"target order {g} must be prime")
     if group_order % g != 0:
         raise ValueError(f"{g} does not divide the group order {group_order}")
-    cofactor = group_order
+    cofactor, multiplicity = group_order, 0
     while cofactor % g == 0:
-        cofactor //= g
+        cofactor, multiplicity = cofactor // g, multiplicity + 1
     rng = random.Random(f"find_point_of_order {params.q} {params.a} {params.b} {g}")
     for _ in range(_SEARCH_TRIES):
         W = scalar_mul(params, cofactor, random_point(params, rng))
-        while W is not None:
+        for _ in range(multiplicity):
             lower = scalar_mul(params, g, W)
-            if lower is None:
+            if lower is None and W is not None:
                 return W
             W = lower
     raise SearchBudgetExceeded(f"no point of order {g} found in {_SEARCH_TRIES} tries")

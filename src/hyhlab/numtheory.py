@@ -34,6 +34,15 @@ def mod_inverse(a: int, m: int) -> int:
         raise ValueError(f"{a} is not invertible mod {m}") from None
 
 
+def solve_linear(a: int, b: int, m: int) -> list[int]:
+    """Every x in [0, m) with a*x = b (mod m), ascending: gcd(a, m) of them,
+    or [] when the gcd does not divide b."""
+    g = math.gcd(a, m)
+    if b % g:
+        return []
+    return list(range(b // g * pow(a // g, -1, m // g) % (m // g), m, m // g))
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below ~3.3e24."""
     if n < 2:

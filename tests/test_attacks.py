@@ -14,6 +14,30 @@ def keys16(paper16):
     return alice, bob
 
 
+@pytest.fixture(scope="module")
+def composite_n_text():
+    """On params_composite_n, n = 2*10909, so an even x_R or s has no
+    inverse mod n. Returns text(even), which gives (config, alice, bob,
+    message, r, sct) for the first r from 1 up whose triple makes
+    even(x_R mod n, s) true; Alice's secret is odd, so s is even for some
+    r."""
+    config = SchemeConfig(params=fixtures.load(fixtures.COMPOSITE_N))
+    n = config.params.n
+    alice = hyh.keypair_from_secret(config, 1235)
+    bob = hyh.keypair_from_secret(config, 5678)
+    message = b"sent under a composite n"
+
+    def text(even):
+        for r in range(1, n):
+            try:
+                sct = hyh.signcrypt(config, alice.d, bob.U, message, forced_r=r)
+            except ValueError:  # degenerate r
+                continue
+            if even(hyh.x_coord(sct.R) % n, sct.s):
+                return config, alice, bob, message, r, sct
+    return text
+
+
 class TestRecoverSenderKey:
     def test_many_honest_instances(self, paper16):
         rng = random.Random(7)
@@ -49,6 +73,32 @@ class TestRecoverSenderKey:
         report = attacks.recover_sender_key(paper16, alice.U, bob.U, sct, 1234)
         d = int(report.recovered_secrets["d_A"], 16)
         assert cv.scalar_mul(paper16.params, d, paper16.params.G) == alice.U
+
+    def test_wrong_sender_key_reported(self, paper16, keys16):
+        # the one solution of the congruence does not give the claimed U_A
+        alice, bob = keys16
+        sct = hyh.signcrypt(paper16, alice.d, bob.U, b"m", forced_r=99)
+        report = attacks.recover_sender_key(paper16, bob.U, bob.U, sct, 99)
+        assert not report.success and report.recovered_secrets == {}
+        assert report.transcript[-1]["event"] == "no_candidate"
+
+    def test_even_x_r_under_composite_n(self, composite_n_text):
+        # x_R*d_A = r*s - H(M) mod n has two solutions; the one giving U_A wins
+        config, alice, bob, message, r, sct = composite_n_text(
+            lambda x_r, s: x_r % 2 == 0)
+        report = attacks.recover_sender_key(config, alice.U, bob.U, sct, r)
+        assert report.success
+        assert int(report.recovered_secrets["d_A"], 16) == alice.d
+        assert bytes.fromhex(report.recovered_secrets["M"]) == message
+
+    def test_unsolvable_congruence_reported(self, composite_n_text):
+        # with x_R even and r odd, s + 1 makes r*s - H(M) odd: no solution
+        config, alice, bob, _, r, sct = composite_n_text(lambda x_r, s: x_r % 2 == 0)
+        bumped = SigncryptedText(R=sct.R, C=sct.C, s=sct.s + 1)
+        report = attacks.recover_sender_key(config, alice.U, bob.U, bumped, r)
+        assert not report.success
+        assert report.transcript[-1] == {
+            "event": "no_candidate", "x_r": f"{hyh.x_coord(sct.R) % config.params.n:x}"}
 
 
 class TestNonceReuseRecover:
@@ -452,6 +502,13 @@ class TestBreakForwardSecrecy:
                                                    sct, message)
             assert report.success
             assert int(report.recovered_secrets["r"], 16) == r
+
+    def test_even_s_under_composite_n(self, composite_n_text):
+        # s*r = H(M) + x_R*d_A mod n has two solutions; the one giving R wins
+        config, alice, bob, message, r, sct = composite_n_text(lambda x_r, s: s % 2 == 0)
+        report = attacks.break_forward_secrecy(config, alice.d, bob.U, sct, message)
+        assert report.success
+        assert int(report.recovered_secrets["r"], 16) == r
 
     def test_wrong_message_detected(self, paper16, keys16):
         alice, bob = keys16

@@ -816,9 +816,19 @@ class TestDemoAll:
         fixtures.GOOD, fixtures.TOY16, fixtures.F23_N7, fixtures.SECP160R1,
         *fixtures.BAD_FIXTURES])
     def test_default_seed_exit_code(self, capsys, tmp_path, name):
-        # a composite n is refused; every other bundled set runs its table
+        # every bundled set runs its table, a composite n included
         rc, _ = run(capsys, "--params", params_file(tmp_path, name), "demo", "all")
-        assert rc == (2 if name == fixtures.COMPOSITE_N else 0)
+        assert rc == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7, 11, 42])
+    def test_composite_n_lands_every_paper_attack(self, capsys, tmp_path, seed):
+        # the key formulas solve their congruence mod n = 2*10909 rather
+        # than invert an even x_R or s, which has no inverse
+        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.COMPOSITE_N),
+                      "--seed", str(seed), "demo", "all")
+        summary = json.loads(out)
+        assert rc == 0
+        assert (summary["paper_successes"], summary["strict_successes"]) == (6, 0)
 
     def test_default_params_are_params_good(self, capsys, tmp_path):
         default = run(capsys, "--seed", "7", "demo", "all")

@@ -585,6 +585,14 @@ class TestFindPointOfOrder:
     def test_non_divisor_rejected(self, f23):
         with pytest.raises(ValueError):
             cv.find_point_of_order(f23, 5, 28)
+        with pytest.raises(ValueError, match="target order 4 must be prime"):
+            cv.find_point_of_order(f23, 4, 28)
+
+    def test_wrong_group_order_ends_the_search(self, f23):
+        # 3 divides the claimed 21 but not #E = 28: 7*P has order 1, 2 or 4,
+        # and no multiple by 3 of it is O, so only the bounded walk ends
+        with pytest.raises(cv.SearchBudgetExceeded, match="no point of order 3"):
+            cv.find_point_of_order(f23, 3, 21)
 
 
 class TestFindInvalidCurves:

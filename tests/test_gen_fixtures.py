@@ -4,6 +4,11 @@ import importlib.util
 import pathlib
 from importlib import resources
 
+import pytest
+
+from hyhlab import fixtures
+from hyhlab.curve import CurveParams
+
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "gen_fixtures.py"
 
 
@@ -18,3 +23,9 @@ def test_generators_reproduce_bundled_fixtures():
     assert {f"{name}.json" for name in generated} == set(bundled)
     for name, params in generated.items():
         assert gen_fixtures.render(params) == bundled[f"{name}.json"], name
+
+
+def test_base_point_o_is_not_written():
+    # a params file has no spelling of G = O
+    with pytest.raises(ValueError, match="cannot serialize params with G = O"):
+        fixtures.params_to_dict(CurveParams(q=23, a=1, b=1, G=None, n=28, h=1))

@@ -274,6 +274,14 @@ class TestSigncrypt:
         with pytest.raises(ValueError):
             hyh.signcrypt(paper16, alice.d, bob.U, b"", rng_seed=1)
 
+    @pytest.mark.parametrize("mode", [PAPER, STRICT])
+    def test_rejects_sender_secret_out_of_range(self, toy16, keys16, mode):
+        _, bob = keys16
+        config = SchemeConfig(params=toy16, mode=mode)
+        for d_a in (0, toy16.n, -1):
+            with pytest.raises(ValueError, match="sender secret out of range"):
+                hyh.signcrypt(config, d_a, bob.U, b"x", rng_seed=1)
+
     def test_paper_mode_accepts_off_curve_recipient(self, paper16, keys16):
         alice, _ = keys16
         off = (5, 6)

@@ -27,6 +27,11 @@ class TestModInverse:
         with pytest.raises(ValueError, match="not invertible"):
             nt.mod_inverse(6, 9)
 
+    @pytest.mark.parametrize("m", [1, 0, -7])
+    def test_modulus_below_two_refused(self, m):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            nt.mod_inverse(1, m)
+
     @given(st.integers(min_value=1, max_value=10**12),
            st.integers(min_value=2, max_value=10**12))
     def test_inverse_multiplies_to_one(self, a, m):
@@ -35,6 +40,28 @@ class TestModInverse:
         else:
             with pytest.raises(ValueError, match="not invertible"):
                 nt.mod_inverse(a, m)
+
+
+class TestSolveLinear:
+    def test_one_solution(self):
+        assert nt.solve_linear(3, 1, 7) == [5]
+        assert nt.solve_linear(10, -3, 7) == [6]
+
+    def test_several_solutions(self):
+        # gcd(4, 6) = 2 divides 2: two solutions, 3 apart
+        assert nt.solve_linear(4, 2, 6) == [2, 5]
+        assert nt.solve_linear(0, 0, 3) == [0, 1, 2]
+        assert nt.solve_linear(10, 4, 21818) == [
+            x for x in range(21818) if (10 * x - 4) % 21818 == 0]
+
+    def test_no_solution(self):
+        assert nt.solve_linear(2, 1, 4) == []
+        assert nt.solve_linear(0, 5, 7) == []
+        assert nt.solve_linear(6, 3, 21818) == []
+
+    @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 60))
+    def test_against_brute_force(self, a, b, m):
+        assert nt.solve_linear(a, b, m) == [x for x in range(m) if (a * x - b) % m == 0]
 
 
 class TestSqrtMod:
@@ -105,6 +132,8 @@ class TestCrtCombine:
     def test_value_out_of_range(self):
         with pytest.raises(ValueError):
             nt.crt_combine([(5, 3)])
+        with pytest.raises(ValueError, match="need at least one congruence"):
+            nt.crt_combine([])
 
     @given(st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
                     min_size=1, max_size=8, unique=True),
@@ -123,6 +152,11 @@ class TestFactor:
         assert nt.factor(28) == {2: 2, 7: 1}
         assert nt.factor(1) == {}
         assert nt.factor(13) == {13: 1}
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_non_positive_refused(self, n):
+        with pytest.raises(ValueError, match="can only factor positive integers"):
+            nt.factor(n)
 
     def test_rebuild_and_primality(self):
         for n in [2, 97, 1024, 65521 * 3, 2**20 - 3, 1048576, 600851475143]:
