@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from . import hyh
 from .curve import (
     CurveParams,
-    CurveTooLarge,
     Point,
     SearchBudgetExceeded,
     fixed_base_mul,
@@ -69,10 +68,6 @@ class AttackReport:
         self.transcript.append({"event": event, **details})
 
 
-def _hex(v: int) -> str:
-    return f"{v:x}"
-
-
 # --- finding 1: leaked ephemeral scalar ------------------------------------
 
 def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
@@ -95,11 +90,11 @@ def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
     d_a = next((d for d in solve_linear(x_r, r * sct.s - e, n)
                 if fixed_base_mul(params, d, params.G) == u_a), None)
     if d_a is None:
-        report.log("no_candidate", x_r=_hex(x_r))
+        report.log("no_candidate", x_r=f"{x_r:x}")
         return report
-    report.log("key_formula_applied", d_a=_hex(d_a))
+    report.log("key_formula_applied", d_a=f"{d_a:x}")
     report.success = True
-    report.recovered_secrets = {"d_A": _hex(d_a), "M": message.hex(), "x_K": _hex(x_k)}
+    report.recovered_secrets = {"d_A": f"{d_a:x}", "M": message.hex(), "x_K": f"{x_k:x}"}
     return report
 
 
@@ -189,7 +184,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     product = 1
     try:
         for hit in invalid_curves(params):
-            curve = {"order": hit.n, "b": _hex(hit.b)}
+            curve = {"order": hit.n, "b": f"{hit.b:x}"}
             message, z = oracle.query(hit.G)
             values, trials = _brute_force_coset(config, hit, message, z)
             if not values:
@@ -210,7 +205,7 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
             report.log("not_staged", reason=f"product of small orders only reached "
                                             f"{product} when the curves ran out")
             return report
-    except (CurveTooLarge, SearchBudgetExceeded) as exc:
+    except SearchBudgetExceeded as exc:
         report.log("not_staged", reason=str(exc))
         return report
     except hyh.Refused as exc:
@@ -229,10 +224,10 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
         report.log("no_candidate", curves=len(residues),
                    sign_vectors_max=sign_vectors)
         return report
-    report.log("crt_recombined", d_b=_hex(d_b), sign_vectors_max=sign_vectors)
+    report.log("crt_recombined", d_b=f"{d_b:x}", sign_vectors_max=sign_vectors)
     # _resolve_signs returns only a d_b with d_b*G == U_B
     report.success = True
-    report.recovered_secrets = {"d_B": _hex(d_b), "residues": ",".join(
+    report.recovered_secrets = {"d_B": f"{d_b:x}", "residues": ",".join(
         f"{min(d_b % g, -d_b % g)}%{g}" for _, g in residues)}
     return report
 
@@ -366,13 +361,13 @@ def break_forward_secrecy(config: SchemeConfig, d_a: int, u_b: Point,
     if r is None:
         raise ValueError(
             "recovered r does not regenerate R; wrong message or sender key")
-    report.log("ephemeral_recovered", r=_hex(r))
+    report.log("ephemeral_recovered", r=f"{r:x}")
     x_k = x_coord(fixed_base_mul(params, r, u_b))
     redecrypted, _ = open_ciphertext(config, x_k, sct.C)
     report.log("session_redecrypted", matches=redecrypted == message)
     report.success = redecrypted == message
     if report.success:
-        report.recovered_secrets = {"r": _hex(r), "x_K": _hex(x_k),
+        report.recovered_secrets = {"r": f"{r:x}", "x_K": f"{x_k:x}",
                                     "M": redecrypted.hex()}
     return report
 

@@ -68,12 +68,9 @@ _SMALL_ORDER_BOUND = 1 << 14
 _INVALID_CURVE_CANDIDATES = 64
 
 
-class CurveTooLarge(ValueError):
-    """Field at or beyond the point-counting bound."""
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """A randomized point/curve search ran out of retries."""
+class SearchBudgetExceeded(ValueError):
+    """A count or search that cannot finish: q at or beyond the counting
+    bound, or a randomized point/curve search out of retries."""
 
 
 @dataclass(frozen=True)
@@ -364,12 +361,12 @@ def count_points(params: CurveParams) -> int:
     work it does depend on the curve alone. Fields with q <= 229, where
     that N need not be unique, are enumerated (count_points_exhaustive).
 
-    Raises CurveTooLarge for q >= DEFAULT_COUNT_BOUND, and ValueError for a
-    composite q or a singular curve, which have no Hasse window to search.
+    Raises SearchBudgetExceeded for q >= DEFAULT_COUNT_BOUND, and ValueError
+    for a composite q or a singular curve, which have no Hasse window.
     """
     q, a, b = params.q, params.a, params.b
     if q >= DEFAULT_COUNT_BOUND:
-        raise CurveTooLarge(f"q = {q} exceeds counting bound {DEFAULT_COUNT_BOUND}")
+        raise SearchBudgetExceeded(f"q = {q} exceeds counting bound {DEFAULT_COUNT_BOUND}")
     if not is_prime(q):
         raise ValueError(f"cannot count points: q = {q} is not prime")
     if (4 * a ** 3 + 27 * b * b) % q == 0:

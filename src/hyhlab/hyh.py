@@ -310,9 +310,9 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
 
 @dataclass(frozen=True)
 class UnsigncryptTrace:
-    """Step-by-step record of one unsigncryption. Lab instrument only: the
-    protocol-facing result is collapsed to message-or-nothing by
-    ``unsigncrypt`` so rejection reasons never leak to a peer.
+    """Step-by-step record of one unsigncryption, which stops at its first
+    failed check. Lab instrument only: ``unsigncrypt`` collapses it to
+    message-or-nothing, so rejection reasons never leak to a peer.
 
     The triple was accepted when ``message`` is not None, and decrypted at
     all when ``session_key_x`` is not None."""
@@ -322,7 +322,6 @@ class UnsigncryptTrace:
     message_region: bytes | None = None
     session_key_x: int | None = None
     tag_ok: bool | None = None
-    signature_ok: bool | None = None
 
 
 def unsigncrypt_trace(config: SchemeConfig, d_b: int, u_a: Point,
@@ -337,15 +336,13 @@ def unsigncrypt_trace(config: SchemeConfig, d_b: int, u_a: Point,
     message, tag = open_ciphertext(config, x_k, C)
     e, state = _hash_message(config, message)
     tag_ok = tag == _tag(config, state, s)
-    sig_ok = _verify_equation(config, u_a, e, R, s)
-    accepted = tag_ok and sig_ok
+    accepted = tag_ok and _verify_equation(config, u_a, e, R, s)
     return UnsigncryptTrace(
         message=message if accepted else None,
         rejected_at=None if accepted else ("tag" if not tag_ok else "signature"),
         message_region=message,
         session_key_x=x_k,
         tag_ok=tag_ok,
-        signature_ok=sig_ok,
     )
 
 

@@ -1,7 +1,7 @@
 """Domain-parameter validation for the lab's curves.
 
-Nine checks, always all of them, in a fixed order, so a bad parameter set
-produces a complete diagnostic rather than stopping at the first failure.
+Nine checks, always all of them, in the order ``validate_domain_params``
+names them, so a bad set gets a complete diagnostic, not its first failure.
 The supersingular test works off the claimed cofactor (trace = q + 1 - h*n)
 and is cross-checked against a point count (``curve.count_points``) whenever
 q is below the counting bound.
@@ -14,19 +14,6 @@ from . import curve as cv
 from .numtheory import is_prime
 
 DEFAULT_MOV_ROUNDS = 20
-
-CHECK_NAMES = (
-    "q_prime",
-    "nonsingular",
-    "base_point_valid",
-    "n_prime",
-    "n_annihilates_g",
-    "n_above_4sqrt_q",
-    "mov_condition",
-    "not_anomalous",
-    "not_supersingular",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -46,12 +33,6 @@ class ParamReport:
     def failed_names(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "overall": self.overall,
@@ -69,11 +50,6 @@ def mov_embedding_degree(q: int, n: int) -> int | None:
         if acc == 1:
             return i
     return None
-
-
-def _hasse_holds(q: int, group_order: int) -> bool:
-    t = q + 1 - group_order
-    return t * t <= 4 * q
 
 
 @functools.lru_cache(maxsize=256)
@@ -126,7 +102,7 @@ def validate_domain_params(params: cv.CurveParams) -> ParamReport:
     def supersingular():
         group_order = h * n
         t = q + 1 - group_order
-        if not _hasse_holds(q, group_order):
+        if t * t > 4 * q:
             return False, f"h*n = {group_order} outside the Hasse interval"
         if q < cv.DEFAULT_COUNT_BOUND:
             counted = cv.count_points(params)

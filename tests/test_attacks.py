@@ -366,7 +366,7 @@ class TestInvalidCurveAttack:
 
     def test_not_staged_at_secp160r1(self):
         # no invalid curve can be counted at q ~ 2^160: the attack reports
-        # that and sends nothing, instead of raising CurveTooLarge
+        # that and sends nothing, instead of raising SearchBudgetExceeded
         config = SchemeConfig(params=fixtures.load(fixtures.SECP160R1))
         bob = hyh.keypair_from_secret(config, 5678)
         oracle = attacks.ConfirmationOracle(bob.d, config)

@@ -490,7 +490,7 @@ class TestCountPoints:
 
     def test_too_large(self):
         params = cv.CurveParams(q=(1 << 30) + 1, a=1, b=1, G=None, n=1, h=1)
-        with pytest.raises(cv.CurveTooLarge):
+        with pytest.raises(cv.SearchBudgetExceeded, match="exceeds counting bound"):
             cv.count_points(params)
 
     @pytest.mark.parametrize("b", range(1, 8))

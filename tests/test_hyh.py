@@ -199,7 +199,7 @@ class TestMessageHash:
         sct = hyh.signcrypt(paper16, alice.d, bob.U, m, rng_seed=4)
         trace = hyh.unsigncrypt_trace(paper16, bob.d, alice.U,
                                       dataclasses.replace(sct, s=wide + sct.s))
-        assert (trace.rejected_at, trace.tag_ok, trace.signature_ok) == ("tag", False, False)
+        assert (trace.rejected_at, trace.tag_ok, trace.message) == ("tag", False, None)
 
 
 class TestBytePath:
@@ -424,6 +424,7 @@ class TestUnsigncrypt:
         trace = hyh.unsigncrypt_trace(config, bob.d, alice.U, sct)
         assert trace.message is None and trace.rejected_at == "tag"
         assert hyh.unsigncrypt(config, bob.d, alice.U, sct) is None
+        assert not hyh.public_verify(config, alice.U, b"payload", sct.R, s)
 
 
 class TestPublicVerify:
@@ -717,8 +718,8 @@ class TestHostileEphemeral:
             trace = hyh.unsigncrypt_trace(config, bob.d, alice.U,
                                           SigncryptedText(R=R, C=C, s=s))
             assert trace.session_key_x == x_k and trace.tag_ok
-            assert trace.signature_ok is signature_ok
             assert (trace.message == m) is signature_ok
+            assert trace.rejected_at == (None if signature_ok else "signature")
 
 
 class TestWireFormat:
