@@ -68,15 +68,24 @@ class AttackReport:
         self.transcript.append({"event": event, **details})
 
 
+def _solve_for(params: CurveParams, a: int, b: int, P: Point) -> int | None:
+    """The x with a*x = b (mod n) and x*G == P, the unknown of a key formula,
+    or None. An a = 0 (mod n) leaves x free, so it gives None, not a search
+    of [0, n); an a with no inverse mod a composite n gives several x."""
+    if a % params.n == 0:
+        return None
+    return next((x for x in solve_linear(a, b, params.n)
+                 if fixed_base_mul(params, x, params.G) == P), None)
+
+
 # --- finding 1: leaked ephemeral scalar ------------------------------------
 
 def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
                        sct: SigncryptedText, r: int) -> AttackReport:
     """Recover the sender's long-term key from one intercepted triple plus
     its ephemeral scalar: the d_A with x_R*d_A = r*s - H(M) mod n and
-    d_A*G == U_A, or failure (``no_candidate``) if no solution passes."""
+    d_A*G == U_A, or ``no_candidate`` if x_R = 0 mod n or none passes."""
     params = config.params
-    n = params.n
     report = AttackReport("recover_sender_key", success=False)
     if fixed_base_mul(params, r, params.G) != sct.R:
         raise ValueError("r*G does not match the transmitted R")
@@ -84,11 +93,9 @@ def recover_sender_key(config: SchemeConfig, u_a: Point, u_b: Point,
     message, tag = open_ciphertext(config, x_k, sct.C)
     report.log("decrypted", message=message.hex(),
                tag_matches=tag == message_tag(config, message, sct.s))
-    x_r = x_coord(sct.R) % n
+    x_r = x_coord(sct.R) % params.n
     e = hash_to_scalar(config, message)
-    # several solutions when x_R has no inverse mod a composite n
-    d_a = next((d for d in solve_linear(x_r, r * sct.s - e, n)
-                if fixed_base_mul(params, d, params.G) == u_a), None)
+    d_a = _solve_for(params, x_r, r * sct.s - e, u_a)
     if d_a is None:
         report.log("no_candidate", x_r=f"{x_r:x}")
         return report
@@ -349,15 +356,13 @@ def break_forward_secrecy(config: SchemeConfig, d_a: int, u_b: Point,
                           sct: SigncryptedText, message: bytes) -> AttackReport:
     """With the sender's long-term key and a known plaintext, the ephemeral
     scalar of a past session falls out as the r with s*r = H(M) + x_R*d_A
-    mod n and r*G == R, and with it the session key of the ciphertext."""
+    mod n and r*G == R, and with it the session key of the ciphertext. No
+    such r, or an s = 0 mod n, which leaves r free, is a ValueError."""
     params = config.params
-    n = params.n
     report = AttackReport("break_forward_secrecy", success=False)
-    x_r = x_coord(sct.R) % n
+    x_r = x_coord(sct.R) % params.n
     e = hash_to_scalar(config, message)
-    # several solutions when s has no inverse mod a composite n
-    r = next((r for r in solve_linear(sct.s, e + x_r * d_a, n)
-              if fixed_base_mul(params, r, params.G) == sct.R), None)
+    r = _solve_for(params, sct.s, e + x_r * d_a, sct.R)
     if r is None:
         raise ValueError(
             "recovered r does not regenerate R; wrong message or sender key")

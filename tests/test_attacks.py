@@ -510,6 +510,16 @@ class TestBreakForwardSecrecy:
         assert report.success
         assert int(report.recovered_secrets["r"], 16) == r
 
+    def test_s_equal_to_n_leaves_r_free(self, paper16, keys16):
+        # R = O and H(M) = 0 mod n: s*r = H(M) + x_R*d_A holds for every r,
+        # and r = 0 gives R and the zero keystream, but nothing was recovered
+        alice, bob = keys16
+        n = paper16.params.n
+        message = attacks._zero_hash_message(n)
+        sct = SigncryptedText(R=None, C=message + bytes(hyh.TAG_LEN), s=n)
+        with pytest.raises(ValueError, match="recovered r does not regenerate R"):
+            attacks.break_forward_secrecy(paper16, alice.d, bob.U, sct, message)
+
     def test_wrong_message_detected(self, paper16, keys16):
         alice, bob = keys16
         sct = hyh.signcrypt(paper16, alice.d, bob.U, b"actual", rng_seed=9)

@@ -585,6 +585,28 @@ class TestAttackCommands:
         assert (rc, out) == (2, "")
         assert err == "error: r*G does not match the transmitted R\n"
 
+    def test_ephemeral_x_r_zero_is_no_candidate(self, capsys, tmp_path,
+                                                toy_params_file):
+        # R = O, H(M) = 0 mod n and s = 1 with r = 0: x_R*d_A = r*s - H(M)
+        # holds for every d_A, so the triple says nothing of d_A, and no
+        # search of [0, n) stands in for the key formula
+        config = SchemeConfig(params=fixtures.load(fixtures.TOY16))
+        n = config.params.n
+        files = {"sct": {"Rx": "00", "Ry": "inf", "s": "1",
+                         "C": (attacks._zero_hash_message(n) + bytes(32)).hex()}}
+        for name, d in (("sender", n - 2), ("recipient", 5)):
+            files[name] = hyh.point_to_hex(hyh.keypair_from_secret(config, d).U, "U")
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        rc, out = run(capsys, "--params", toy_params_file, "attack", "ephemeral",
+                      "--sct", str(tmp_path / "sct"), "--r", "0",
+                      "--sender-pub", str(tmp_path / "sender"),
+                      "--recipient-pub", str(tmp_path / "recipient"))
+        report = json.loads(out)
+        assert (rc, report["success"], report["recovered_secrets"]) == (1, False, {})
+        assert [e["event"] for e in report["transcript"]] == ["decrypted",
+                                                              "no_candidate"]
+
     def test_invalid_curve_strict_notes_blocking(self, capsys, toy_params_file):
         rc, out = run(capsys, "--params", toy_params_file, "--mode", "strict",
                       "--seed", "1", "attack", "invalid-curve")
@@ -754,6 +776,27 @@ class TestAttackCommands:
         assert rc == code
         line = next(ln for ln in out.splitlines() if ln.startswith("wall time:"))
         assert float(line.split()[-1].rstrip("s")) > 0
+
+
+def test_hostile_parameters_end_in_an_exit_code(capsys, tmp_path):
+    # y^2 = x^3 + 2x + 2 over F_17 has 19 points and G = (0, 6) generates
+    # them; a params file may claim any n and h for it, and each run of
+    # demo all and of keygen in either mode ends in exit 0, 1 or 2
+    path = tmp_path / "hostile.json"
+    escaped = {}
+    for n in range(2, 30):
+        for h in (1, 2, 4):
+            path.write_text(json.dumps({"q": "11", "a": "2", "b": "2", "Gx": "0",
+                                        "Gy": "6", "n": f"{n:x}", "h": f"{h:x}"}))
+            for argv in (["demo", "all"], ["keygen"], ["--mode", "strict", "keygen"]):
+                try:
+                    rc = cli.main(["--params", str(path), *argv])
+                except Exception as exc:
+                    rc = f"{type(exc).__name__}: {exc}"
+                if rc not in (0, 1, 2):
+                    escaped[n, h, *argv] = rc
+    capsys.readouterr()
+    assert escaped == {}
 
 
 class TestDegenerateBasePoint:

@@ -48,3 +48,16 @@ def _caught_names() -> set[str]:
 
 def test_every_exception_class_is_caught_somewhere():
     assert sorted(_defined_exceptions() - _caught_names()) == []
+
+
+def test_no_handler_names_two_exception_classes_of_the_package():
+    # two classes that one handler treats alike are one class
+    defined = _defined_exceptions()
+    shared = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler):
+                names = _handler_names(node.type) & defined
+                if len(names) > 1:
+                    shared.append((path.name, node.lineno, sorted(names)))
+    assert shared == []
