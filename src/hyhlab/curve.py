@@ -366,7 +366,8 @@ def count_points(params: CurveParams) -> int:
     """
     q, a, b = params.q, params.a, params.b
     if q >= DEFAULT_COUNT_BOUND:
-        raise SearchBudgetExceeded(f"q = {q} exceeds counting bound {DEFAULT_COUNT_BOUND}")
+        raise SearchBudgetExceeded(
+            f"q = {q} exceeds counting bound {DEFAULT_COUNT_BOUND}")
     if not is_prime(q):
         raise ValueError(f"cannot count points: q = {q} is not prime")
     if (4 * a ** 3 + 27 * b * b) % q == 0:

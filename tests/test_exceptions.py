@@ -37,13 +37,16 @@ def _handler_names(node) -> set[str]:
     return set()
 
 
-def _caught_names() -> set[str]:
-    names = set()
+def _handlers():
+    """(file name, except clause) for every handler in the package's source."""
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ExceptHandler):
-                names |= _handler_names(node.type)
-    return names
+                yield path.name, node
+
+
+def _caught_names() -> set[str]:
+    return set().union(*(_handler_names(node.type) for _, node in _handlers()))
 
 
 def test_every_exception_class_is_caught_somewhere():
@@ -53,11 +56,6 @@ def test_every_exception_class_is_caught_somewhere():
 def test_no_handler_names_two_exception_classes_of_the_package():
     # two classes that one handler treats alike are one class
     defined = _defined_exceptions()
-    shared = []
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ExceptHandler):
-                names = _handler_names(node.type) & defined
-                if len(names) > 1:
-                    shared.append((path.name, node.lineno, sorted(names)))
+    shared = [(name, node.lineno) for name, node in _handlers()
+              if len(_handler_names(node.type) & defined) > 1]
     assert shared == []
