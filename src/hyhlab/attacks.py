@@ -46,14 +46,9 @@ from .hyh import (
 from .numtheory import crt_combine, solve_linear
 
 MAX_SIGN_VECTOR_CURVES = 24
-QUERY_BUDGET = 64
 CONFIRMATION_MESSAGE = b"delivery confirmed"
 MALLORY = "Mallory"
 UKS_MESSAGE = b"quarterly figures attached"
-
-
-class QueryBudgetExceeded(RuntimeError):
-    """Confirmation oracle refused: query budget spent."""
 
 
 @dataclass
@@ -143,7 +138,7 @@ class ConfirmationOracle:
     MAC under the session key: what an attacker sees of the reply. A
     strict-mode recipient refuses in that step exactly what
     ``hyh.unsigncrypt_trace`` refuses there, and ``query`` raises
-    ``hyh.Refused``. It answers at most ``QUERY_BUDGET`` queries.
+    ``hyh.Refused``. It answers every query, and ``queries`` counts them.
     """
 
     def __init__(self, d_b: int, config: SchemeConfig):
@@ -152,8 +147,6 @@ class ConfirmationOracle:
         self.queries = 0
 
     def query(self, W: Point) -> tuple[bytes, bytes]:
-        if self.queries >= QUERY_BUDGET:
-            raise QueryBudgetExceeded(f"budget of {QUERY_BUDGET} queries spent")
         self.queries += 1
         K, refused = hyh.recipient_shared_point(self.config, self._d_b, W)
         if refused:
@@ -174,12 +167,13 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     assignment is pushed through the CRT until one candidate reproduces the
     victim's public key.
 
-    Each point is sent as soon as its curve is found; the next curve is
-    counted only after the reply, and none once the orders multiply past n.
+    Each point is sent as soon as its curve is found, one query per curve;
+    the next curve is counted only after the reply, and none once the
+    orders multiply past n. ``oracle_queries`` reports the count.
 
     The report reads failure when no invalid curve can be counted at this
-    size (``not_staged``, nothing sent); when the oracle refuses a point or
-    its budget is spent; when its MAC matches no multiple of the point sent
+    size (``not_staged``, nothing sent); when the oracle refuses a point
+    (``blocked``); when its MAC matches no multiple of the point sent
     (``residue_not_found``); when the curves run out before their orders
     multiply past n (``not_staged``); or when no sign vector reproduces U_B
     (``no_candidate``), which includes more than ``MAX_SIGN_VECTOR_CURVES``
@@ -218,9 +212,6 @@ def invalid_curve_attack(config: SchemeConfig, u_b: Point,
     except hyh.Refused as exc:
         report.log("oracle_rejected", **curve, reason=str(exc))
         report.log("blocked", reason="recipient validates ephemeral points")
-        return report
-    except QueryBudgetExceeded as exc:
-        report.log("budget_spent", **curve, reason=str(exc))
         return report
     finally:
         report.oracle_queries = oracle.queries

@@ -28,12 +28,12 @@ from .hyh import SchemeConfig, SigncryptedText
 # Each scenario stages its victims with ``_stage`` and then runs the attack
 # against them; the attack's own report says whether it landed. In paper mode
 # the staging includes the enabling misuse (a leaked or reused ephemeral
-# scalar, a leaked long-term key). In strict mode the same traffic is staged
-# without the misuse: nonce-reuse still runs on two fresh ephemerals, and the
-# two leak attacks, which have no leaked secret to run on, are reported
-# blocked. An attack that needs no misuse (invalid-curve, uks,
-# degenerate-key) is staged the same way in both modes, and the checks of the
-# recipient or the CA, which read the mode from the config, decide it.
+# scalar, a leaked long-term key). In strict mode nonce-reuse runs on two
+# fresh ephemerals, and the two leak attacks, which have no leaked secret to
+# run on, are reported blocked before any victim is staged. An attack that
+# needs no misuse (invalid-curve, uks, degenerate-key) is staged the same way
+# in both modes, and the checks of the recipient or the CA, which read the
+# mode from the config, decide it.
 
 def _stage(config: SchemeConfig, seed: int
            ) -> tuple[random.Random, hyh.KeyPair, hyh.KeyPair]:
@@ -69,18 +69,16 @@ def _no_misuse(attack_name: str, **staging) -> AttackReport:
 
 
 def scenario_ephemeral(config: SchemeConfig, seed: int) -> AttackReport:
+    if config.mode == hyh.STRICT:
+        return _no_misuse("recover_sender_key", leaked_ephemeral=False,
+                          note="no precomputed (r, R) store to steal from")
     rng, alice, bob = _stage(config, seed)
     message = b"wire transfer: move the usual amount"
-    if config.mode == hyh.PAPER:
-        # the victim pre-computed (r, R) pairs and the store leaked
-        r, (sct,) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (message,))
-        report = attacks.recover_sender_key(config, alice.U, bob.U, sct, r)
-        report.log("staging", leaked_ephemeral=True)
-        return report
-    # the victim still sends, and a params file it cannot send under is refused
-    hyh.signcrypt(config, alice.d, bob.U, message, rng_seed=rng)
-    return _no_misuse("recover_sender_key", leaked_ephemeral=False,
-                      note="no precomputed (r, R) store to steal from")
+    # the victim pre-computed (r, R) pairs and the store leaked
+    r, (sct,) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (message,))
+    report = attacks.recover_sender_key(config, alice.U, bob.U, sct, r)
+    report.log("staging", leaked_ephemeral=True)
+    return report
 
 
 def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
@@ -110,16 +108,16 @@ def scenario_uks(config: SchemeConfig, seed: int) -> AttackReport:
 
 
 def scenario_forward_secrecy(config: SchemeConfig, seed: int) -> AttackReport:
+    if config.mode == hyh.STRICT:
+        return _no_misuse("break_forward_secrecy", long_term_key_leaked=False,
+                          note="long-term key stayed in protected storage")
     rng, alice, bob = _stage(config, seed)
     message = b"old traffic, recorded long ago"
     sct = hyh.signcrypt(config, alice.d, bob.U, message, rng_seed=rng)
-    if config.mode == hyh.PAPER:
-        # the long-term key later leaks; recorded traffic falls
-        report = attacks.break_forward_secrecy(config, alice.d, bob.U, sct, message)
-        report.log("staging", long_term_key_leaked=True)
-        return report
-    return _no_misuse("break_forward_secrecy", long_term_key_leaked=False,
-                      note="long-term key stayed in protected storage")
+    # the long-term key later leaks; recorded traffic falls
+    report = attacks.break_forward_secrecy(config, alice.d, bob.U, sct, message)
+    report.log("staging", long_term_key_leaked=True)
+    return report
 
 
 def scenario_degenerate_key(config: SchemeConfig, seed: int) -> AttackReport:

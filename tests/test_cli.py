@@ -778,6 +778,28 @@ class TestAttackCommands:
         assert float(line.split()[-1].rstrip("s")) > 0
 
 
+def _hostile_params(tmp_path, n, h=1):
+    """The 19-point curve y^2 = x^3 + 2x + 2 over F_17, G = (0, 6), under a
+    claimed n and h."""
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"q": "11", "a": "2", "b": "2", "Gx": "0",
+                                "Gy": "6", "n": f"{n:x}", "h": f"{h:x}"}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["ephemeral", "forward-secrecy"])
+def test_strict_leak_attacks_stage_nothing(capsys, tmp_path, name):
+    # strict key validation refuses every key of the n = 5 file, but the
+    # strict leak attacks draw no key and send nothing, so they report
+    # blocked instead of exiting 2
+    rc = cli.main(["--params", _hostile_params(tmp_path, 5), "--mode", "strict",
+                   "attack", name])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (1, "")
+    report = json.loads(captured.out)
+    assert [e["event"] for e in report["transcript"]] == ["staging", "blocked"]
+
+
 def test_hostile_parameters_end_in_an_exit_code(capsys, tmp_path):
     # y^2 = x^3 + 2x + 2 over F_17 has 19 points and G = (0, 6) generates
     # them; a params file may claim any n and h for it, and each run of
