@@ -29,11 +29,11 @@ from .hyh import SchemeConfig, SigncryptedText
 # against them; the attack's own report says whether it landed. In paper mode
 # the staging includes the enabling misuse (a leaked or reused ephemeral
 # scalar, a leaked long-term key). In strict mode nonce-reuse runs on two
-# fresh ephemerals, and the two leak attacks, which have no leaked secret to
-# run on, are reported blocked before any victim is staged. An attack that
-# needs no misuse (invalid-curve, uks, degenerate-key) is staged the same way
-# in both modes, and the checks of the recipient or the CA, which read the
-# mode from the config, decide it.
+# fresh ephemerals, or reports blocked if the recipient key is refused, and
+# the two leak attacks, with no leaked secret to run on, report blocked
+# before any victim is staged. An attack that needs no misuse (invalid-curve,
+# uks, degenerate-key) is staged the same way in both modes, and the checks
+# of the recipient or the CA, which read the mode from the config, decide it.
 
 def _stage(config: SchemeConfig, seed: int
            ) -> tuple[random.Random, hyh.KeyPair, hyh.KeyPair]:
@@ -60,11 +60,15 @@ def _signcrypt_under_one_r(config: SchemeConfig, rng: random.Random,
     raise ValueError("no ephemeral scalar signcrypts every staged message")
 
 
-def _no_misuse(attack_name: str, **staging) -> AttackReport:
-    """The report of a leak attack staged without its leak."""
+_NOTHING_LEAKED = "no misuse staged: nothing leaked to attack with"
+
+
+def _no_misuse(attack_name: str, reason: str = _NOTHING_LEAKED,
+               **staging) -> AttackReport:
+    """The report of an attack staged without its misuse, and blocked."""
     report = AttackReport(attack_name, success=False)
     report.log("staging", **staging)
-    report.log("blocked", reason="no misuse staged: nothing leaked to attack with")
+    report.log("blocked", reason=reason)
     return report
 
 
@@ -89,8 +93,11 @@ def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
     if shared:
         _, (sct1, sct2) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (m1, m2))
     else:
-        sct1, sct2 = (hyh.signcrypt(config, alice.d, bob.U, m, rng_seed=rng)
-                      for m in (m1, m2))
+        try:
+            sct1, sct2 = (hyh.signcrypt(config, alice.d, bob.U, m, rng_seed=rng)
+                          for m in (m1, m2))
+        except hyh.Refused as exc:
+            return _no_misuse("nonce_reuse_recover", str(exc), shared_ephemeral=False)
     report = attacks.nonce_reuse_recover(config, sct1, sct2, m1)
     report.log("staging", shared_ephemeral=shared, same_R=sct1.R == sct2.R)
     return report

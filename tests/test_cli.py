@@ -821,6 +821,32 @@ def test_hostile_parameters_end_in_an_exit_code(capsys, tmp_path):
     assert escaped == {}
 
 
+def test_hostile_parameters_strict_refusals_are_reported(capsys, tmp_path):
+    # over the pairs above, a strict refusal of the recipient key ends in the
+    # attack's report, not in exit 2: the leak attacks and nonce-reuse report
+    # blocked, except at n = 19, G's true order, where nonce-reuse runs on two
+    # fresh ephemerals and fails; and demo all, when it exits 2, does so in a
+    # paper staging, not on a strict refusal
+    last_events, demo_refusals = {}, []
+    for n in range(2, 30):
+        for h in (1, 2, 4):
+            params = _hostile_params(tmp_path, n, h)
+            for name in ("ephemeral", "forward-secrecy", "nonce-reuse"):
+                rc = cli.main(["--params", params, "--mode", "strict", "attack", name])
+                captured = capsys.readouterr()
+                assert (rc, captured.err) == (1, ""), (n, h, name)
+                report = json.loads(captured.out)
+                last_events[n, h, name] = report["transcript"][-1]["event"]
+            rc = cli.main(["--params", params, "demo", "all"])
+            captured = capsys.readouterr()
+            if rc == 2 and "failed validation" in captured.err:
+                demo_refusals.append((n, h, captured.err))
+    assert demo_refusals == []
+    assert {key for key, event in last_events.items() if event != "blocked"} == {
+        (19, h, "nonce-reuse") for h in (1, 2, 4)}
+    assert {last_events[19, h, "nonce-reuse"] for h in (1, 2, 4)} == {"staging"}
+
+
 class TestDegenerateBasePoint:
     """Params files whose G = (x, 0) has order 2: a command that needs a
     usable random scalar ends in a refusal (exit 2), and every command ends
