@@ -324,7 +324,11 @@ def uks_scenario(config: SchemeConfig, alice: KeyPair, bob: KeyPair,
     report.log("certificate_issued", identity=MALLORY,
                bound_key="alice_public_key")
 
-    sct = hyh.signcrypt(config, alice.d, bob.U, UKS_MESSAGE, rng_seed=rng)
+    try:
+        sct = hyh.signcrypt(config, alice.d, bob.U, UKS_MESSAGE, rng_seed=rng)
+    except ValueError as exc:  # no usable ephemeral scalar for Bob's key
+        report.log("not_staged", reason=str(exc))
+        return report
     report.log("alice_sent", sender="Alice", believed_recipient="Bob",
                ciphertext_len=len(sct.C))
     report.log("mallory_forwarded", claimed_sender=MALLORY)

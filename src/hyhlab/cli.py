@@ -28,7 +28,8 @@ from .hyh import SchemeConfig, SigncryptedText
 # Each scenario stages its victims with ``_stage`` and then runs the attack
 # against them; the attack's own report says whether it landed. In paper mode
 # the staging includes the enabling misuse (a leaked or reused ephemeral
-# scalar, a leaked long-term key). In strict mode nonce-reuse runs on two
+# scalar, a leaked long-term key); a paper staging that draws no usable
+# ephemeral scalar reports not_staged. In strict mode nonce-reuse runs on two
 # fresh ephemerals, or reports blocked if the recipient key is refused, and
 # the two leak attacks, with no leaked secret to run on, report blocked
 # before any victim is staged. An attack that needs no misuse (invalid-curve,
@@ -63,23 +64,29 @@ def _signcrypt_under_one_r(config: SchemeConfig, rng: random.Random,
 _NOTHING_LEAKED = "no misuse staged: nothing leaked to attack with"
 
 
-def _no_misuse(attack_name: str, reason: str = _NOTHING_LEAKED,
-               **staging) -> AttackReport:
-    """The report of an attack staged without its misuse, and blocked."""
+def _unrun(attack_name: str, event: str, reason: str, **staging) -> AttackReport:
+    """The report of an attack that never ran: ``blocked`` when strict mode
+    withholds its misuse or refuses a key, ``not_staged`` when its paper
+    staging draws no usable ephemeral scalar."""
     report = AttackReport(attack_name, success=False)
     report.log("staging", **staging)
-    report.log("blocked", reason=reason)
+    report.log(event, reason=reason)
     return report
 
 
 def scenario_ephemeral(config: SchemeConfig, seed: int) -> AttackReport:
     if config.mode == hyh.STRICT:
-        return _no_misuse("recover_sender_key", leaked_ephemeral=False,
-                          note="no precomputed (r, R) store to steal from")
+        return _unrun("recover_sender_key", "blocked", _NOTHING_LEAKED,
+                      leaked_ephemeral=False,
+                      note="no precomputed (r, R) store to steal from")
     rng, alice, bob = _stage(config, seed)
     message = b"wire transfer: move the usual amount"
     # the victim pre-computed (r, R) pairs and the store leaked
-    r, (sct,) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (message,))
+    try:
+        r, (sct,) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (message,))
+    except ValueError as exc:
+        return _unrun("recover_sender_key", "not_staged", str(exc),
+                      leaked_ephemeral=True)
     report = attacks.recover_sender_key(config, alice.U, bob.U, sct, r)
     report.log("staging", leaked_ephemeral=True)
     return report
@@ -91,13 +98,19 @@ def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
     m2 = b"second message, same size as first!!!"[: len(m1)]
     shared = config.mode == hyh.PAPER
     if shared:
-        _, (sct1, sct2) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (m1, m2))
+        try:
+            _, (sct1, sct2) = _signcrypt_under_one_r(config, rng, alice.d, bob.U,
+                                                     (m1, m2))
+        except ValueError as exc:
+            return _unrun("nonce_reuse_recover", "not_staged", str(exc),
+                          shared_ephemeral=True)
     else:
         try:
             sct1, sct2 = (hyh.signcrypt(config, alice.d, bob.U, m, rng_seed=rng)
                           for m in (m1, m2))
         except hyh.Refused as exc:
-            return _no_misuse("nonce_reuse_recover", str(exc), shared_ephemeral=False)
+            return _unrun("nonce_reuse_recover", "blocked", str(exc),
+                          shared_ephemeral=False)
     report = attacks.nonce_reuse_recover(config, sct1, sct2, m1)
     report.log("staging", shared_ephemeral=shared, same_R=sct1.R == sct2.R)
     return report
@@ -116,11 +129,16 @@ def scenario_uks(config: SchemeConfig, seed: int) -> AttackReport:
 
 def scenario_forward_secrecy(config: SchemeConfig, seed: int) -> AttackReport:
     if config.mode == hyh.STRICT:
-        return _no_misuse("break_forward_secrecy", long_term_key_leaked=False,
-                          note="long-term key stayed in protected storage")
+        return _unrun("break_forward_secrecy", "blocked", _NOTHING_LEAKED,
+                      long_term_key_leaked=False,
+                      note="long-term key stayed in protected storage")
     rng, alice, bob = _stage(config, seed)
     message = b"old traffic, recorded long ago"
-    sct = hyh.signcrypt(config, alice.d, bob.U, message, rng_seed=rng)
+    try:
+        sct = hyh.signcrypt(config, alice.d, bob.U, message, rng_seed=rng)
+    except ValueError as exc:
+        return _unrun("break_forward_secrecy", "not_staged", str(exc),
+                      long_term_key_leaked=True)
     # the long-term key later leaks; recorded traffic falls
     report = attacks.break_forward_secrecy(config, alice.d, bob.U, sct, message)
     report.log("staging", long_term_key_leaked=True)

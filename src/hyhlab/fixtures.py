@@ -21,14 +21,6 @@ N_EQ_Q = "params_n_eq_q"
 SUPERSINGULAR = "params_supersingular"
 SECP160R1 = "params_secp160r1"
 
-BAD_FIXTURES = {
-    COMPOSITE_N: "n_prime",
-    SMALL_N: "n_above_4sqrt_q",
-    MOV: "mov_condition",
-    N_EQ_Q: "not_anomalous",
-    SUPERSINGULAR: "not_supersingular",
-}
-
 
 def params_from_dict(obj: dict) -> CurveParams:
     try:

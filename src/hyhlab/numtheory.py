@@ -1,9 +1,8 @@
 """Modular and integer arithmetic helpers.
 
 Everything here is a pure function on plain Python ints (which are already
-arbitrary precision). Sizes are desk scale: factoring is trial division plus
-Pollard rho, nothing is constant time, and none of it should ever touch a
-production key.
+arbitrary precision). Sizes are desk scale: factoring is trial division,
+nothing is constant time, and none of it should ever touch a production key.
 """
 
 import math
@@ -21,7 +20,8 @@ _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_DETERMINISTIC_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 _MR_RANDOM_ROUNDS = 40
 
-DEFAULT_RHO_BUDGET = 1_000_000
+# Trial divisors stop here, so factor() is complete for every n < 2**32.
+_TRIAL_BOUND = 1 << 16
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -146,62 +146,25 @@ def crt_combine(residues: list[tuple[int, int]]) -> int:
     return x % modulus
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """One non-trivial factor of composite odd n, Brent's cycle variant."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        count = 0
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-            count += r
-            if count > DEFAULT_RHO_BUDGET:
-                raise RuntimeError(
-                    f"pollard rho exceeded {DEFAULT_RHO_BUDGET} iterations on {n}")
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-            if g == n:
-                continue  # unlucky cycle, retry with new parameters
-        return g
-
-
 def factor(n: int) -> dict[int, int]:
-    """Full prime factorization as {prime: exponent}. factor(1) == {}."""
+    """Full prime factorization as {prime: exponent}. factor(1) == {}.
+
+    Trial division by every d below ``_TRIAL_BOUND`` with d*d <= n; what is
+    left must be 1 or a prime, or the factorization is refused with a
+    ValueError. Every group order the lab counts is below 2**25.
+    """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
     factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return factors
-
-    rng = random.Random(0xFAC70)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return dict(sorted(factors.items()))
+    d = 2
+    while d * d <= n and d < _TRIAL_BOUND:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if not is_prime(n):
+            raise ValueError(f"cofactor {n} has no prime factor below "
+                             f"{_TRIAL_BOUND} but is composite")
+        factors[n] = 1
+    return factors

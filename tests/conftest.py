@@ -9,6 +9,15 @@ from hyhlab.curve import CurveParams
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig
 from hyhlab.numtheory import mod_inverse
 
+# each deliberately broken bundled set, with the validator check it breaks
+BAD_FIXTURES = {
+    fixtures.COMPOSITE_N: "n_prime",
+    fixtures.SMALL_N: "n_above_4sqrt_q",
+    fixtures.MOV: "mov_condition",
+    fixtures.N_EQ_Q: "not_anomalous",
+    fixtures.SUPERSINGULAR: "not_supersingular",
+}
+
 
 @pytest.fixture(scope="session")
 def promoted_bases():

@@ -1,10 +1,11 @@
 import math
-import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyhlab import curve as cv
 from hyhlab import numtheory as nt
 
 SMALL_ODD_PRIMES = [3, 5, 7, 11, 13, 101, 997, 7919, 65521]
@@ -174,9 +175,18 @@ class TestFactor:
         assert math.prod(p**e for p, e in fac.items()) == n
         assert all(nt.is_prime(p) for p in fac)
 
-    def test_budget(self, monkeypatch):
-        # a 120-bit semiprime cannot fall to a starved rho budget
-        monkeypatch.setattr(nt, "DEFAULT_RHO_BUDGET", 4)
+    def test_composite_cofactor_refused_quickly(self):
+        # no prime factor of this 122-bit semiprime is below the trial bound
         p, q = 2**61 - 1, 2**61 + 15  # both prime
-        with pytest.raises(RuntimeError, match="pollard rho exceeded"):
-            nt._pollard_rho(p * q, random.Random(0xFAC70))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="is composite"):
+            nt.factor(p * q)
+        assert time.perf_counter() - start < 0.05
+
+    def test_complete_at_its_bounds(self):
+        # the two largest primes below 2**16, and the largest order a
+        # Hasse window reaches below the point-counting bound
+        assert nt.factor(65521 * 65519) == {65519: 1, 65521: 1}
+        q = next(q for q in range(cv.DEFAULT_COUNT_BOUND - 1, 0, -1) if nt.is_prime(q))
+        top = q + 1 + math.isqrt(4 * q)
+        assert nt.factor(top) == {3: 2, 5: 1, 7: 1, 13: 1, 4099: 1}

@@ -9,6 +9,8 @@ from hyhlab.paramcheck import (
     validate_domain_params,
 )
 
+from conftest import BAD_FIXTURES
+
 
 def _check(report, name):
     """The result of the check called name in report."""
@@ -58,7 +60,7 @@ class TestFixtureCorpus:
             assert report.overall, report.failed_names()
 
     def test_each_bad_fixture_fails_its_check(self):
-        for name, check in fixtures.BAD_FIXTURES.items():
+        for name, check in BAD_FIXTURES.items():
             report = validate_domain_params(fixtures.load(name))
             assert check in report.failed_names(), (name, report.failed_names())
 
