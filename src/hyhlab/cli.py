@@ -45,22 +45,6 @@ def _stage(config: SchemeConfig, seed: int
                   for _ in range(2))
 
 
-def _signcrypt_under_one_r(config: SchemeConfig, rng: random.Random,
-                           d_a: int, u_b: Point, messages: tuple[bytes, ...]
-                           ) -> tuple[int, list[SigncryptedText]]:
-    """(r, texts): the messages signcrypted from d_a to u_b under the first
-    r drawn from rng under which every one of them signcrypts. A degenerate
-    r, one that ``hyh.signcrypt`` would draw again, is drawn again here."""
-    for _ in range(hyh._RESAMPLE_LIMIT):
-        r = rng.randrange(1, config.params.n)
-        try:
-            return r, [hyh.signcrypt(config, d_a, u_b, m, forced_r=r)
-                       for m in messages]
-        except ValueError:
-            continue
-    raise ValueError("no ephemeral scalar signcrypts every staged message")
-
-
 _NOTHING_LEAKED = "no misuse staged: nothing leaked to attack with"
 
 
@@ -83,7 +67,8 @@ def scenario_ephemeral(config: SchemeConfig, seed: int) -> AttackReport:
     message = b"wire transfer: move the usual amount"
     # the victim pre-computed (r, R) pairs and the store leaked
     try:
-        r, (sct,) = _signcrypt_under_one_r(config, rng, alice.d, bob.U, (message,))
+        r, (sct,) = hyh.signcrypt_under_one_r(config, alice.d, bob.U, (message,),
+                                              rng_seed=rng)
     except ValueError as exc:
         return _unrun("recover_sender_key", "not_staged", str(exc),
                       leaked_ephemeral=True)
@@ -99,8 +84,8 @@ def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
     shared = config.mode == hyh.PAPER
     if shared:
         try:
-            _, (sct1, sct2) = _signcrypt_under_one_r(config, rng, alice.d, bob.U,
-                                                     (m1, m2))
+            _, (sct1, sct2) = hyh.signcrypt_under_one_r(
+                config, alice.d, bob.U, (m1, m2), rng_seed=rng)
         except ValueError as exc:
             return _unrun("nonce_reuse_recover", "not_staged", str(exc),
                           shared_ephemeral=True)

@@ -178,15 +178,11 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     27. The cache entry is the table's only home, so a base evicted from
     the cache loses its count with its table and earns it again from zero.
 
-    A larger k, such as a paper-mode s near 256^scalar_width, goes to
-    ``scalar_mul``.
+    A k <= 0, a P = O and a larger k, such as a paper-mode s near
+    256^scalar_width, go to ``scalar_mul``.
     """
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    if k == 0 or P is None:
-        return None
     d = _comb_row_bits(params)
-    if k >> (_COMB_WIDTH * d):
+    if k <= 0 or P is None or k >> (_COMB_WIDTH * d):
         return scalar_mul(params, k, P)
     q, a = params.q, params.a
     # cached under the residues of P, so unreduced forms share one table

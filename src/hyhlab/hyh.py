@@ -271,24 +271,39 @@ def keypair_from_secret(config: SchemeConfig, d: int) -> KeyPair:
 def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
               rng_seed: int | random.Random | None = None,
               forced_r: int | None = None) -> SigncryptedText:
-    """Signcrypt message from the holder of d_a to the holder of u_b.
+    """Signcrypt message from the holder of d_a to the holder of u_b: the
+    one-message case of ``signcrypt_under_one_r``."""
+    return signcrypt_under_one_r(config, d_a, u_b, (message,),
+                                 rng_seed, forced_r)[1][0]
+
+
+def signcrypt_under_one_r(config: SchemeConfig, d_a: int, u_b: Point,
+                          messages: tuple[bytes, ...],
+                          rng_seed: int | random.Random | None = None,
+                          forced_r: int | None = None
+                          ) -> tuple[int, list[SigncryptedText]]:
+    """(r, texts): each message signcrypted from the holder of d_a to the
+    holder of u_b under the one ephemeral scalar r, so the texts share R and
+    K. The one loop that draws r, for ``signcrypt`` and for the stagings of
+    a leaked or reused r.
 
     An r is drawn again, ``_RESAMPLE_LIMIT`` times at most, when x_R mod n
-    = 0, K = O, r has no inverse mod n or s = 0. forced_r pins r for tests
-    and attack stagings that reproduce nonce misuse on demand. A degenerate
-    forced r, or no usable r drawn, is a ValueError. Strict mode raises
-    ``Refused`` for a recipient key that fails ``peer_point_failures``.
+    = 0, K = O, r has no inverse mod n or some message's s = 0. forced_r
+    pins r for tests and attack stagings that reproduce nonce misuse on
+    demand. A degenerate forced r, or no usable r drawn, is a ValueError.
+    Strict mode raises ``Refused`` for a recipient key that fails
+    ``peer_point_failures``.
     """
     params = config.params
     n = params.n
-    if not message:
+    if not all(messages):
         raise ValueError("message must be non-empty")
     if not 1 <= d_a < n:
         raise ValueError("sender secret out of range")
     failed = peer_point_failures(config, u_b)
     if failed:
         raise Refused(f"recipient key failed validation ({','.join(failed)})")
-    e, state = _hash_message(config, message)
+    hashed = [_hash_message(config, m) for m in messages]
     rng = _rng(rng_seed)
     for _ in range(_RESAMPLE_LIMIT):
         r = forced_r if forced_r is not None else rng.randrange(1, n)
@@ -298,13 +313,15 @@ def signcrypt(config: SchemeConfig, d_a: int, u_b: Point, message: bytes,
         K = fixed_base_mul(params, r, u_b)
         x_r = x_coord(R) % n
         # an r with no inverse mod n, as under a composite n, is degenerate
-        s = mod_inverse(r, n) * (e + x_r * d_a) % n if math.gcd(r, n) == 1 else 0
-        if x_r == 0 or K is None or s == 0:
+        r_inv = mod_inverse(r, n) if math.gcd(r, n) == 1 else 0
+        s_values = [r_inv * (e + x_r * d_a) % n for e, _ in hashed]
+        if x_r == 0 or K is None or 0 in s_values:
             if forced_r is not None:
                 raise ValueError("forced ephemeral scalar hits a degenerate case")
             continue
-        C = xor_keystream(config, x_coord(K), message + _tag(config, state, s))
-        return SigncryptedText(R=R, C=C, s=s)
+        return r, [SigncryptedText(R=R, s=s, C=xor_keystream(
+                       config, x_coord(K), m + _tag(config, state, s)))
+                   for m, (_, state), s in zip(messages, hashed, s_values)]
     raise ValueError("no usable ephemeral scalar found; recipient key degenerate?")
 
 

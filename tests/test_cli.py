@@ -897,7 +897,7 @@ class TestDegenerateBasePoint:
         assert (rc, captured.err) == (1, "")
         assert json.loads(captured.out)["transcript"][-1] == {
             "event": "not_staged",
-            "reason": "no ephemeral scalar signcrypts every staged message"}
+            "reason": "no usable ephemeral scalar found; recipient key degenerate?"}
 
     def test_keygen_of_identity_key_exits_two(self, capsys, tmp_path):
         rc = cli.main(["--params", self._params(tmp_path, 23, 13, 7, 4),
@@ -915,6 +915,20 @@ class TestDemoAll:
         # every bundled set runs its table, a composite n included
         rc, _ = run(capsys, "--params", params_file(tmp_path, name), "demo", "all")
         assert rc == 0
+
+    def test_every_bundled_set_lands_each_paper_attack_it_stages(self):
+        # seed 0: paper lands every attack it can stage, strict none, and
+        # invalid-curve on secp160r1, with no small-order invalid curve to
+        # stage it on, is the one row left n/a
+        rows = {}
+        for name in (fixtures.GOOD, fixtures.TOY16, fixtures.F23_N7,
+                     fixtures.SECP160R1, *BAD_FIXTURES):
+            for row in cli.run_demo_all(fixtures.load(name), 0)["findings"]:
+                rows[name, row["attack"]] = (row["paper_success"],
+                                             row["strict_success"])
+        assert len(rows) == 9 * len(cli.ATTACK_NAMES)
+        assert {key: row for key, row in rows.items() if row != (True, False)} == {
+            (fixtures.SECP160R1, "invalid-curve"): (None, None)}
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7, 11, 42])
     def test_composite_n_lands_every_paper_attack(self, capsys, tmp_path, seed):

@@ -323,6 +323,59 @@ class TestSigncrypt:
             assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"tiny"
 
 
+class TestSigncryptUnderOneR:
+    def test_texts_share_r_and_each_is_signcrypt_under_it(self, paper16, keys16):
+        alice, bob = keys16
+        messages = (b"first", b"second, a longer one", b"3")
+        r, texts = hyh.signcrypt_under_one_r(paper16, alice.d, bob.U, messages,
+                                             rng_seed=4)
+        assert len(texts) == 3 and len({sct.R for sct in texts}) == 1
+        for m, sct in zip(messages, texts):
+            assert hyh.unsigncrypt(paper16, bob.d, alice.U, sct) == m
+            assert sct == hyh.signcrypt(paper16, alice.d, bob.U, m, forced_r=r)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_one_message_is_signcrypt(self, paper16, keys16, seed):
+        alice, bob = keys16
+        r, (sct,) = hyh.signcrypt_under_one_r(paper16, alice.d, bob.U, (b"one",),
+                                              rng_seed=seed)
+        assert sct == hyh.signcrypt(paper16, alice.d, bob.U, b"one", rng_seed=seed)
+        assert sct.R == cv.scalar_mul(paper16.params, r, paper16.params.G)
+
+    def test_draws_the_first_r_that_signcrypts_every_message(self, f23_n7):
+        # n = 7: "first" signcrypts to s = 0 under r = 2 and 5, "second"
+        # under r = 1 and 6. The reference tries each r drawn from the seed
+        # on every message, one signcrypt at a time.
+        config = SchemeConfig(params=f23_n7, mode=PAPER)
+        alice = hyh.keypair_from_secret(config, 3)
+        bob = hyh.keypair_from_secret(config, 5)
+        messages = (b"first", b"second")
+        redrawn = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            for draws in range(1, 257):
+                r = rng.randrange(1, f23_n7.n)
+                try:
+                    expected = [hyh.signcrypt(config, alice.d, bob.U, m, forced_r=r)
+                                for m in messages]
+                    break
+                except ValueError:
+                    continue
+            redrawn += draws > 1
+            assert hyh.signcrypt_under_one_r(config, alice.d, bob.U, messages,
+                                             rng_seed=seed) == (r, expected)
+        assert redrawn
+
+    def test_empty_message_is_refused_before_any_draw(self, paper16, keys16):
+        alice, bob = keys16
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="message must be non-empty"):
+            hyh.signcrypt_under_one_r(paper16, alice.d, bob.U, (b"ok", b""),
+                                      rng_seed=rng)
+        assert rng.getstate() == state
+
+
 class TestAlgebraicIdentities:
     def test_session_key_agreement(self, paper16, keys16):
         alice, bob = keys16
