@@ -2,6 +2,3 @@
 validation, and working demonstrations of the attacks both enable."""
 
 __version__ = "0.1.0"
-
-from .curve import CurveParams, Point  # noqa: F401
-from .hyh import KeyPair, SchemeConfig, SigncryptedText  # noqa: F401

@@ -28,11 +28,11 @@ from .hyh import SchemeConfig, SigncryptedText
 # Each scenario stages its victims with ``_stage`` and then runs the attack
 # against them; the attack's own report says whether it landed. In paper mode
 # the staging includes the enabling misuse (a leaked or reused ephemeral
-# scalar, a leaked long-term key); a paper staging that draws no usable
-# ephemeral scalar reports not_staged. In strict mode nonce-reuse runs on two
-# fresh ephemerals, or reports blocked if the recipient key is refused, and
-# the two leak attacks, with no leaked secret to run on, report blocked
-# before any victim is staged. An attack that needs no misuse (invalid-curve,
+# scalar, a leaked long-term key); a staging that draws no usable ephemeral
+# scalar reports not_staged. In strict mode nonce-reuse runs on two fresh
+# ephemerals, or reports blocked if the recipient key is refused, and the
+# two leak attacks, with no leaked secret to run on, report blocked before
+# any victim is staged. An attack that needs no misuse (invalid-curve,
 # uks, degenerate-key) is staged the same way in both modes, and the checks
 # of the recipient or the CA, which read the mode from the config, decide it.
 
@@ -50,8 +50,8 @@ _NOTHING_LEAKED = "no misuse staged: nothing leaked to attack with"
 
 def _unrun(attack_name: str, event: str, reason: str, **staging) -> AttackReport:
     """The report of an attack that never ran: ``blocked`` when strict mode
-    withholds its misuse or refuses a key, ``not_staged`` when its paper
-    staging draws no usable ephemeral scalar."""
+    withholds its misuse or refuses a key, ``not_staged`` when its staging
+    draws no usable ephemeral scalar."""
     report = AttackReport(attack_name, success=False)
     report.log("staging", **staging)
     report.log(event, reason=reason)
@@ -77,25 +77,24 @@ def scenario_ephemeral(config: SchemeConfig, seed: int) -> AttackReport:
     return report
 
 
+# the nonce-reuse victim's two plaintexts, of one length, so that the XOR of
+# the two texts strips the shared keystream from all of M2
+NONCE_REUSE_MESSAGES = (b"first message, padded to equal size.",
+                        b"second message, same size as first!!")
+
+
 def scenario_nonce_reuse(config: SchemeConfig, seed: int) -> AttackReport:
     rng, alice, bob = _stage(config, seed)
-    m1 = b"first message, padded to equal size."
-    m2 = b"second message, same size as first!!!"[: len(m1)]
+    m1, m2 = NONCE_REUSE_MESSAGES
     shared = config.mode == hyh.PAPER
-    if shared:
-        try:
-            _, (sct1, sct2) = hyh.signcrypt_under_one_r(
-                config, alice.d, bob.U, (m1, m2), rng_seed=rng)
-        except ValueError as exc:
-            return _unrun("nonce_reuse_recover", "not_staged", str(exc),
-                          shared_ephemeral=True)
-    else:
-        try:
-            sct1, sct2 = (hyh.signcrypt(config, alice.d, bob.U, m, rng_seed=rng)
-                          for m in (m1, m2))
-        except hyh.Refused as exc:
-            return _unrun("nonce_reuse_recover", "blocked", str(exc),
-                          shared_ephemeral=False)
+    # paper mode signcrypts both messages under one r, strict each under its own
+    batches = ((m1, m2),) if shared else ((m1,), (m2,))
+    try:
+        sct1, sct2 = [sct for batch in batches for sct in hyh.signcrypt_under_one_r(
+            config, alice.d, bob.U, batch, rng_seed=rng)[1]]
+    except ValueError as exc:
+        event = "blocked" if isinstance(exc, hyh.Refused) else "not_staged"
+        return _unrun("nonce_reuse_recover", event, str(exc), shared_ephemeral=shared)
     report = attacks.nonce_reuse_recover(config, sct1, sct2, m1)
     report.log("staging", shared_ephemeral=shared, same_R=sct1.R == sct2.R)
     return report

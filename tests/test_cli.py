@@ -848,6 +848,28 @@ def test_hostile_parameters_strict_refusals_are_reported(capsys, tmp_path):
         (19, h, "nonce-reuse"): "staging" for h in (1, 2, 4)}
 
 
+def test_strict_nonce_reuse_without_a_usable_r_is_not_staged(capsys, tmp_path):
+    # an honest curve: y^2 = x^3 + 101x + 37 over F_173, G = (31, 75) of
+    # order 5. Every x(r*G) = 1 mod 5, and at seed 1 d_A = -H(M2) mod 5, so
+    # the second strict text has s = 0 under every r: nonce-reuse reports
+    # not_staged, and demo all prints its table at seeds 0-3
+    path = tmp_path / "f173.json"
+    path.write_text(json.dumps({"q": "ad", "a": "65", "b": "25", "Gx": "1f",
+                                "Gy": "4b", "n": "5", "h": "24"}))
+    rc = cli.main(["--params", str(path), "--mode", "strict", "--seed", "1",
+                   "attack", "nonce-reuse"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (1, "")
+    assert json.loads(captured.out)["transcript"][-1] == {
+        "event": "not_staged",
+        "reason": "no usable ephemeral scalar found; recipient key degenerate?"}
+    runs = []
+    for seed in "0123":
+        rc = cli.main(["--params", str(path), "--seed", seed, "demo", "all"])
+        runs.append((seed, rc, capsys.readouterr().err))
+    assert runs == [(seed, 0, "") for seed in "0123"]
+
+
 class TestDegenerateBasePoint:
     """Params files whose G = (x, 0) has order 2: a command that needs a
     usable random scalar ends in a refusal (exit 2), and every command ends
