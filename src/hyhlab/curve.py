@@ -5,8 +5,9 @@ Points are plain affine ``(x, y)`` tuples; the point at infinity is ``None``.
 path is tested against. ``scalar_mul`` works internally in Jacobian
 coordinates and inverts once, at the end; it agrees with repeated
 ``point_add`` on every input, off-curve points included. ``fixed_base_mul``
-gives the same results from a width-6 Lim-Lee comb; it is the one path by
-which ``hyh`` and ``attacks`` multiply (G, the keys, each message's R). Its
+gives the same results from a width-6 Lim-Lee comb, for bases that recur
+(G and the long-lived keys); a point used once (a message's R, an oracle's
+W, n*P) goes to ``scalar_mul``, as its table would serve nothing else. The
 one-block tables cost two batched inversions each and are kept in a
 16-entry cache keyed on (params, base mod q); a base that keeps recurring,
 as G and the long-lived keys do, earns a table of nine blocks in the same
@@ -54,8 +55,7 @@ _COMB_SPLITS = tuple((b ^ 1 << b.bit_length() - 1, b.bit_length() - 1)
 # entry. At secp160r1 the nine-block table (about 125 KiB) takes about 4 ms
 # to build and saves 24 doublings, about 80 us, on each multiplication, so
 # it pays for itself after about 50 more. A base that has served 32 is one
-# that recurs: G and the keys serve one or two multiplications per message,
-# a message's R two or three in all.
+# that recurs: G and the keys serve one or two multiplications per message.
 _PROMOTE_AFTER = 32
 _PROMOTED_BLOCKS = 9
 
@@ -154,13 +154,12 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     """k-fold sum of P from a comb table; equal to
     ``scalar_mul(params, k, P)`` on every input.
 
-    The rule for callers: every point that ``hyh`` or ``attacks``
-    multiplies goes through here: G, the keys, and each message's R, whose
-    table serves both d_B*R and s*R. ``scalar_mul`` is for the one-off
-    multiples inside ``curve`` and ``paramcheck``. A table is built on its
-    point's first multiplication. Every round trip uses the tables of G,
-    U_A and U_B, so a stream of fresh R's through the LRU cache evicts
-    only R's.
+    The rule for callers: bases that recur, G and the long-lived keys, go
+    through here; a point used once, such as a message's R, an oracle's W
+    or n*P, goes to ``scalar_mul``, which costs less than building its
+    table. A table is built on its point's first multiplication. Every
+    round trip uses the tables of G, U_A and U_B, and fresh R's take no
+    entry in the LRU cache.
 
     Lim-Lee comb of width w = 6 (CRYPTO 1994). With d = ceil(bitlen(n)/w),
     a k < 2^(w*d) is cut into w d-bit rows k_0..k_(w-1), k = sum

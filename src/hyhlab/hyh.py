@@ -18,8 +18,10 @@ only if the tag matches and the public verification equation
 
     s*R == H(M)*G + (x_R mod n)*U_A
 
-holds. H is SHA-256 throughout: it gives H(M), the tag and, in the attacks,
-the confirmation MAC.
+holds; on a curve of prime order it is checked as R == (H(M)/s)*G +
+(x_R/s)*U_A, the same equation there (``_verify_equation``), so each R is
+multiplied once, by d_B. H is SHA-256 throughout: it gives H(M), the tag
+and, in the attacks, the confirmation MAC.
 
 Each side hashes M once and XORs it once. One hash state over M gives H(M)
 and, copied and fed the encoding of s, the tag H(M || s). ``xor_keystream``
@@ -44,6 +46,7 @@ from .curve import (
     Point,
     fixed_base_mul,
     point_add,
+    scalar_mul,
     validate_public_key,
 )
 from .numtheory import mod_inverse
@@ -197,25 +200,27 @@ def open_ciphertext(config: SchemeConfig, x_k: int, C: bytes) -> tuple[bytes, by
     return plain[:-TAG_LEN], plain[-TAG_LEN:]
 
 
+def _prime_order(params: CurveParams) -> bool:
+    """Whether h = 1 and the domain parameters validate, which makes E(F_q)
+    cyclic of the prime order n: every point of the curve other than O
+    then has order n.
+
+    The validator shows that n is prime and that G != O lies on the curve
+    with n*G = O, so n divides #E. It also shows that h*n lies in the Hasse
+    window and that n^2 > 16q: the window is 4*sqrt(q) wide and n is wider,
+    so h*n is the one multiple of n in it, and #E = h*n. With h = 1, #E = n
+    is prime. h is tested first, so h != 1 never triggers a validation.
+    """
+    return params.h == 1 and paramcheck.validate_domain_params(params).overall
+
+
 def _has_order_n(config: SchemeConfig, P: Point) -> bool:
     """Whether n*P = O (SEC 1 v2, section 3.2.2.1). Precondition: P has
     passed ``validate_public_key``, so it lies on the curve, as in its one
-    caller ``peer_point_failures``; the shortcut below holds only for such
-    points.
-
-    With h = 1 and domain parameters that pass the validator, the answer is
-    yes without a multiplication. The validator shows that n is prime and that
-    G != O lies on the curve with n*G = O, so n divides #E. It also shows
-    that h*n lies in the Hasse window and that n^2 > 16q: the window is
-    4*sqrt(q) wide and n is wider, so h*n is the one multiple of n in it,
-    and #E = h*n. With h = 1, #E = n is prime, and every point of the curve
-    other than O has order n. h is tested first, so h != 1 never triggers a
-    validation.
-    """
+    caller ``peer_point_failures``; under ``_prime_order`` the answer is
+    then yes without a multiplication."""
     params = config.params
-    if params.h == 1 and paramcheck.validate_domain_params(params).overall:
-        return True
-    return fixed_base_mul(params, params.n, P) is None
+    return _prime_order(params) or scalar_mul(params, params.n, P) is None
 
 
 def peer_point_failures(config: SchemeConfig, P: Point) -> tuple[str, ...]:
@@ -236,10 +241,12 @@ def recipient_shared_point(config: SchemeConfig, d_b: int,
     """The recipient's step K = d_B * R, as (K, None), or (None, reason) when
     strict mode refuses. The paper checks nothing here; strict mode refuses
     an R that is not a valid point of order n (``ephemeral_point``) and a K
-    that is the identity (``shared_point_identity``)."""
+    that is the identity (``shared_point_identity``). R is a fresh point,
+    multiplied by ``scalar_mul``: a comb table for it would serve only this
+    one multiplication."""
     if peer_point_failures(config, R):
         return None, "ephemeral_point"
-    K = fixed_base_mul(config.params, d_b, R)
+    K = scalar_mul(config.params, d_b, R)
     if config.mode == STRICT and K is None:
         return None, "shared_point_identity"
     return K, None
@@ -383,20 +390,32 @@ def public_verify(config: SchemeConfig, u_a: Point, message: bytes, R: Point,
 
 def _verify_equation(config: SchemeConfig, u_a: Point, e: int, R: Point,
                      s: int) -> bool:
-    """``public_verify`` with e = H(M) mod n already computed."""
+    """``public_verify`` with e = H(M) mod n already computed.
+
+    Under ``_prime_order``, with R and U_A points of the curve other than O
+    (``validate_public_key``) and s prime to n, the equation is checked as
+    R == (e*w)*G + (x_R*w)*U_A, w = s^-1 mod n, as ECDSA verifies (Johnson,
+    Menezes and Vanstone, IJIS 2001), so R, used once, is not multiplied.
+    The two are one equation there: E(F_q) has the prime order n, so n*R =
+    n*Q = O for R and Q = e*G + x_R*U_A, and s*R == Q gives w*Q = (w*s)*R =
+    R, while R == w*Q gives s*R = (s*w)*Q = Q. Every other input, an R or
+    U_A off the group among them, checks the paper's s*R == Q itself.
+    """
     params = config.params
+    n = params.n
     if not _encodable(config, s):
         return False
-    if (config.mode == STRICT and not 1 <= s < params.n
+    if (config.mode == STRICT and not 1 <= s < n
             or peer_point_failures(config, u_a)):
         return False
-    lhs = fixed_base_mul(params, s, R)
-    rhs = point_add(
-        params,
-        fixed_base_mul(params, e, params.G),
-        fixed_base_mul(params, x_coord(R) % params.n, u_a),
-    )
-    return lhs == rhs
+    x_r = x_coord(R) % n
+    if (s % n and _prime_order(params) and not validate_public_key(params, R)
+            and not validate_public_key(params, u_a)):
+        w = mod_inverse(s, n)
+        return R == point_add(params, fixed_base_mul(params, e * w % n, params.G),
+                              fixed_base_mul(params, x_r * w % n, u_a))
+    return scalar_mul(params, s, R) == point_add(
+        params, fixed_base_mul(params, e, params.G), fixed_base_mul(params, x_r, u_a))
 
 
 # --- wire format -----------------------------------------------------------

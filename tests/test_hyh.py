@@ -537,6 +537,116 @@ class TestPublicVerify:
         assert hyh.unsigncrypt(config, bob.d, alice.U, sct) is None
 
 
+def _literal_verify(config, u_a, e, R, s):
+    """The paper's s*R == e*G + x_R*U_A with every multiple from
+    ``scalar_mul``, under ``_verify_equation``'s other rules: an s with no
+    fixed-width encoding fails, strict mode refuses an s outside [1, n-1]
+    and a U_A that fails ``peer_point_failures``."""
+    params = config.params
+    n = params.n
+    if not 0 <= s < 256 ** config.scalar_width:
+        return False
+    if config.mode == STRICT and not 1 <= s < n or hyh.peer_point_failures(config, u_a):
+        return False
+    return cv.scalar_mul(params, s, R) == cv.point_add(
+        params, cv.scalar_mul(params, e, params.G),
+        cv.scalar_mul(params, hyh.x_coord(R) % n, u_a))
+
+
+class TestVerifyEquation:
+    """``_verify_equation`` checks R == (e/s)*G + (x_R/s)*U_A on a curve of
+    prime order that validates (here secp160r1) and the literal s*R == e*G
+    + x_R*U_A elsewhere: toy16 and params_good have h != 1, n_eq_q fails
+    validation, and toy16 with h = 1 claimed fails it too. Either way it
+    must accept exactly what the literal equation accepts."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(),
+           name=st.sampled_from([fixtures.SECP160R1, fixtures.TOY16, fixtures.GOOD,
+                                 fixtures.N_EQ_Q, "toy16_h1"]),
+           mode=st.sampled_from([PAPER, STRICT]),
+           tampered=st.sampled_from([None, "R", "U_A", "s"]))
+    def test_matches_the_literal_equation(self, data, name, mode, tampered):
+        if name == "toy16_h1":
+            params = dataclasses.replace(fixtures.load(fixtures.TOY16), h=1)
+        else:
+            params = fixtures.load(name)
+        config = SchemeConfig(params=params, mode=mode)
+        n, q = params.n, params.q
+        d_a, r = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+        e = data.draw(st.integers(0, n - 1))
+        u_a = cv.scalar_mul(params, d_a, params.G)
+        R = cv.scalar_mul(params, r, params.G)
+        s = mod_inverse(r, n) * (e + R[0] % n * d_a) % n
+        if tampered in ("R", "U_A"):
+            # of order dividing #E/n: a point of the curve off <G>, or O
+            T = cv.scalar_mul(params, n, cv.random_point(params, random.Random(r)))
+        if tampered == "R":
+            R = data.draw(st.sampled_from(
+                [(R[0], (R[1] + 1) % q), (R[0] + q, R[1]), None, (R[0], -R[1] % q),
+                 cv.point_add(params, R, T)]))
+        elif tampered == "U_A":
+            u_a = data.draw(st.sampled_from(
+                [(u_a[0], (u_a[1] + 1) % q), None, params.G, cv.point_add(params, u_a, T)]))
+        elif tampered == "s":
+            top = 256 ** config.scalar_width
+            s = data.draw(st.one_of(
+                st.sampled_from([0, n, top]),
+                st.builds(lambda k: s + k * n, st.integers(1, top // n + 1)),
+                st.integers(top, 2 * top)))
+        assert hyh._verify_equation(config, u_a, e, R, s) == _literal_verify(
+            config, u_a, e, R, s)
+
+    @pytest.mark.parametrize("h", [4, 1])
+    def test_point_off_the_group_keeps_the_paper_equation(self, toy16, toy16_order_2, h):
+        # R = r*G + T, T of order 2, passes validate_public_key but lies
+        # off <G>. With s even, s*R = s*r*G, so the paper's equation holds
+        # where R == (e/s)*G + (x_R/s)*U_A does not. toy16 with h = 1
+        # claimed fails validation, so the claim must not switch the form
+        params = dataclasses.replace(toy16, h=h)
+        config = SchemeConfig(params=params)
+        n, d_a, r, e = params.n, 1234, 4321, 77
+        u_a = cv.scalar_mul(params, d_a, params.G)
+        R = cv.point_add(params, cv.scalar_mul(params, r, params.G), toy16_order_2[0])
+        assert not cv.validate_public_key(params, R)
+        s = mod_inverse(r, n) * (e + R[0] % n * d_a) % n
+        s += n * (s % 2)
+        assert _literal_verify(config, u_a, e, R, s)
+        assert hyh._verify_equation(config, u_a, e, R, s)
+
+    @pytest.mark.parametrize("case", ["s_zero", "s_n", "unreduced_R", "order_2_U_A"])
+    def test_paper_accepts_off_the_prime_order_form(self, case):
+        # secp160r1 takes the <G> form only for a valid R and U_A and an s
+        # prime to n. Each case fails one of those and passes the paper's
+        # equation, which the <G> form would not compute or would reject
+        params = fixtures.load(fixtures.SECP160R1)
+        config = SchemeConfig(params=params)
+        n, q, G = params.n, params.q, params.G
+        d_a, r, e = 1234, 4321, 77
+        R = cv.scalar_mul(params, r, G)
+        u_a = cv.scalar_mul(params, d_a, G)
+        if case in ("s_zero", "s_n"):
+            # Q = e*G + x_R*U_A = O = n*R
+            e = -R[0] * d_a % n
+            s = 0 if case == "s_zero" else n
+        elif case == "unreduced_R":
+            R = (R[0] + q, R[1])
+            s = mod_inverse(r, n) * (e + R[0] % n * d_a) % n
+        else:
+            # (x, 0) has order 2 on its own curve, so with x_R even x_R*U_A
+            # = O and s = e/r; with x_R/s odd, (x_R/s)*U_A is not O
+            u_a = (G[0], 0)
+            for r in range(1, 64):
+                R = cv.scalar_mul(params, r, G)
+                s = mod_inverse(r, n) * e % n
+                if R[0] % n % 2 == 0 and R[0] % n * mod_inverse(s, n) % n % 2:
+                    break
+            else:
+                raise AssertionError("no such r")
+        assert _literal_verify(config, u_a, e, R, s)
+        assert hyh._verify_equation(config, u_a, e, R, s)
+
+
 class TestUnreducedKey:
     """U = (W.x + q, W.y), W the order-3 point of b' = b + 1 on params_good.
     A comb table built from U itself with the affine law, which compares
@@ -571,36 +681,44 @@ class TestOrderCheck:
         (PAPER, fixtures.SECP160R1), (STRICT, fixtures.SECP160R1),
         (STRICT, fixtures.TOY16)])
     def test_scalar_mul_calls_per_round_trip(self, monkeypatch, mode, name):
-        # every multiplication in hyh goes through the comb, in this order:
-        # r*G and r*U_B in signcrypt; d_B*R, s*R, H(M)*G and x_R*U_A in
-        # unsigncrypt. Only toy16 (h = 4) still checks n*U_B, n*R and n*U_A.
-        assert not hasattr(hyh, "scalar_mul")
+        # G and the keys go through the comb: r*G and r*U_B in signcrypt.
+        # A point used once goes to scalar_mul: d_B*R in unsigncrypt, and
+        # n*P for the order checks that only toy16 (h = 4) still makes, of
+        # U_B, R and U_A. secp160r1 then verifies R == (e/s)*G + (x_R/s)*U_A
+        # from the comb; toy16 checks s*R == e*G + x_R*U_A
         params = fixtures.load(name)
         assert paramcheck.validate_domain_params(params).overall
         config = SchemeConfig(params=params, mode=mode)
         alice = hyh.keypair_from_secret(config, 1234)
         bob = hyh.keypair_from_secret(config, 5678)
         calls = []
-        real = hyh.fixed_base_mul
 
-        def counting(params_, k, P):
-            calls.append((k, P))
-            return real(params_, k, P)
+        def counting(path, real):
+            def mul(params_, k, P):
+                calls.append((path, k, P))
+                return real(params_, k, P)
+            return mul
+
+        monkeypatch.setattr(hyh, "fixed_base_mul", counting("comb", hyh.fixed_base_mul))
+        monkeypatch.setattr(hyh, "scalar_mul", counting("once", hyh.scalar_mul))
 
         def order_check(P):
-            return [(params.n, P)] if params.h != 1 else []
+            return [("once", params.n, P)] if params.h != 1 else []
 
-        monkeypatch.setattr(hyh, "fixed_base_mul", counting)
         r = 4321
         sct = hyh.signcrypt(config, alice.d, bob.U, b"counted", forced_r=r)
-        assert calls == order_check(bob.U) + [(r, params.G), (r, bob.U)]
+        assert calls == order_check(bob.U) + [("comb", r, params.G), ("comb", r, bob.U)]
         calls.clear()
         assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"counted"
-        h = hyh.hash_to_scalar(config, b"counted")
-        assert calls == (order_check(sct.R) + [(bob.d, sct.R)]
-                         + order_check(alice.U)
-                         + [(sct.s, sct.R), (h, params.G),
-                            (sct.R[0] % params.n, alice.U)])
+        e = hyh.hash_to_scalar(config, b"counted")
+        n, x_r = params.n, sct.R[0] % params.n
+        if params.h == 1:
+            w = mod_inverse(sct.s, n)
+            verify = [("comb", e * w % n, params.G), ("comb", x_r * w % n, alice.U)]
+        else:
+            verify = [("once", sct.s, sct.R), ("comb", e, params.G), ("comb", x_r, alice.U)]
+        assert calls == (order_check(sct.R) + [("once", bob.d, sct.R)]
+                         + order_check(alice.U) + verify)
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_false_h1_claim_keeps_the_check(self, toy16, toy16_order_2, index):
@@ -622,9 +740,9 @@ class TestOrderCheck:
 
 class TestCombTables:
     """The comb tables a round trip needs: a key's table is built by its
-    first message, each message builds one for its R, and the tables of G
-    and of the keys stay cached however many peer keys and ephemerals come
-    and go."""
+    first message, a message's R gets none, as ``scalar_mul`` multiplies
+    it, and the tables of G and of the keys stay cached however many peer
+    keys and ephemerals come and go."""
 
     def test_key_tables_built_on_first_use(self, good_params):
         config = SchemeConfig(params=good_params)
@@ -635,9 +753,10 @@ class TestCombTables:
         for seed in (1, 2):
             sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=seed)
             assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
-            # the first message builds U_B's and U_A's tables; d_B*R builds
-            # R's and s*R finds it
-            assert cv._comb_table.cache_info().misses == 3 + seed
+            # the first message builds U_B's and U_A's tables; params_good
+            # (h = 96) multiplies R by scalar_mul, for d_B*R and s*R alike
+            info = cv._comb_table.cache_info()
+            assert (info.misses, info.currsize) == (3, 3)
 
     def test_peer_keys_do_not_evict_g(self, good_params):
         # every message multiplies G, so the LRU cache drops older peer
@@ -653,8 +772,9 @@ class TestCombTables:
     @pytest.mark.parametrize("mode", [PAPER, STRICT])
     def test_fresh_ephemerals_do_not_evict_keys(self, good_params, mode,
                                                 promoted_bases):
-        # every round trip multiplies G, U_A and U_B, so 40 fresh R's
-        # through 16 entries build 40 tables and never rebuild the keys'
+        # every round trip multiplies G, U_A and U_B from their tables and
+        # R by scalar_mul (n*R in strict mode too), so 40 fresh R's build
+        # no table and the keys' are never rebuilt
         config = SchemeConfig(params=good_params, mode=mode)
         cv._comb_table.cache_clear()
         alice = hyh.keypair_from_secret(config, 1234)
@@ -666,10 +786,9 @@ class TestCombTables:
             ephemerals.add(sct.R)
         assert len(ephemerals) == 40
         info = cv._comb_table.cache_info()
-        assert (info.misses, info.currsize) == (3 + 40, 16)
+        assert (info.misses, info.currsize) == (3, 3)
         # G, U_A and U_B each serve a multiplication or two per round trip
-        # and earn promoted tables; an R serves two or three and none does.
-        # These three are the only tables the cache's bound has to hold
+        # and earn promoted tables
         assert sorted(promoted_bases()) == sorted([good_params.G, alice.U, bob.U])
 
     def test_promoted_multiplication_makes_three_doublings(self, monkeypatch):
@@ -702,10 +821,10 @@ class TestCombTables:
 
     def test_replayed_ephemerals_are_not_promoted(self, good_params,
                                                   promoted_bases):
-        # 16 messages replayed until each R has served _PROMOTE_AFTER
-        # multiplications, two per round trip (d_B*R and s*R). The 16 R's
-        # and the three keys do not fit in the 16 entries, so each R's
-        # table, and its count with it, is evicted before R comes round again
+        # 16 messages replayed until each R has been multiplied
+        # _PROMOTE_AFTER times, twice per round trip (d_B*R and s*R). Both
+        # go to scalar_mul, so no R takes a cache entry or a count, however
+        # often it comes round again
         config = SchemeConfig(params=good_params)
         cv._comb_table.cache_clear()
         alice = hyh.keypair_from_secret(config, 1234)
