@@ -7,14 +7,13 @@ coordinates and inverts once, at the end; it agrees with repeated
 ``point_add`` on every input, off-curve points included. ``fixed_base_mul``
 gives the same results from a width-6 Lim-Lee comb, for bases that recur
 (G and the long-lived keys); a point used once (a message's R, an oracle's
-W, n*P) goes to ``scalar_mul``, as its table would serve nothing else. The
-one-block tables cost two batched inversions each and are kept in a
-16-entry cache keyed on (params, base mod q); a base that keeps recurring,
-as G and the long-lived keys do, earns a table of nine blocks in the same
-entry. None of them ever checks whether its inputs satisfy the curve
-equation: the formulas do not involve the coefficient ``b``, so they act
-identically on every curve ``y^2 = x^3 + a*x + b'`` over the same field.
-Validation is a separate, explicit step (``validate_public_key``). That
+W, n*P) goes to ``scalar_mul``, as its table would serve nothing else. Each
+base's table, of up to nine blocks, is built on its first multiplication
+with two batched inversions and kept in a 16-entry cache keyed on
+(params, base mod q). None of them ever checks whether its inputs satisfy
+the curve equation: the formulas do not involve the coefficient ``b``, so
+they act identically on every curve ``y^2 = x^3 + a*x + b'`` over the same
+field. Validation is a separate, explicit step (``validate_public_key``). That
 separation is the whole point of this module: it lets the rest of the lab
 feed carefully crafted invalid points to code that forgot to check.
 ``invalid_curves`` finds such points one curve at a time, so the attack
@@ -41,23 +40,19 @@ _SEARCH_TRIES = 4096
 # of Mestre and Schoof", 2010); at or below it count_points enumerates.
 _MESTRE_BOUND = 229
 
-# Rows of the fixed-base comb, and how many (params, base) tables to keep.
+# Rows of the fixed-base comb, the most blocks a table is cut into, and how
+# many (params, base) tables to keep. At secp160r1 the nine-block table
+# (about 116 KiB) takes about 4 ms to build and makes each multiplication 3
+# doublings instead of 27; the bases that reach it, G and the long-lived
+# keys, serve one or two multiplications per message.
 _COMB_WIDTH = 6
+_COMB_BLOCKS = 9
 _COMB_TABLES = 16
 
 # Each b = 1 .. 2^w - 1 as (b less its top bit, the top bit's index), so a
 # comb's T[b] is T[low] plus the row of that bit.
 _COMB_SPLITS = tuple((b ^ 1 << b.bit_length() - 1, b.bit_length() - 1)
                      for b in range(1, 1 << _COMB_WIDTH))
-
-# A cached base that has served _PROMOTE_AFTER multiplications swaps its
-# comb for one of up to _PROMOTED_BLOCKS blocks, held in the same cache
-# entry. At secp160r1 the nine-block table (about 125 KiB) takes about 4 ms
-# to build and saves 24 doublings, about 80 us, on each multiplication, so
-# it pays for itself after about 50 more. A base that has served 32 is one
-# that recurs: G and the keys serve one or two multiplications per message.
-_PROMOTE_AFTER = 32
-_PROMOTED_BLOCKS = 9
 
 # Random points count_points may sample, alternately on E and on its twist,
 # before it gives up.
@@ -165,17 +160,12 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     a k < 2^(w*d) is cut into w d-bit rows k_0..k_(w-1), k = sum
     k_j*2^(j*d). Column i of the rows selects T[b] = sum b_j*2^(j*d)*P,
     b_j = bit i of k_j, so k*P costs d Jacobian doublings, at most d mixed
-    additions and one inversion. The 2^w - 1 = 63 points T[1..63] are
-    built on P's first multiplication and kept in a bounded cache.
+    additions and one inversion, from the 2^w - 1 = 63 points T[1..63].
 
     Lim and Lee also cut each row into v blocks of e = ceil(d/v) bits, with
     one such table per block, shifted by 2^(t*e): k*P then costs e
-    doublings and at most v*e additions, from v times the table. So the
-    cache entry counts the multiplications it serves, and a base that
-    reaches ``_PROMOTE_AFTER`` of them has its table replaced by one of
-    v = min(9, d) blocks, if d > 1: at secp160r1, 3 doublings instead of
-    27. The cache entry is the table's only home, so a base evicted from
-    the cache loses its count with its table and earns it again from zero.
+    doublings and at most v*e additions, from v times the table. P's table
+    has v = min(9, d) blocks: at secp160r1, 3 doublings instead of 27.
 
     A k <= 0, a P = O and a larger k, such as a paper-mode s near
     256^scalar_width, go to ``scalar_mul``.
@@ -186,11 +176,7 @@ def fixed_base_mul(params: CurveParams, k: int, P: Point) -> Point:
     q, a = params.q, params.a
     # cached under the residues of P, so unreduced forms share one table
     P = (P[0] % q, P[1] % q)
-    comb = _comb_table(params, P)
-    comb.uses += 1
-    if comb.uses == _PROMOTE_AFTER and d > 1:
-        comb.table = _comb_blocks(params, P, min(_PROMOTED_BLOCKS, d))
-    blocks = comb.table
+    blocks = _comb_table(params, P)
     e = -(-d // len(blocks))
     width = len(blocks) * e
     # rows k_(w-1)..k_0 side by side, so column c of block t is every
@@ -214,21 +200,11 @@ def _comb_row_bits(params: CurveParams) -> int:
 _Blocks = tuple[tuple[Point, ...], ...]
 
 
-class _Comb:
-    """A cached base's comb, one block until the base is promoted, and the
-    multiplications it has served."""
-
-    __slots__ = ("table", "uses")
-
-    def __init__(self, table: _Blocks):
-        self.table = table
-        self.uses = 0
-
-
 @functools.lru_cache(maxsize=_COMB_TABLES)
-def _comb_table(params: CurveParams, P: Point) -> _Comb:
-    """The cache entry of a base P, with its one-block comb."""
-    return _Comb(_comb_blocks(params, P, 1))
+def _comb_table(params: CurveParams, P: Point) -> _Blocks:
+    """P's comb in min(_COMB_BLOCKS, d) blocks, built on P's first use and
+    again on its first use after an eviction."""
+    return _comb_blocks(params, P, min(_COMB_BLOCKS, _comb_row_bits(params)))
 
 
 def _comb_blocks(params: CurveParams, P: Point, v: int) -> _Blocks:

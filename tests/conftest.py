@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 
 import pytest
 
@@ -17,20 +16,6 @@ BAD_FIXTURES = {
     fixtures.N_EQ_Q: "not_anomalous",
     fixtures.SUPERSINGULAR: "not_supersingular",
 }
-
-
-@pytest.fixture(scope="session")
-def promoted_bases():
-    """() -> the base of every live ``_Comb`` that holds a table of more
-    than one block, whether the comb cache holds it or anything else does.
-    The last block's T[1] is the base itself."""
-
-    def bases():
-        gc.collect()
-        return [obj.table[-1][1] for obj in gc.get_objects()
-                if isinstance(obj, cv._Comb) and len(obj.table) > 1]
-
-    return bases
 
 
 @pytest.fixture()

@@ -983,6 +983,27 @@ class TestDemoAll:
                         "demo", "all")
         assert (rc1, out1) == (rc2, out2)
 
+    def test_results_do_not_depend_on_the_comb_cache(self, f23):
+        # a cleared comb cache, a warm one and one holding 16 foreign bases
+        # give the same results, since a table depends on its base alone
+        for name in (fixtures.GOOD, fixtures.TOY16):
+            params = fixtures.load(name)
+            curve._comb_table.cache_clear()
+            cold = cli.run_demo_all(params, 7)
+            warm = cli.run_demo_all(params, 7)
+            for x in range(curve._COMB_TABLES):
+                curve.fixed_base_mul(f23, 5, (x, 1))
+            misses = curve._comb_table.cache_info().misses
+            foreign = cli.run_demo_all(params, 7)
+            assert curve._comb_table.cache_info().misses > misses
+            assert cold == warm == foreign
+        config = SchemeConfig(params=fixtures.load(fixtures.SECP160R1))
+        alice = hyh.keypair_from_secret(config, 1234)
+        bob = hyh.keypair_from_secret(config, 5678)
+        curve._comb_table.cache_clear()
+        cold = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=7)
+        assert hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=7) == cold
+
     def test_seed_changes_secrets_not_pattern(self, capsys, toy_params_file):
         _, out1 = run(capsys, "--params", toy_params_file, "--seed", "5",
                       "attack", "ephemeral")

@@ -252,9 +252,9 @@ class TestFixedBaseMul:
     @pytest.mark.parametrize("base", ["G", "off_curve"])
     @pytest.mark.parametrize("name", [fixtures.GOOD, fixtures.TOY16, fixtures.SECP160R1])
     def test_across_the_promotion(self, name, base):
-        # the base serves _PROMOTE_AFTER multiplications from its one-block
-        # table, the last of which replaces it with the promoted one; the
-        # count is shared by the unreduced form, which every other call uses
+        # the base's first multiplication builds its one table, of
+        # min(9, d) blocks, and every later one, in either form, reads that
+        # same table: one cache miss and one entry however many uses
         params = fixtures.load(name)
         q = params.q
         P = params.G if base == "G" else (q // 3, q // 5)
@@ -262,19 +262,18 @@ class TestFixedBaseMul:
         cv._comb_table.cache_clear()
         rng = random.Random(name)
         span = comb_span(params)
-        v = min(cv._PROMOTED_BLOCKS, cv._comb_row_bits(params))
-        for i in range(1, cv._PROMOTE_AFTER + 8):
+        v = min(cv._COMB_BLOCKS, cv._comb_row_bits(params))
+        for i in range(1, 13):
             k = rng.randrange(span) if i % 3 else span - i
             form = (P[0] + q, P[1]) if i % 2 else P
             assert cv.fixed_base_mul(params, k, form) == cv.scalar_mul(params, k, P)
-            comb = cv._comb_table(params, P)
-            assert comb.uses == i
-            assert len(comb.table) == (v if i >= cv._PROMOTE_AFTER else 1)
+            info = cv._comb_table.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, i - 1, 1)
+        assert len(cv._comb_table(params, P)) == v
 
-    def test_evicted_base_earns_its_table_again(self, good_params, promoted_bases):
-        # 16 fresh bases push a promoted base out of the cache; it comes
-        # back with a count of one and a one-block table, and once it has
-        # earned its table again no other copy of that table is alive
+    def test_evicted_base_earns_its_table_again(self, good_params):
+        # 16 fresh bases push a base out of the cache; its next use builds
+        # the same table again, and its results still equal scalar_mul
         params = good_params
         cv._comb_table.cache_clear()
 
@@ -283,18 +282,17 @@ class TestFixedBaseMul:
                 assert cv.fixed_base_mul(params, k, P) == cv.scalar_mul(params, k, P)
 
         P = cv.scalar_mul(params, 2, params.G)
-        serve(P, cv._PROMOTE_AFTER)
-        v = min(cv._PROMOTED_BLOCKS, cv._comb_row_bits(params))
-        assert len(cv._comb_table(params, P).table) == v
+        serve(P, 4)
+        table = cv._comb_table(params, P)
+        assert cv._comb_table.cache_info().misses == 1
         for i in range(3, 3 + cv._COMB_TABLES):
             serve(cv.scalar_mul(params, i, params.G), 1)
-        assert promoted_bases() == []
-        serve(P, 1)
-        comb = cv._comb_table(params, P)
-        assert comb.uses == 1 and len(comb.table) == 1
-        serve(P, cv._PROMOTE_AFTER - 1)
-        assert comb.uses == cv._PROMOTE_AFTER and len(comb.table) == v
-        assert promoted_bases() == [P]
+        info = cv._comb_table.cache_info()
+        assert (info.misses, info.currsize) == (1 + cv._COMB_TABLES, cv._COMB_TABLES)
+        serve(P, 4)
+        assert cv._comb_table.cache_info().misses == 2 + cv._COMB_TABLES
+        rebuilt = cv._comb_table(params, P)
+        assert rebuilt is not table and rebuilt == table
 
 
 def reference_comb_blocks(params, P, v):
@@ -347,7 +345,7 @@ def comb_by_definition(params, P, v):
 class TestCombTable:
     """_comb_blocks, built with Jacobian doublings and mixed additions and
     two batched inversions, against the affine law entry by entry, in one
-    block and in the blocks of a promoted table. The build is called
+    block and in as many as a cached base's table has. The build is called
     uncached, so every case builds its own table."""
 
     build = staticmethod(cv._comb_blocks)
@@ -372,7 +370,7 @@ class TestCombTable:
         # chains reach O early. A claimed n of 5, 7 or 29 gives d = 1, so
         # e = 1 and the same table for all three; n = 29 stands for them
         params = cv.CurveParams(q=23, a=a, b=1, G=None, n=29, h=1)
-        v = cv._PROMOTED_BLOCKS
+        v = cv._COMB_BLOCKS
         for x in range(23):
             for y in range(23):
                 blocks = self.build(params, (x, y), v)
@@ -393,9 +391,9 @@ class TestCombTable:
         shift = data.draw(st.tuples(st.sampled_from([0, q, 2 * q]),
                                     st.sampled_from([0, q, 2 * q])))
         unreduced = (P[0] + shift[0], P[1] + shift[1])
-        # one block, as built on first use, or as many as promotion builds
+        # one block, or as many as a cached base's table has
         v = data.draw(st.sampled_from(
-            [1, min(cv._PROMOTED_BLOCKS, cv._comb_row_bits(params))]), label="v")
+            [1, min(cv._COMB_BLOCKS, cv._comb_row_bits(params))]), label="v")
         assert self.build(params, unreduced, v) == reference_comb_blocks(params, P, v)
 
 

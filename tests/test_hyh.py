@@ -770,8 +770,7 @@ class TestCombTables:
         assert cv._comb_table.cache_info().misses == 1 + 40
 
     @pytest.mark.parametrize("mode", [PAPER, STRICT])
-    def test_fresh_ephemerals_do_not_evict_keys(self, good_params, mode,
-                                                promoted_bases):
+    def test_fresh_ephemerals_do_not_evict_keys(self, good_params, mode):
         # every round trip multiplies G, U_A and U_B from their tables and
         # R by scalar_mul (n*R in strict mode too), so 40 fresh R's build
         # no table and the keys' are never rebuilt
@@ -787,13 +786,17 @@ class TestCombTables:
         assert len(ephemerals) == 40
         info = cv._comb_table.cache_info()
         assert (info.misses, info.currsize) == (3, 3)
-        # G, U_A and U_B each serve a multiplication or two per round trip
-        # and earn promoted tables
-        assert sorted(promoted_bases()) == sorted([good_params.G, alice.U, bob.U])
+        # the three entries are G's, U_A's and U_B's, each of min(9, d)
+        # blocks: reading them back builds nothing
+        v = min(cv._COMB_BLOCKS, cv._comb_row_bits(good_params))
+        for P in (good_params.G, alice.U, bob.U):
+            assert len(cv._comb_table(good_params, P)) == v
+        assert cv._comb_table.cache_info().misses == 3
 
-    def test_promoted_multiplication_makes_three_doublings(self, monkeypatch):
-        # at secp160r1 (d = 27, nine blocks of e = 3 bits) a multiplication
-        # of G makes 27 doublings from its first table and 3 once promoted
+    def test_multiplication_of_g_makes_three_doublings(self, monkeypatch):
+        # at secp160r1 (d = 27, nine blocks of e = 3 bits) G's first
+        # multiplication builds its table, 53 powers of e doublings each,
+        # and then makes 3 doublings, as does every later one
         params = fixtures.load(fixtures.SECP160R1)
         config = SchemeConfig(params=params)
         cv._comb_table.cache_clear()
@@ -812,28 +815,26 @@ class TestCombTables:
             return len(calls)
 
         rng = random.Random(3)
-        scalars = [rng.randrange(1, params.n) for _ in range(cv._PROMOTE_AFTER)]
-        doublings(scalars[0])   # builds G's table
-        assert [doublings(d) for d in scalars[1:-1]] == [27] * (cv._PROMOTE_AFTER - 2)
-        doublings(scalars[-1])   # builds the promoted one
-        assert len(cv._comb_table(params, params.G).table) == cv._PROMOTED_BLOCKS
-        assert doublings(scalars[1]) == 3
+        scalars = [rng.randrange(1, params.n) for _ in range(8)]
+        assert doublings(scalars[0]) == (6 * 9 - 1) * 3 + 3
+        assert len(cv._comb_table(params, params.G)) == cv._COMB_BLOCKS
+        assert [doublings(d) for d in scalars[1:]] == [3] * 7
 
-    def test_replayed_ephemerals_are_not_promoted(self, good_params,
-                                                  promoted_bases):
-        # 16 messages replayed until each R has been multiplied
-        # _PROMOTE_AFTER times, twice per round trip (d_B*R and s*R). Both
-        # go to scalar_mul, so no R takes a cache entry or a count, however
-        # often it comes round again
+    def test_replayed_ephemerals_take_no_table(self, good_params):
+        # 16 messages replayed, so each R is multiplied again and again
+        # (d_B*R, and s*R where the literal equation runs). Every such
+        # multiplication goes to scalar_mul, so no R takes a cache entry,
+        # however often it comes round
         config = SchemeConfig(params=good_params)
         cv._comb_table.cache_clear()
         alice = hyh.keypair_from_secret(config, 1234)
         bob = hyh.keypair_from_secret(config, 5678)
-        for _ in range(cv._PROMOTE_AFTER // 2):
+        for _ in range(4):
             for seed in range(16):
                 sct = hyh.signcrypt(config, alice.d, bob.U, b"m", rng_seed=seed)
                 assert hyh.unsigncrypt(config, bob.d, alice.U, sct) == b"m"
-        assert sorted(promoted_bases()) == sorted([good_params.G, alice.U, bob.U])
+        info = cv._comb_table.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
 
 
 class TestSenderKeyCheck:
