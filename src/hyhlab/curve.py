@@ -197,19 +197,11 @@ def _comb_row_bits(params: CurveParams) -> int:
     return -(-params.n.bit_length() // _COMB_WIDTH)
 
 
-_Blocks = tuple[tuple[Point, ...], ...]
-
-
 @functools.lru_cache(maxsize=_COMB_TABLES)
-def _comb_table(params: CurveParams, P: Point) -> _Blocks:
-    """P's comb in min(_COMB_BLOCKS, d) blocks, built on P's first use and
-    again on its first use after an eviction."""
-    return _comb_blocks(params, P, min(_COMB_BLOCKS, _comb_row_bits(params)))
-
-
-def _comb_blocks(params: CurveParams, P: Point, v: int) -> _Blocks:
-    """P's comb in v blocks, the highest first. With e = ceil(d/v), block t
-    is T[b] = sum of the 2^(j*v*e + (v-1-t)*e)*P with bit j set in b, for
+def _comb_table(params: CurveParams, P: Point) -> tuple[tuple[Point, ...], ...]:
+    """P's comb in v = min(_COMB_BLOCKS, d) blocks, the highest first, built
+    on P's first use and again after an eviction. With e = ceil(d/v), block
+    t is T[b] = sum of the 2^(j*v*e + (v-1-t)*e)*P with bit j set in b, for
     b = 0 .. 2^w - 1; v = 1 gives the rows 2^(j*d)*P.
 
     All of them are multiples of P, so they lie on P's own curve, where the
@@ -219,7 +211,9 @@ def _comb_blocks(params: CurveParams, P: Point, v: int) -> _Blocks:
     table costs two inversions. Every step is taken mod q, so an unreduced
     P gives the table of its residues."""
     q, a = params.q, params.a
-    e = -(-_comb_row_bits(params) // v)
+    d = _comb_row_bits(params)
+    v = min(_COMB_BLOCKS, d)
+    e = -(-d // v)
     X, Y, Z = P[0], P[1], 1
     doubled = []
     for _ in range(_COMB_WIDTH * v - 1):

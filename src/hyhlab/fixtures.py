@@ -6,7 +6,7 @@ shape the CLI accepts: {"q","a","b","Gx","Gy","n","h"} as lowercase hex.
 """
 
 import json
-from importlib import resources
+import os
 
 from .curve import CurveParams
 from .hyh import int_from_hex
@@ -46,7 +46,9 @@ def params_to_dict(params: CurveParams) -> dict:
 
 
 def fixture_text(name: str) -> str:
-    return (resources.files("hyhlab") / "fixtures" / f"{name}.json").read_text()
+    path = os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def load(name: str) -> CurveParams:

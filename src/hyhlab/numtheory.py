@@ -5,6 +5,7 @@ arbitrary precision). Sizes are desk scale: factoring is trial division,
 nothing is constant time, and none of it should ever touch a production key.
 """
 
+import functools
 import math
 import random
 
@@ -19,6 +20,7 @@ _SMALL_PRIMES = [
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_DETERMINISTIC_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 _MR_RANDOM_ROUNDS = 40
+_IS_PRIME_CACHE = 1024  # answers kept; sqrt_mod re-proves its p on every call
 
 # Trial divisors stop here, so factor() is complete for every n < 2**32.
 _TRIAL_BOUND = 1 << 16
@@ -43,6 +45,7 @@ def solve_linear(a: int, b: int, m: int) -> list[int]:
     return list(range(b // g * pow(a // g, -1, m // g) % (m // g), m, m // g))
 
 
+@functools.lru_cache(maxsize=_IS_PRIME_CACHE)
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below ~3.3e24."""
     if n < 2:

@@ -1081,12 +1081,23 @@ def test_readme_commands_parse(capsys):
     assert refused == []
 
 
-def test_cli_import_leaves_logging_unloaded():
+def modules_loaded_by_cli_import(*names):
     # every CLI run and benchmark child pays the import; -S keeps
     # site-packages' start-up hooks out of the count
     src = str(Path(hyh.__file__).resolve().parent.parent)
-    code = "import sys, hyhlab.cli; print('logging' in sys.modules)"
+    code = f"import sys, hyhlab.cli; print(*[m for m in {names!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-S", "-c", code],
                             env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.split()
+
+
+def test_cli_import_leaves_logging_unloaded():
+    assert modules_loaded_by_cli_import("logging") == []
+
+
+def test_cli_import_leaves_importlib_resources_unloaded():
+    # the fixtures are read with open() beside fixtures.py, so the import
+    # pays for none of importlib.resources, pathlib and tempfile
+    assert modules_loaded_by_cli_import(
+        "importlib.resources", "pathlib", "tempfile") == []

@@ -299,7 +299,7 @@ def reference_comb_blocks(params, P, v):
     """The comb in v blocks from the affine law alone. With e = ceil(d/v),
     each power 2^(m*e)*P is the one before it doubled e times with
     point_add; block t takes the powers 2^(j*v*e + (v-1-t)*e)*P as its rows,
-    and T[b] adds the rows of b's bits in the order _comb_blocks does."""
+    and T[b] adds the rows of b's bits in the order _comb_table does."""
     e = -(-cv._comb_row_bits(params) // v)
     powers = [P]
     for _ in range(cv._COMB_WIDTH * v - 1):
@@ -343,23 +343,24 @@ def comb_by_definition(params, P, v):
 
 
 class TestCombTable:
-    """_comb_blocks, built with Jacobian doublings and mixed additions and
-    two batched inversions, against the affine law entry by entry, in one
-    block and in as many as a cached base's table has. The build is called
-    uncached, so every case builds its own table."""
+    """_comb_table, built with Jacobian doublings and mixed additions and
+    two batched inversions, against the affine law entry by entry, in the
+    min(9, d) blocks the library builds. The build is called uncached, so
+    every case builds its own table."""
 
-    build = staticmethod(cv._comb_blocks)
+    build = staticmethod(cv._comb_table.__wrapped__)
 
     @pytest.mark.parametrize("n", [5, 7, 29])
     @pytest.mark.parametrize("a", [0, 1, 22])
     def test_every_point_of_f23(self, a, n):
         # small-order bases make rows and sums O, which the batched
-        # conversions must leave out of their products
+        # conversions must leave out of their products. A claimed n of 5, 7
+        # or 29 gives d = 1, so the table is one block
         params = cv.CurveParams(q=23, a=a, b=1, G=None, n=n, h=1)
         hit_identity = False
         for x in range(23):
             for y in range(23):
-                blocks = self.build(params, (x, y), 1)
+                blocks = self.build(params, (x, y))
                 assert blocks == comb_by_definition(params, (x, y), 1)
                 hit_identity |= None in blocks[0][1:]
         assert hit_identity
@@ -367,15 +368,15 @@ class TestCombTable:
     @pytest.mark.parametrize("a", [0, 1, 22])
     def test_every_point_of_f23_promoted(self, a):
         # nine blocks of e = 1 bit: each base doubled 53 times, and most
-        # chains reach O early. A claimed n of 5, 7 or 29 gives d = 1, so
-        # e = 1 and the same table for all three; n = 29 stands for them
-        params = cv.CurveParams(q=23, a=a, b=1, G=None, n=29, h=1)
-        v = cv._COMB_BLOCKS
+        # chains reach O early. A claimed 54-bit n gives d = 9, so the
+        # library's own table is nine blocks of one bit
+        params = cv.CurveParams(q=23, a=a, b=1, G=None, n=1 << 53, h=1)
+        assert cv._comb_row_bits(params) == cv._COMB_BLOCKS == 9
         for x in range(23):
             for y in range(23):
-                blocks = self.build(params, (x, y), v)
-                assert len(blocks) == v
-                assert blocks == comb_by_definition(params, (x, y), v)
+                blocks = self.build(params, (x, y))
+                assert len(blocks) == 9
+                assert blocks == comb_by_definition(params, (x, y), 9)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), name=st.sampled_from(ALL_FIXTURES))
@@ -391,10 +392,8 @@ class TestCombTable:
         shift = data.draw(st.tuples(st.sampled_from([0, q, 2 * q]),
                                     st.sampled_from([0, q, 2 * q])))
         unreduced = (P[0] + shift[0], P[1] + shift[1])
-        # one block, or as many as a cached base's table has
-        v = data.draw(st.sampled_from(
-            [1, min(cv._COMB_BLOCKS, cv._comb_row_bits(params))]), label="v")
-        assert self.build(params, unreduced, v) == reference_comb_blocks(params, P, v)
+        v = min(9, cv._comb_row_bits(params))
+        assert self.build(params, unreduced) == reference_comb_blocks(params, P, v)
 
 
 def _affine_of(q, X, Y, Z):
