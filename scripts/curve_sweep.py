@@ -5,11 +5,12 @@ The bundled fixtures are nine hand-picked parameter sets; this script draws
 curves at random instead. From a fixed seed it draws, for each curve, a
 prime q in [--q-min, --q-max), coefficients a and b of a nonsingular curve,
 its point count #E (``curve.count_points_exhaustive`` below 3000,
-``curve.count_points`` above) and a random point P. Even-numbered curves
-take n as the largest prime factor of #E and G = (#E/n)*P, drawing P again
-until G is not O; odd-numbered ones take G = P and n = ord(P), which may be
+``curve.count_points`` above). Even-numbered curves take n as the largest
+prime factor of #E and G of order n from ``curve.find_point_of_order``;
+odd-numbered ones take a random point G and n = ord(G), which may be
 composite. In both, h = #E/n. ``F173_N5``, on which strict nonce-reuse once
-crashed ``demo all``, is checked first.
+crashed ``demo all``, and ``F61_N3``, whose n-Sylow subgroup is not cyclic,
+are checked first.
 
 Each curve runs ``cli.run_demo_all`` at seeds 0 and 1, and a run is a
 problem when:
@@ -44,6 +45,10 @@ EXHAUSTIVE_BELOW = 3000
 # x(r*G) = 1 mod 5, so at a seed whose d_A = -H(M) mod 5 for one of the
 # nonce-reuse messages M, that message signcrypts to s = 0 under every r
 F173_N5 = curve.CurveParams(q=173, a=101, b=37, G=(31, 75), n=5, h=36)
+# y^2 = x^3 + 33x + 36 over F_61: #E = 72 and the group is Z/24 x Z/3, so
+# the 3-Sylow subgroup is not cyclic and (#E/n)*P = 24*P = O for every P;
+# a G of order 3 takes find_point_of_order's walk down that subgroup
+F61_N3 = curve.CurveParams(q=61, a=33, b=36, G=(46, 58), n=3, h=24)
 
 
 def random_curves(count: int, q_min: int, q_max: int) -> list[curve.CurveParams]:
@@ -61,9 +66,7 @@ def random_curves(count: int, q_min: int, q_max: int) -> list[curve.CurveParams]
                  else curve.count_points)(E)
         if len(curves) % 2 == 0:
             n = max(numtheory.factor(order))
-            G = None
-            while G is None:
-                G = curve.scalar_mul(E, order // n, curve.random_point(E, rng))
+            G = curve.find_point_of_order(E, n, order)
         else:
             G = curve.random_point(E, rng)
             n = curve.point_order(E, G, order)
@@ -112,10 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--q-max", type=int, default=EXHAUSTIVE_BELOW,
                         help="bound past the greatest q to draw (default 3000)")
     args = parser.parse_args(argv)
-    found = sweep([F173_N5, *random_curves(args.curves, args.q_min, args.q_max)])
+    found = sweep([F173_N5, F61_N3, *random_curves(args.curves, args.q_min, args.q_max)])
     for line in found:
         print(line)
-    print(f"{len(found)} problems on {args.curves + 1} curves at seeds {SEEDS}")
+    print(f"{len(found)} problems on {args.curves + 2} curves at seeds {SEEDS}")
     return 1 if found else 0
 
 

@@ -158,7 +158,7 @@ def xor_keystream(config: SchemeConfig, x_k: int, data: bytes) -> bytes:
     return bytes(out)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _xor_table(k: int) -> bytes:
     """The translate table of XOR with the byte k; built on first use, as
     most runs meet only the few key bytes of their sessions."""
@@ -214,24 +214,18 @@ def _prime_order(params: CurveParams) -> bool:
     return params.h == 1 and paramcheck.validate_domain_params(params).overall
 
 
-def _has_order_n(config: SchemeConfig, P: Point) -> bool:
-    """Whether n*P = O (SEC 1 v2, section 3.2.2.1). Precondition: P has
-    passed ``validate_public_key``, so it lies on the curve, as in its one
-    caller ``peer_point_failures``; under ``_prime_order`` the answer is
-    then yes without a multiplication."""
-    params = config.params
-    return _prime_order(params) or scalar_mul(params, params.n, P) is None
-
-
 def peer_point_failures(config: SchemeConfig, P: Point) -> tuple[str, ...]:
     """Strict mode's one check of a peer's point (an ephemeral R, U_A, U_B,
     a key handed to the CA), as the labels of what P fails, () when it
     passes: the labels of ``validate_public_key``, or "order" when P passes
-    those but n*P != O. Paper mode checks no point: every P passes."""
+    those but n*P != O (SEC 1 v2, section 3.2.2.1), which on the curve holds
+    under ``_prime_order`` without a multiplication. Paper mode checks no
+    point: every P passes."""
     if config.mode == PAPER:
         return ()
-    failed = validate_public_key(config.params, P)
-    if failed or _has_order_n(config, P):
+    params = config.params
+    failed = validate_public_key(params, P)
+    if failed or _prime_order(params) or scalar_mul(params, params.n, P) is None:
         return failed
     return ("order",)
 
@@ -411,11 +405,11 @@ def _verify_equation(config: SchemeConfig, u_a: Point, e: int, R: Point,
     x_r = x_coord(R) % n
     if (s % n and _prime_order(params) and not validate_public_key(params, R)
             and not validate_public_key(params, u_a)):
-        w = mod_inverse(s, n)
-        return R == point_add(params, fixed_base_mul(params, e * w % n, params.G),
-                              fixed_base_mul(params, x_r * w % n, u_a))
-    return scalar_mul(params, s, R) == point_add(
-        params, fixed_base_mul(params, e, params.G), fixed_base_mul(params, x_r, u_a))
+        w, lhs = mod_inverse(s, n), R
+    else:
+        w, lhs = 1, scalar_mul(params, s, R)
+    return lhs == point_add(params, fixed_base_mul(params, e * w % n, params.G),
+                            fixed_base_mul(params, x_r * w % n, u_a))
 
 
 # --- wire format -----------------------------------------------------------

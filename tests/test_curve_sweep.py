@@ -4,7 +4,10 @@ row it stages lands, and no strict row lands but a nonce-reuse whose two
 texts share a keystream."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 from hyhlab import fixtures
 
@@ -17,8 +20,18 @@ _spec.loader.exec_module(curve_sweep)
 def test_duality_holds_on_random_honest_curves(capsys):
     rc = curve_sweep.main([])
     assert capsys.readouterr().out.splitlines() == [
-        "0 problems on 51 curves at seeds (0, 1)"]
+        "0 problems on 52 curves at seeds (0, 1)"]
     assert rc == 0
+
+
+def test_draw_ends_on_a_non_cyclic_sylow_subgroup():
+    # the 103rd draw below q = 100 is F61_N3, where (#E/n)*P = O for every
+    # P, so a draw that retries P until G != O would never end there
+    src = SCRIPT.parent.parent / "src"
+    code = f"import runpy; print(len(runpy.run_path({str(SCRIPT)!r})['random_curves'](103, 5, 100)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["103"], out.stderr
 
 
 def test_strict_landing_explained_by_a_shared_session_key():
