@@ -4,13 +4,12 @@
 The bundled fixtures are nine hand-picked parameter sets; this script draws
 curves at random instead. From a fixed seed it draws, for each curve, a
 prime q in [--q-min, --q-max), coefficients a and b of a nonsingular curve,
-its point count #E (``curve.count_points_exhaustive`` below 3000,
-``curve.count_points`` above). Even-numbered curves take n as the largest
-prime factor of #E and G of order n from ``curve.find_point_of_order``;
-odd-numbered ones take a random point G and n = ord(G), which may be
-composite. In both, h = #E/n. ``F173_N5``, on which strict nonce-reuse once
-crashed ``demo all``, and ``F61_N3``, whose n-Sylow subgroup is not cyclic,
-are checked first.
+and its point count #E (``curve.count_points``). Even-numbered curves take
+n as the largest prime factor of #E and G of order n from
+``curve.find_point_of_order``; odd-numbered ones take a random point G and
+n = ord(G), which may be composite. In both, h = #E/n. ``F173_N5``, on
+which strict nonce-reuse once crashed ``demo all``, and ``F61_N3``, whose
+n-Sylow subgroup is not cyclic, are checked first.
 
 Each curve runs ``cli.run_demo_all`` at seeds 0 and 1, and a run is a
 problem when:
@@ -40,7 +39,6 @@ from hyhlab import cli, curve, hyh, numtheory
 
 SEED = 16
 SEEDS = (0, 1)
-EXHAUSTIVE_BELOW = 3000
 # y^2 = x^3 + 101x + 37 over F_173: #E = 180, G = (31, 75) of order 5. Every
 # x(r*G) = 1 mod 5, so at a seed whose d_A = -H(M) mod 5 for one of the
 # nonce-reuse messages M, that message signcrypts to s = 0 under every r
@@ -62,8 +60,7 @@ def random_curves(count: int, q_min: int, q_max: int) -> list[curve.CurveParams]
         if not numtheory.is_prime(q) or (4 * a ** 3 + 27 * b * b) % q == 0:
             continue
         E = curve.CurveParams(q, a, b, None, 0, 0)
-        order = (curve.count_points_exhaustive if q < EXHAUSTIVE_BELOW
-                 else curve.count_points)(E)
+        order = curve.count_points(E)
         if len(curves) % 2 == 0:
             n = max(numtheory.factor(order))
             G = curve.find_point_of_order(E, n, order)
@@ -112,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="random curves to draw (default 50)")
     parser.add_argument("--q-min", type=int, default=100,
                         help="least field size q to draw (default 100)")
-    parser.add_argument("--q-max", type=int, default=EXHAUSTIVE_BELOW,
+    parser.add_argument("--q-max", type=int, default=3000,
                         help="bound past the greatest q to draw (default 3000)")
     args = parser.parse_args(argv)
     found = sweep([F173_N5, F61_N3, *random_curves(args.curves, args.q_min, args.q_max)])

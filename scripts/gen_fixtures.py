@@ -58,11 +58,19 @@ def random_curve(q: int, rng: random.Random) -> cv.CurveParams:
 
 def base_point_of_order(params: cv.CurveParams, order: int, group_order: int,
                         rng: random.Random) -> cv.Point:
-    while True:
+    """(group_order/order)*P for the first random P that it gives a point of
+    exact order ``order``. The draws come from the generator's rng, so they
+    decide the fixtures; unlike ``curve.find_point_of_order`` this never
+    walks down a Sylow subgroup, so on one that is not cyclic no P serves,
+    and the draw ends after ``curve._SEARCH_TRIES`` tries in
+    ``curve.SearchBudgetExceeded``."""
+    for _ in range(cv._SEARCH_TRIES):
         P = cv.random_point(params, rng)
         G = cv.scalar_mul(params, group_order // order, P)
         if G is not None and cv.scalar_mul(params, order, G) is None:
             return G
+    raise cv.SearchBudgetExceeded(
+        f"no point of order {order} found in {cv._SEARCH_TRIES} tries")
 
 
 def prev_prime(n: int) -> int:

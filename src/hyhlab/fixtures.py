@@ -3,6 +3,7 @@
 One known-good set per working size, plus one deliberately broken set per
 validator check that can be broken on its own. All files use the same JSON
 shape the CLI accepts: {"q","a","b","Gx","Gy","n","h"} as lowercase hex.
+Only the sets that the CLI and the benchmark load are named here.
 """
 
 import json
@@ -12,13 +13,7 @@ from .curve import CurveParams
 from .hyh import int_from_hex
 
 GOOD = "params_good"            # q near 2^20, passes every check
-TOY16 = "params_toy16"          # q near 2^16, passes every check
 F23_N7 = "params_f23_n7"        # 28-point curve over F_23, order-7 subgroup
-COMPOSITE_N = "params_composite_n"
-SMALL_N = "params_small_n"
-MOV = "params_mov"
-N_EQ_Q = "params_n_eq_q"
-SUPERSINGULAR = "params_supersingular"
 SECP160R1 = "params_secp160r1"
 
 

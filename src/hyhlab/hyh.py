@@ -71,6 +71,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.mode not in (PAPER, STRICT):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.params.n < 1:  # every scalar of the scheme is reduced mod n
+            raise ValueError(f"subgroup order n = {self.params.n} is not positive")
 
     @property
     def scalar_width(self) -> int:

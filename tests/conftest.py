@@ -1,6 +1,8 @@
 import dataclasses
+import os
 
 import pytest
+from hypothesis import settings
 
 from hyhlab import curve as cv
 from hyhlab import fixtures, hyh
@@ -8,13 +10,28 @@ from hyhlab.curve import CurveParams
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig
 from hyhlab.numtheory import mod_inverse
 
+# Tier-1 runs Hypothesis' default profile. CI's fuzz step sets
+# HYHLAB_HYPOTHESIS_PROFILE=ci, with ten times the default example count; a
+# test scales with it by reading settings.default.max_examples
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYHLAB_HYPOTHESIS_PROFILE", "default"))
+
+# the bundled sets that only the tests load, beside fixtures.GOOD,
+# fixtures.F23_N7 and fixtures.SECP160R1, which the CLI and the benchmark read
+TOY16 = "params_toy16"          # q near 2^16, passes every check
+COMPOSITE_N = "params_composite_n"
+SMALL_N = "params_small_n"
+MOV = "params_mov"
+N_EQ_Q = "params_n_eq_q"
+SUPERSINGULAR = "params_supersingular"
+
 # each deliberately broken bundled set, with the validator check it breaks
 BAD_FIXTURES = {
-    fixtures.COMPOSITE_N: "n_prime",
-    fixtures.SMALL_N: "n_above_4sqrt_q",
-    fixtures.MOV: "mov_condition",
-    fixtures.N_EQ_Q: "not_anomalous",
-    fixtures.SUPERSINGULAR: "not_supersingular",
+    COMPOSITE_N: "n_prime",
+    SMALL_N: "n_above_4sqrt_q",
+    MOV: "mov_condition",
+    N_EQ_Q: "not_anomalous",
+    SUPERSINGULAR: "not_supersingular",
 }
 
 
@@ -42,7 +59,7 @@ def f23_n7():
 
 @pytest.fixture(scope="session")
 def toy16():
-    return fixtures.load(fixtures.TOY16)
+    return fixtures.load(TOY16)
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,8 @@ from hyhlab import attacks, cli, curve as cv, fixtures, hyh, numtheory as nt
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig, SigncryptedText
 from hyhlab.paramcheck import validate_domain_params
 
+from conftest import COMPOSITE_N, MOV, N_EQ_Q, SMALL_N, SUPERSINGULAR
+
 
 def verdict(num: int, name: str, ok: bool, detail: str = ""):
     print(f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
@@ -179,12 +181,12 @@ def test_7_validator_matrix_and_identity_ephemeral(paper20):
     good_report = validate_domain_params(paper20.params)
     matrix_ok = good_report.overall
     expected = {
-        fixtures.COMPOSITE_N: ["n_prime"],
-        fixtures.SMALL_N: ["n_above_4sqrt_q"],
-        fixtures.MOV: ["mov_condition"],
-        fixtures.N_EQ_Q: ["not_anomalous"],
+        COMPOSITE_N: ["n_prime"],
+        SMALL_N: ["n_above_4sqrt_q"],
+        MOV: ["mov_condition"],
+        N_EQ_Q: ["not_anomalous"],
         # a supersingular set with a usable subgroup always trips MOV too
-        fixtures.SUPERSINGULAR: ["mov_condition", "not_supersingular"],
+        SUPERSINGULAR: ["mov_condition", "not_supersingular"],
     }
     details = []
     for name, intended in expected.items():

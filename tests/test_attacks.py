@@ -5,6 +5,8 @@ import pytest
 from hyhlab import attacks, cli, curve as cv, fixtures, hyh
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig, SigncryptedText
 
+from conftest import COMPOSITE_N, TOY16
+
 
 @pytest.fixture(scope="module")
 def keys16(paper16):
@@ -21,7 +23,7 @@ def composite_n_text():
     message, r, sct) for the first r from 1 up whose triple makes
     even(x_R mod n, s) true; Alice's secret is odd, so s is even for some
     r."""
-    config = SchemeConfig(params=fixtures.load(fixtures.COMPOSITE_N))
+    config = SchemeConfig(params=fixtures.load(COMPOSITE_N))
     n = config.params.n
     alice = hyh.keypair_from_secret(config, 1235)
     bob = hyh.keypair_from_secret(config, 5678)
@@ -287,7 +289,7 @@ class TestInvalidCurveAttack:
 
     @pytest.mark.parametrize("name, orders", [
         (fixtures.GOOD, [3, 631, 197]),
-        (fixtures.TOY16, [2, 911, 10847]),
+        (TOY16, [2, 911, 10847]),
     ])
     def test_one_curve_counted_per_query(self, counted_curves, name, orders):
         # a curve is counted only when the attack asks for the next point,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hyhlab import attacks, cli, curve, fixtures, hyh
 from hyhlab.hyh import SchemeConfig
 
-from conftest import BAD_FIXTURES
+from conftest import BAD_FIXTURES, COMPOSITE_N, N_EQ_Q, TOY16
 
 
 def run(capsys, *argv):
@@ -31,7 +31,7 @@ def params_file(tmp_path, name):
 
 @pytest.fixture()
 def toy_params_file(tmp_path):
-    return params_file(tmp_path, fixtures.TOY16)
+    return params_file(tmp_path, TOY16)
 
 
 class TestParamsValidate:
@@ -42,7 +42,7 @@ class TestParamsValidate:
 
     def test_bad_fixture_names_check(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(fixtures.fixture_text(fixtures.N_EQ_Q))
+        path.write_text(fixtures.fixture_text(N_EQ_Q))
         rc, out = run(capsys, "--params", str(path), "params", "validate")
         assert rc == 1
         report = json.loads(out)
@@ -57,7 +57,7 @@ class TestParamsValidate:
 
     def test_missing_field(self, capsys, tmp_path):
         path = tmp_path / "incomplete.json"
-        obj = json.loads(fixtures.fixture_text(fixtures.TOY16))
+        obj = json.loads(fixtures.fixture_text(TOY16))
         del obj["h"]
         path.write_text(json.dumps(obj))
         rc, _ = run(capsys, "--params", str(path), "params", "validate")
@@ -65,8 +65,8 @@ class TestParamsValidate:
 
     @pytest.mark.parametrize("base, fields", [
         (fixtures.GOOD, {"q": f"{fixtures.load(fixtures.GOOD).q + 2:x}"}),
-        (fixtures.TOY16, {"a": "0", "b": "0", "Gx": "1", "Gy": "1",
-                          "n": f"{fixtures.load(fixtures.TOY16).q:x}", "h": "1"}),
+        (TOY16, {"a": "0", "b": "0", "Gx": "1", "Gy": "1",
+                          "n": f"{fixtures.load(TOY16).q:x}", "h": "1"}),
     ], ids=["composite_q", "singular"])
     def test_uncountable_curve_fails_cleanly(self, capsys, tmp_path, base, fields):
         obj = json.loads(fixtures.fixture_text(base))
@@ -139,7 +139,7 @@ class TestProtocolCommands:
     def test_composite_n_signcrypt_draws_again(self, capsys, tmp_path):
         # n = 2 * 10909: at seed 3 the first r drawn shares a factor with n,
         # has no inverse, and is drawn again like any degenerate r
-        params = params_file(tmp_path, fixtures.COMPOSITE_N)
+        params = params_file(tmp_path, COMPOSITE_N)
         alice_priv, alice_pub = self._keygen(capsys, tmp_path, params, "alice", 1)
         bob_priv, bob_pub = self._keygen(capsys, tmp_path, params, "bob", 2)
         message = tmp_path / "message.bin"
@@ -155,14 +155,14 @@ class TestProtocolCommands:
                                              "message": message.read_bytes().hex()})
 
     @pytest.mark.parametrize("name, force_r, peer, error", [
-        (fixtures.TOY16, "0", None, "forced ephemeral scalar out of range"),
-        (fixtures.TOY16, f"{fixtures.load(fixtures.TOY16).n:x}", None,
+        (TOY16, "0", None, "forced ephemeral scalar out of range"),
+        (TOY16, f"{fixtures.load(TOY16).n:x}", None,
          "forced ephemeral scalar out of range"),
         # U_B = (24329, 0) lies on toy16 with order 2, so K = 2*U_B = O
-        (fixtures.TOY16, "2", {"Ux": f"{24329:x}", "Uy": "0"},
+        (TOY16, "2", {"Ux": f"{24329:x}", "Uy": "0"},
          "forced ephemeral scalar hits a degenerate case"),
         # r = 2 has no inverse mod n = 2 * 10909
-        (fixtures.COMPOSITE_N, "2", None,
+        (COMPOSITE_N, "2", None,
          "forced ephemeral scalar hits a degenerate case"),
     ], ids=["zero", "n", "identity_shared_point", "composite_n_no_inverse"])
     def test_forced_r_refusal(self, capsys, tmp_path, name, force_r, peer, error):
@@ -231,10 +231,10 @@ class TestProtocolCommands:
                      "signcrypt", "--key", alice_priv, "--peer", bob_pub,
                      "--in", str(message))
         honest = json.loads(out)
-        n = fixtures.load(fixtures.TOY16).n
+        n = fixtures.load(TOY16).n
         # s + n passes the verification equation wherever s does; so does
         # any s with R = O and a message hashing to 0 mod n
-        config = SchemeConfig(params=fixtures.load(fixtures.TOY16))
+        config = SchemeConfig(params=fixtures.load(TOY16))
         zero_hash = next(m for m in (b"zero-%d" % i for i in range(1 << 20))
                          if hyh.hash_to_scalar(config, m) == 0)
         zero_message = tmp_path / "zero"
@@ -394,7 +394,7 @@ class TestWireFileRefusals:
     @pytest.fixture()
     def wire_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        params = fixtures.load(fixtures.TOY16)
+        params = fixtures.load(TOY16)
         config = SchemeConfig(params=params)
         alice = hyh.keypair_from_secret(config, 5)
         bob = hyh.keypair_from_secret(config, 7)
@@ -449,7 +449,7 @@ class TestWireFileRefusals:
     @pytest.mark.parametrize("command", ["signcrypt", "unsigncrypt"])
     @pytest.mark.parametrize("mode", ["paper", "strict"])
     def test_private_key_out_of_range(self, capsys, wire_files, mode, command, d):
-        d = fixtures.load(fixtures.TOY16).n if d == "n" else d
+        d = fixtures.load(TOY16).n if d == "n" else d
         Path("d.json").write_text(json.dumps({"d": f"{d:x}"}))
         rc = cli.main(["--params", "params.json", "--mode", mode, command,
                        "--key", "d.json", "--peer", "peer.json", "--in", "in.json"])
@@ -488,7 +488,7 @@ class TestWireFileRefusals:
 
 # one well-formed object over every key of a params, private-key, public-key
 # and signcrypted-text file; each example deletes and rewrites some keys
-_WIRE_OBJECT = {**fixtures.params_to_dict(fixtures.load(fixtures.TOY16)),
+_WIRE_OBJECT = {**fixtures.params_to_dict(fixtures.load(TOY16)),
                 "d": "5", "Ux": "3", "Uy": "4", "Rx": "1", "Ry": "2",
                 "C": "00ff", "s": "7"}
 _WIRE_VALUES = st.one_of(
@@ -592,7 +592,7 @@ class TestAttackCommands:
         # R = O, H(M) = 0 mod n and s = 1 with r = 0: x_R*d_A = r*s - H(M)
         # holds for every d_A, so the triple says nothing of d_A, and no
         # search of [0, n) stands in for the key formula
-        config = SchemeConfig(params=fixtures.load(fixtures.TOY16))
+        config = SchemeConfig(params=fixtures.load(TOY16))
         n = config.params.n
         files = {"sct": {"Rx": "00", "Ry": "inf", "s": "1",
                          "C": (attacks._zero_hash_message(n) + bytes(32)).hex()}}
@@ -656,7 +656,7 @@ class TestAttackCommands:
 
     @staticmethod
     def _toy16_with_n(tmp_path, n):
-        obj = json.loads(fixtures.fixture_text(fixtures.TOY16))
+        obj = json.loads(fixtures.fixture_text(TOY16))
         obj["n"] = f"{n:x}"
         path = tmp_path / "toy16_big_n.json"
         path.write_text(json.dumps(obj))
@@ -931,7 +931,7 @@ class TestDegenerateBasePoint:
 
 class TestDemoAll:
     @pytest.mark.parametrize("name", [
-        fixtures.GOOD, fixtures.TOY16, fixtures.F23_N7, fixtures.SECP160R1,
+        fixtures.GOOD, TOY16, fixtures.F23_N7, fixtures.SECP160R1,
         *BAD_FIXTURES])
     def test_default_seed_exit_code(self, capsys, tmp_path, name):
         # every bundled set runs its table, a composite n included
@@ -943,7 +943,7 @@ class TestDemoAll:
         # invalid-curve on secp160r1, with no small-order invalid curve to
         # stage it on, is the one row left n/a
         rows = {}
-        for name in (fixtures.GOOD, fixtures.TOY16, fixtures.F23_N7,
+        for name in (fixtures.GOOD, TOY16, fixtures.F23_N7,
                      fixtures.SECP160R1, *BAD_FIXTURES):
             for row in cli.run_demo_all(fixtures.load(name), 0)["findings"]:
                 rows[name, row["attack"]] = (row["paper_success"],
@@ -956,7 +956,7 @@ class TestDemoAll:
     def test_composite_n_lands_every_paper_attack(self, capsys, tmp_path, seed):
         # the key formulas solve their congruence mod n = 2*10909 rather
         # than invert an even x_R or s, which has no inverse
-        rc, out = run(capsys, "--params", params_file(tmp_path, fixtures.COMPOSITE_N),
+        rc, out = run(capsys, "--params", params_file(tmp_path, COMPOSITE_N),
                       "--seed", str(seed), "demo", "all")
         summary = json.loads(out)
         assert rc == 0
@@ -986,7 +986,7 @@ class TestDemoAll:
     def test_results_do_not_depend_on_the_comb_cache(self, f23):
         # a cleared comb cache, a warm one and one holding 16 foreign bases
         # give the same results, since a table depends on its base alone
-        for name in (fixtures.GOOD, fixtures.TOY16):
+        for name in (fixtures.GOOD, TOY16):
             params = fixtures.load(name)
             curve._comb_table.cache_clear()
             cold = cli.run_demo_all(params, 7)

@@ -10,6 +10,8 @@ from hyhlab import curve as cv
 from hyhlab import fixtures
 from hyhlab import numtheory as nt
 
+from conftest import COMPOSITE_N, MOV, N_EQ_Q, SMALL_N, SUPERSINGULAR, TOY16
+
 
 def all_points(params):
     """Independent enumeration: try every (x, y) pair against the equation."""
@@ -128,7 +130,7 @@ class TestScalarMulMatchesAffine:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(),
-           name=st.sampled_from([fixtures.TOY16, fixtures.GOOD, fixtures.SECP160R1]))
+           name=st.sampled_from([TOY16, fixtures.GOOD, fixtures.SECP160R1]))
     def test_random_points_and_scalars(self, data, name):
         params = fixtures.load(name)
         q = params.q
@@ -142,7 +144,7 @@ class TestScalarMulMatchesAffine:
         unreduced = (P[0] + shift[0], P[1] + shift[1])
         assert cv.scalar_mul(params, k, unreduced) == affine_scalar_mul(params, k, P)
 
-    @pytest.mark.parametrize("name", [fixtures.TOY16, fixtures.GOOD,
+    @pytest.mark.parametrize("name", [TOY16, fixtures.GOOD,
                                       fixtures.SECP160R1])
     def test_group_order_and_its_neighbours(self, name):
         params = fixtures.load(name)
@@ -160,9 +162,9 @@ class TestScalarMulMatchesAffine:
         assert cv.scalar_mul(good_params, 3, W) is None
 
 
-ALL_FIXTURES = [fixtures.GOOD, fixtures.TOY16, fixtures.F23_N7,
-                fixtures.COMPOSITE_N, fixtures.SMALL_N, fixtures.MOV,
-                fixtures.N_EQ_Q, fixtures.SUPERSINGULAR, fixtures.SECP160R1]
+ALL_FIXTURES = [fixtures.GOOD, TOY16, fixtures.F23_N7,
+                COMPOSITE_N, SMALL_N, MOV,
+                N_EQ_Q, SUPERSINGULAR, fixtures.SECP160R1]
 
 
 def comb_span(params):
@@ -250,7 +252,7 @@ class TestFixedBaseMul:
         assert info.maxsize == 16 and info.currsize == 16
 
     @pytest.mark.parametrize("base", ["G", "off_curve"])
-    @pytest.mark.parametrize("name", [fixtures.GOOD, fixtures.TOY16, fixtures.SECP160R1])
+    @pytest.mark.parametrize("name", [fixtures.GOOD, TOY16, fixtures.SECP160R1])
     def test_across_the_promotion(self, name, base):
         # the base's first multiplication builds its one table, of
         # min(9, d) blocks, and every later one, in either form, reads that
@@ -538,9 +540,9 @@ class TestCountPoints:
         assert cv.count_points_exhaustive(params) == q + 1 - trace
 
     @pytest.mark.parametrize("name, trace", [
-        (fixtures.SUPERSINGULAR, 0),
-        (fixtures.N_EQ_Q, 1),
-        (fixtures.MOV, 2),
+        (SUPERSINGULAR, 0),
+        (N_EQ_Q, 1),
+        (MOV, 2),
         (fixtures.GOOD, None),
     ])
     def test_extreme_orders(self, name, trace):
@@ -625,7 +627,7 @@ class TestFindInvalidCurves:
             (324566, 631, (1021129, 48506), 1048091),
             (324567, 197, (934232, 449076), 1048828),
         ]),
-        (fixtures.TOY16, [
+        (TOY16, [
             (30751, 2, (27261, 0), 65822),
             (30752, 911, (21939, 4210), 65592),
             (30754, 10847, (44878, 46261), 65082),

@@ -11,6 +11,8 @@ from hyhlab import fixtures, hyh, paramcheck
 from hyhlab.hyh import PAPER, STRICT, SchemeConfig, SigncryptedText
 from hyhlab.numtheory import mod_inverse
 
+from conftest import COMPOSITE_N, N_EQ_Q, TOY16
+
 
 @pytest.fixture(scope="module")
 def keys16(paper16):
@@ -41,7 +43,7 @@ class TestGen:
         assert d1 != d2
 
     def test_strict_requires_valid_params(self):
-        bad = fixtures.load(fixtures.COMPOSITE_N)
+        bad = fixtures.load(COMPOSITE_N)
         config = SchemeConfig(params=bad, mode=STRICT)
         with pytest.raises(hyh.Refused, match="domain parameters failed: "):
             hyh.gen(config, rng_seed=1)
@@ -108,7 +110,7 @@ def test_xor_bytes_matches_bytewise_reference(len_a, len_b, seed):
     assert hyh.xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
 
 
-_BYTE_PATH_FIXTURES = [fixtures.F23_N7, fixtures.TOY16, fixtures.SECP160R1]
+_BYTE_PATH_FIXTURES = [fixtures.F23_N7, TOY16, fixtures.SECP160R1]
 
 
 def _edge_lengths(width):
@@ -562,13 +564,13 @@ class TestVerifyEquation:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(),
-           name=st.sampled_from([fixtures.SECP160R1, fixtures.TOY16, fixtures.GOOD,
-                                 fixtures.N_EQ_Q, "toy16_h1"]),
+           name=st.sampled_from([fixtures.SECP160R1, TOY16, fixtures.GOOD,
+                                 N_EQ_Q, "toy16_h1"]),
            mode=st.sampled_from([PAPER, STRICT]),
            tampered=st.sampled_from([None, "R", "U_A", "s"]))
     def test_matches_the_literal_equation(self, data, name, mode, tampered):
         if name == "toy16_h1":
-            params = dataclasses.replace(fixtures.load(fixtures.TOY16), h=1)
+            params = dataclasses.replace(fixtures.load(TOY16), h=1)
         else:
             params = fixtures.load(name)
         config = SchemeConfig(params=params, mode=mode)
@@ -679,7 +681,7 @@ class TestOrderCheck:
 
     @pytest.mark.parametrize("mode, name", [
         (PAPER, fixtures.SECP160R1), (STRICT, fixtures.SECP160R1),
-        (STRICT, fixtures.TOY16)])
+        (STRICT, TOY16)])
     def test_scalar_mul_calls_per_round_trip(self, monkeypatch, mode, name):
         # G and the keys go through the comb: r*G and r*U_B in signcrypt.
         # A point used once goes to scalar_mul: d_B*R in unsigncrypt, and
@@ -913,7 +915,7 @@ class TestWireFormat:
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), message=st.binary(min_size=1, max_size=512))
 def test_round_trip_property(data, message):
-    params = fixtures.load(fixtures.TOY16)
+    params = fixtures.load(TOY16)
     mode = data.draw(st.sampled_from([PAPER, STRICT]))
     config = SchemeConfig(params=params, mode=mode)
     seed = data.draw(st.integers(min_value=0, max_value=2**32))

@@ -9,7 +9,7 @@ from hyhlab.paramcheck import (
     validate_domain_params,
 )
 
-from conftest import BAD_FIXTURES
+from conftest import BAD_FIXTURES, COMPOSITE_N, MOV, N_EQ_Q, SMALL_N, SUPERSINGULAR
 
 
 def _check(report, name):
@@ -68,11 +68,11 @@ class TestFixtureCorpus:
         # the supersingular set necessarily fails MOV too: its only large
         # prime-order subgroup divides q + 1, so q^2 = 1 mod n
         expected = {
-            fixtures.COMPOSITE_N: ["n_prime"],
-            fixtures.SMALL_N: ["n_above_4sqrt_q"],
-            fixtures.MOV: ["mov_condition"],
-            fixtures.N_EQ_Q: ["not_anomalous"],
-            fixtures.SUPERSINGULAR: ["mov_condition", "not_supersingular"],
+            COMPOSITE_N: ["n_prime"],
+            SMALL_N: ["n_above_4sqrt_q"],
+            MOV: ["mov_condition"],
+            N_EQ_Q: ["not_anomalous"],
+            SUPERSINGULAR: ["mov_condition", "not_supersingular"],
         }
         for name, failures in expected.items():
             report = validate_domain_params(fixtures.load(name))
@@ -130,7 +130,7 @@ class TestSingleCheckCorruptions:
         assert report.failed_names() == ["base_point_valid"]
 
     def test_composite_n_flips_only_that(self, good_params):
-        fixture = fixtures.load(fixtures.COMPOSITE_N)
+        fixture = fixtures.load(COMPOSITE_N)
         assert fixture.q == good_params.q and fixture.G == good_params.G
         report = validate_domain_params(fixture)
         assert report.failed_names() == ["n_prime"]
@@ -150,15 +150,15 @@ class TestSingleCheckCorruptions:
             f"h*n = {h * n2} but #E = {h * n}"
 
     def test_small_order_flips_only_bound(self):
-        report = validate_domain_params(fixtures.load(fixtures.SMALL_N))
+        report = validate_domain_params(fixtures.load(SMALL_N))
         assert report.failed_names() == ["n_above_4sqrt_q"]
 
     def test_mov_fixture_flips_only_mov(self):
-        report = validate_domain_params(fixtures.load(fixtures.MOV))
+        report = validate_domain_params(fixtures.load(MOV))
         assert report.failed_names() == ["mov_condition"]
 
     def test_anomalous_flips_only_that(self):
-        report = validate_domain_params(fixtures.load(fixtures.N_EQ_Q))
+        report = validate_domain_params(fixtures.load(N_EQ_Q))
         assert report.failed_names() == ["not_anomalous"]
 
     def test_wrong_cofactor_flips_only_supersingular_check(self, good_params):
