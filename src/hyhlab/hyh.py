@@ -71,8 +71,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.mode not in (PAPER, STRICT):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.params.n < 1:  # every scalar of the scheme is reduced mod n
-            raise ValueError(f"subgroup order n = {self.params.n} is not positive")
+        if self.params.n < 2:  # every secret and ephemeral is drawn from [1, n-1]
+            raise ValueError(f"n = {self.params.n}: the secret range [1, n-1] is empty")
 
     @property
     def scalar_width(self) -> int:

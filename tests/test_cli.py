@@ -8,8 +8,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hyhlab import attacks, cli, curve, fixtures, hyh
 from hyhlab.hyh import SchemeConfig
@@ -486,37 +484,6 @@ class TestWireFileRefusals:
         assert f"'{path}'" in captured.err
 
 
-# one well-formed object over every key of a params, private-key, public-key
-# and signcrypted-text file; each example deletes and rewrites some keys
-_WIRE_OBJECT = {**fixtures.params_to_dict(fixtures.load(TOY16)),
-                "d": "5", "Ux": "3", "Uy": "4", "Rx": "1", "Ry": "2",
-                "C": "00ff", "s": "7"}
-_WIRE_VALUES = st.one_of(
-    st.integers(0, 2**20).map("{:x}".format),
-    st.sampled_from(["", "0x1f", " 1f", "1f ", "1f\n", "-1", "1_0", "7F",
-                     "inf", "INF"]),
-    st.text("0123456789abcdefABCDEFx _-inf\n", max_size=8),
-    st.integers(-2**70, 2**70), st.none(), st.booleans(),
-    st.lists(st.integers(0, 9), max_size=2))
-_WIRE_PARSERS = (fixtures.params_from_dict, cli._public_key, hyh.sct_from_dict,
-                 lambda obj: hyh.int_from_hex(obj["d"]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(gone=st.sets(st.sampled_from(sorted(_WIRE_OBJECT))),
-       edits=st.dictionaries(st.sampled_from(sorted(_WIRE_OBJECT)),
-                             _WIRE_VALUES, max_size=3))
-def test_wire_parsers_refuse_only_as_bad_input(gone, edits):
-    # cli._load turns exactly these three into exit 2; any other exception
-    # from a parser would escape main as a traceback
-    obj = {k: v for k, v in _WIRE_OBJECT.items() if k not in gone} | edits
-    for parse in _WIRE_PARSERS:
-        try:
-            parse(obj)
-        except (KeyError, ValueError, TypeError):
-            pass
-
-
 class TestAttackCommands:
     @pytest.mark.parametrize("name", cli.ATTACK_NAMES)
     def test_paper_mode_attacks_succeed(self, capsys, toy_params_file, name):
@@ -802,34 +769,13 @@ def test_strict_leak_attacks_stage_nothing(capsys, tmp_path, name):
     assert [e["event"] for e in report["transcript"]] == ["staging", "blocked"]
 
 
-def test_hostile_parameters_end_in_an_exit_code(capsys, tmp_path):
-    # y^2 = x^3 + 2x + 2 over F_17 has 19 points and G = (0, 6) generates
-    # them; a params file may claim any n and h for it, and each run of
-    # demo all and of keygen in either mode ends in exit 0, 1 or 2
-    path = tmp_path / "hostile.json"
-    escaped = {}
-    for n in range(2, 30):
-        for h in (1, 2, 4):
-            path.write_text(json.dumps({"q": "11", "a": "2", "b": "2", "Gx": "0",
-                                        "Gy": "6", "n": f"{n:x}", "h": f"{h:x}"}))
-            for argv in (["demo", "all"], ["keygen"], ["--mode", "strict", "keygen"]):
-                try:
-                    rc = cli.main(["--params", str(path), *argv])
-                except Exception as exc:
-                    rc = f"{type(exc).__name__}: {exc}"
-                if rc not in (0, 1, 2):
-                    escaped[n, h, *argv] = rc
-    capsys.readouterr()
-    assert escaped == {}
-
-
 def test_hostile_parameters_strict_refusals_are_reported(capsys, tmp_path):
-    # over the pairs above, a strict refusal of the recipient key ends in the
-    # attack's report, not in exit 2: the leak attacks and nonce-reuse report
-    # blocked, except at n = 19, G's true order, where nonce-reuse runs on two
-    # fresh ephemerals and fails; and demo all prints its table at every
-    # pair, a paper staging with no usable ephemeral scalar as n/a
-    last_events, demo_failures = {}, []
+    # over the 84 claims of n in [2, 30) and h in {1, 2, 4} on the F_17
+    # curve, a strict refusal of the recipient key ends in the attack's
+    # report, not in exit 2: the leak attacks and nonce-reuse report blocked,
+    # except at n = 19, G's true order, where nonce-reuse runs on two fresh
+    # ephemerals and fails. test_duality_search runs demo all on each claim
+    last_events = {}
     for n in range(2, 30):
         for h in (1, 2, 4):
             params = _hostile_params(tmp_path, n, h)
@@ -839,11 +785,6 @@ def test_hostile_parameters_strict_refusals_are_reported(capsys, tmp_path):
                 assert (rc, captured.err) == (1, ""), (n, h, name)
                 report = json.loads(captured.out)
                 last_events[n, h, name] = report["transcript"][-1]["event"]
-            rc = cli.main(["--params", params, "demo", "all"])
-            captured = capsys.readouterr()
-            if rc not in (0, 1) or captured.err:
-                demo_failures.append((n, h, rc, captured.err))
-    assert demo_failures == []
     assert {key: event for key, event in last_events.items() if event != "blocked"} == {
         (19, h, "nonce-reuse"): "staging" for h in (1, 2, 4)}
 

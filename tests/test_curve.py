@@ -593,6 +593,13 @@ class TestFindPointOfOrder:
         with pytest.raises(cv.SearchBudgetExceeded, match="no point of order 3"):
             cv.find_point_of_order(f23, 3, 21)
 
+    def test_walks_down_a_non_cyclic_sylow_subgroup(self):
+        # y^2 = x^3 + 33x + 36 over F_61 has 72 points and the group Z/24 x
+        # Z/3: 24*P = O for every P, so only the walk by 3 from 8*P finds order 3
+        E = cv.CurveParams(q=61, a=33, b=36, G=None, n=0, h=0)
+        assert all(cv.scalar_mul(E, 24, P) is None for P in all_points(E))
+        assert cv.point_order(E, cv.find_point_of_order(E, 3, 72), 72) == 3
+
 
 class TestFindInvalidCurves:
     def test_postconditions(self, toy16):

@@ -27,6 +27,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SchemeConfig(params=toy16, mode="lenient")
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_an_empty_secret_range(self, toy16, n):
+        with pytest.raises(ValueError, match=r"the secret range \[1, n-1\] is empty"):
+            SchemeConfig(params=dataclasses.replace(toy16, n=n))
+
     def test_widths(self, paper16):
         assert paper16.scalar_width == 2   # n = 16381 < 2^16
         assert paper16.field_width == 2
