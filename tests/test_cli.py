@@ -13,6 +13,7 @@ from hyhlab import attacks, cli, curve, fixtures, hyh
 from hyhlab.hyh import SchemeConfig
 
 from conftest import BAD_FIXTURES, COMPOSITE_N, N_EQ_Q, TOY16
+from test_curve_sweep import check_duality
 
 
 def run(capsys, *argv):
@@ -769,12 +770,22 @@ def test_strict_leak_attacks_stage_nothing(capsys, tmp_path, name):
     assert [e["event"] for e in report["transcript"]] == ["staging", "blocked"]
 
 
+def test_hostile_parameters_end_in_an_exit_code(capsys, tmp_path):
+    # y^2 = x^3 + 2x + 2 over F_17 has 19 points and G = (0, 6) generates
+    # them; a params file may claim any n and h for it, and at each claim
+    # keygen in either mode and demo all end in an exit code, demo all with
+    # its table, and the table keeps the duality
+    for n in range(2, 30):
+        for h in (1, 2, 4):
+            check_duality(capsys, tmp_path, curve.CurveParams(17, 2, 2, (0, 6), n, h),
+                          False, 0)
+
+
 def test_hostile_parameters_strict_refusals_are_reported(capsys, tmp_path):
-    # over the 84 claims of n in [2, 30) and h in {1, 2, 4} on the F_17
-    # curve, a strict refusal of the recipient key ends in the attack's
-    # report, not in exit 2: the leak attacks and nonce-reuse report blocked,
-    # except at n = 19, G's true order, where nonce-reuse runs on two fresh
-    # ephemerals and fails. test_duality_search runs demo all on each claim
+    # over the claims above, a strict refusal of the recipient key ends in
+    # the attack's report, not in exit 2: the leak attacks and nonce-reuse
+    # report blocked, except at n = 19, G's true order, where nonce-reuse
+    # runs on two fresh ephemerals and fails
     last_events = {}
     for n in range(2, 30):
         for h in (1, 2, 4):

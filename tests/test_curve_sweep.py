@@ -1,18 +1,20 @@
 """A drawn search for breaks of the paper/strict duality. Each example
-draws a parameter set (``param_sets``), writes it to a params file and runs
-``keygen`` in both modes and ``demo all`` at a seed from 0 to 3 through
-``cli.main``. Every run ends in exit 0, 1 or 2, ``demo all`` in 0 or 1 with
-nothing on stderr, and its table keeps the duality (``problems``).
+draws a parameter set (``param_sets``), an honest curve or a hostile claim,
+and ``check_duality`` writes it to a params file and runs ``keygen`` in
+both modes and ``demo all`` at a seed from 0 to 3 through ``cli.main``.
+Every run ends in exit 0, 1 or 2, ``demo all`` in 0 or 1 with nothing on
+stderr, and its table keeps the duality (``problems``).
 
-The example count is half the Hypothesis profile's: 50 in Tier-1, 500
-under ``HYHLAB_HYPOTHESIS_PROFILE=ci`` (tests/conftest.py)."""
+Each of the two properties takes a quarter of the Hypothesis profile's
+example count: 25 in Tier-1, 250 under ``HYHLAB_HYPOTHESIS_PROFILE=ci``
+(tests/conftest.py)."""
 
 import itertools
 import json
 import math
 import random
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyhlab import cli, curve, fixtures, hyh, numtheory
@@ -35,17 +37,18 @@ PRIMES = _primes_by_bit_length(1 << 18)
 
 
 @st.composite
-def param_sets(draw) -> tuple[CurveParams, bool]:
-    """(params, honest): a prime q and any a and b. An honest set is a
-    nonsingular curve with #E from count_points, a G of order n, found one
-    of two ways, and h = #E/n. A hostile set takes G on the curve or any
-    pair, and claims n in [2, 2^13), since degenerate_key_demo spends about
-    n hashes, and h in [1, 300]."""
+def param_sets(draw, honest: bool) -> CurveParams:
+    """A prime q and any a and b. An honest set is a nonsingular curve with
+    #E from count_points, a G of order n, found one of two ways, and
+    h = #E/n. A hostile set takes G on the curve or any pair, and claims n
+    in [2, 2^13), since degenerate_key_demo spends about n hashes, and h in
+    [1, 300]."""
     q = draw(st.sampled_from(PRIMES[draw(st.integers(3, 18))]))
     a, b = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
     E = CurveParams(q, a, b, None, 0, 0)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if (4 * a ** 3 + 27 * b ** 2) % q and draw(st.booleans()):
+    if honest:
+        assume((4 * a ** 3 + 27 * b ** 2) % q)
         order = curve.count_points(E)
         if draw(st.booleans()):
             n = max(numtheory.factor(order))
@@ -53,13 +56,13 @@ def param_sets(draw) -> tuple[CurveParams, bool]:
         else:
             G = curve.random_point(E, rng)
             n = curve.point_order(E, G, order)
-        return CurveParams(q, a, b, G, n, order // n), True
+        return CurveParams(q, a, b, G, n, order // n)
     if draw(st.booleans()):
         G = curve.random_point(E, rng)
     else:
         G = (draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1)))
     return CurveParams(q, a, b, G, draw(st.integers(2, 2**13 - 1)),
-                       draw(st.integers(1, 300))), False
+                       draw(st.integers(1, 300)))
 
 
 def strict_keys_share_x(params: CurveParams, seed: int) -> bool:
@@ -95,26 +98,11 @@ F173_N5 = CurveParams(q=173, a=101, b=37, G=(31, 75), n=5, h=36)
 F61_N3 = CurveParams(q=61, a=33, b=36, G=(46, 58), n=3, h=24)
 
 
-def _examples(test):
-    """The honest curves above at seeds 0 and 1, and the 19-point curve
-    y^2 = x^3 + 2x + 2 over F_17, which G = (0, 6) generates, under every
-    claimed n in [2, 30) and h in {1, 2, 4} at seed 0."""
-    for params in (F173_N5, F61_N3):
-        for seed in (0, 1):
-            test = example(param_set=(params, True), seed=seed)(test)
-    for n in range(2, 30):
-        for h in (1, 2, 4):
-            test = example(param_set=(CurveParams(17, 2, 2, (0, 6), n, h), False),
-                           seed=0)(test)
-    return test
-
-
-@settings(max_examples=settings.default.max_examples // 2, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(param_set=param_sets(), seed=st.integers(0, 3))
-@_examples
-def test_demo_all_keeps_the_duality(capsys, tmp_path, param_set, seed):
-    params, honest = param_set
+def check_duality(capsys, tmp_path, params: CurveParams, honest: bool,
+                  seed: int) -> None:
+    """Runs params through keygen in both modes and demo all at seed, and
+    asserts the exit codes, the empty stderr and that nothing breaks the
+    duality."""
     path = tmp_path / "params.json"
     path.write_text(json.dumps(fixtures.params_to_dict(params)))
     for mode in (hyh.PAPER, hyh.STRICT):
@@ -124,6 +112,28 @@ def test_demo_all_keeps_the_duality(capsys, tmp_path, param_set, seed):
     out, err = capsys.readouterr()
     assert (rc in (0, 1), err) == (True, "")
     assert problems(params, honest, seed, json.loads(out)["findings"]) == []
+
+
+_DRAWN = settings(max_examples=settings.default.max_examples // 4, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_DRAWN
+@given(params=param_sets(honest=True), seed=st.integers(0, 3))
+@example(params=F173_N5, seed=0)
+@example(params=F173_N5, seed=1)
+@example(params=F61_N3, seed=0)
+@example(params=F61_N3, seed=1)
+def test_duality_holds_on_random_honest_curves(capsys, tmp_path, params, seed):
+    check_duality(capsys, tmp_path, params, True, seed)
+
+
+@_DRAWN
+@given(params=param_sets(honest=False), seed=st.integers(0, 3))
+def test_duality_holds_on_hostile_claims(capsys, tmp_path, params, seed):
+    # tests/test_cli.py runs the 84 F_17 claims of
+    # test_hostile_parameters_end_in_an_exit_code through check_duality too
+    check_duality(capsys, tmp_path, params, False, seed)
 
 
 def test_strict_landing_explained_by_a_shared_session_key():
